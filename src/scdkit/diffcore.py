@@ -1,11 +1,12 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
 Covers exactly the operator set the diagnosis model and its losses need:
-matmul, elementwise arithmetic, concat, gathers/scatters over node and edge
-index arrays, segment softmax for neighbor attention, sigmoid/log/exp,
-row-wise cosine machinery, and squared L2 norms. Every operator's backward
-rule accumulates exact gradients; `grad_check` compares them against central
-finite differences.
+matmul, elementwise arithmetic, row gathers with scatter-add backward, the
+fused graph-attention aggregate (`attention_aggregate`: per-edge logits,
+segment softmax and weighted neighbor sum in one node with a hand-written
+backward), sigmoid/log/exp, row-wise cosine machinery, and squared L2 norms.
+Every operator's backward rule accumulates exact gradients; `grad_check`
+compares them against central finite differences.
 
 A computation graph is confined to one thread. Leaves are created with
 `param` (trainable, receives grads) or `constant`.
@@ -21,9 +22,10 @@ EPS_GUARD = 1e-12
 class DiffNode:
     """One node of the computation graph.
 
-    `value` is a float64 ndarray (0-d for scalars), `grad` a same-shape
-    accumulator filled in by `backward`. Non-leaf nodes carry their parents
-    and a backward rule returning one gradient (or None) per parent.
+    `value` is a float64 ndarray (0-d for scalars), `grad` a same-shape,
+    read-only array filled in by `backward` (it may share memory with other
+    gradients). Non-leaf nodes carry their parents and a backward rule
+    returning one gradient (or None) per parent.
     """
 
     __slots__ = ("value", "grad", "parents", "backward_fn", "requires_grad")
@@ -58,23 +60,32 @@ class DiffNode:
         """Backpropagate from this scalar node through the graph.
 
         Visits each reachable node exactly once, in reverse topological
-        order, accumulating parent gradients additively.
+        order, accumulating parent gradients additively. A first gradient is
+        kept as received (rules may hand one array to several parents), so
+        only sums allocated here are added into in place.
         """
         if self.value.ndim != 0:
             raise ValueError("backward() requires a scalar root")
         order = _toposort(self)
-        for node in order:
-            if node.requires_grad and node.grad is None:
-                node.grad = np.zeros_like(node.value)
         self.grad = np.ones_like(self.value)
+        owned: set[int] = set()
         for node in reversed(order):
-            if node.backward_fn is None or not node.requires_grad:
+            if node.backward_fn is None or not node.requires_grad or node.grad is None:
                 continue
             gs = node.backward_fn(node.grad)
             for parent, g in zip(node.parents, gs):
                 if g is None or not parent.requires_grad:
                     continue
-                parent.grad = parent.grad + g
+                if parent.grad is None:
+                    parent.grad = g
+                elif id(parent) in owned:
+                    parent.grad += g
+                else:
+                    parent.grad = parent.grad + g
+                    owned.add(id(parent))
+        for node in order:
+            if node.requires_grad and node.grad is None:
+                node.grad = np.zeros_like(node.value)
 
 
 def _toposort(root: DiffNode) -> list[DiffNode]:
@@ -172,48 +183,21 @@ def transpose(a: DiffNode) -> DiffNode:
     return DiffNode(a.value.T, (a,), lambda g: (g.T,), a.requires_grad)
 
 
-def reshape(a: DiffNode, shape) -> DiffNode:
-    old = a.value.shape
-    return DiffNode(a.value.reshape(shape), (a,), lambda g: (g.reshape(old),), a.requires_grad)
-
-
-def concat(nodes, axis: int = 1) -> DiffNode:
-    nodes = [_as_node(n) for n in nodes]
-    sizes = [n.value.shape[axis] for n in nodes]
-    splits = np.cumsum(sizes)[:-1]
-
-    def backward(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return DiffNode(
-        np.concatenate([n.value for n in nodes], axis=axis),
-        nodes,
-        backward,
-        any(n.requires_grad for n in nodes),
-    )
+def _scatter_rows(rows: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """Sum the rows of an (E, d) array into `n` buckets by `idx`, each bucket
+    in row order as `np.add.at` would (one flat bincount over idx*d + col)."""
+    d = rows.shape[1]
+    flat = (idx * d)[:, None] + np.arange(d)
+    return np.bincount(flat.ravel(), weights=rows.ravel(), minlength=n * d).reshape(n, d)
 
 
 def gather_rows(a: DiffNode, idx) -> DiffNode:
-    """Select rows `a[idx]`; scatter-adds gradients back (repeats allowed)."""
+    """Select rows `a[idx]` of a 2-d array; scatter-adds gradients back
+    (repeats allowed)."""
     idx = np.asarray(idx, dtype=np.intp)
-
-    def backward(g):
-        out = np.zeros_like(a.value)
-        np.add.at(out, idx, g)
-        return (out,)
-
-    return DiffNode(a.value[idx], (a,), backward, a.requires_grad)
-
-
-def segment_sum(a: DiffNode, seg_ids, n_segments: int) -> DiffNode:
-    """Sum rows of `a` into `n_segments` buckets given per-row segment ids."""
-    seg_ids = np.asarray(seg_ids, dtype=np.intp)
-    if a.value.ndim == 1:
-        out = np.bincount(seg_ids, weights=a.value, minlength=n_segments)
-    else:
-        out = np.zeros((n_segments,) + a.value.shape[1:])
-        np.add.at(out, seg_ids, a.value)
-    return DiffNode(out, (a,), lambda g: (g[seg_ids],), a.requires_grad)
+    return DiffNode(
+        a.value[idx], (a,), lambda g: (_scatter_rows(g, idx, len(a.value)),), a.requires_grad
+    )
 
 
 def rowsum(a: DiffNode) -> DiffNode:
@@ -265,25 +249,45 @@ def clip(a: DiffNode, lo: float, hi: float) -> DiffNode:
     )
 
 
-def softmax_segments(x: DiffNode, seg_ids, n_segments: int) -> DiffNode:
-    """Softmax of a score vector within each segment, max-subtracted.
+def attention_aggregate(
+    head_state: DiffNode, tail_state: DiffNode, weight: DiffNode, heads, tails, n_heads: int
+) -> tuple[DiffNode, np.ndarray]:
+    """Attention-weighted sum of tail rows into head rows, as one node.
 
-    `seg_ids[i]` names the segment of score i; probabilities sum to 1 within
-    every segment that has at least one entry.
+    Edge e carries `tail_state[tails[e]]` into head `heads[e]` with logit
+    `[head_state[heads[e]], tail_state[tails[e]]] @ weight`, computed by
+    splitting `weight` into head and tail halves and projecting each node
+    once (GAT's decomposition). Logits are softmax-normalized within each
+    head's edges, max-subtracted. Row h of the output is the weighted sum of
+    its edges' tail rows (zero for a head without edges). Returns the output
+    node and the detached per-edge weights.
     """
-    seg_ids = np.asarray(seg_ids, dtype=np.intp)
-    v = x.value
-    seg_max = np.full(n_segments, -np.inf)
-    np.maximum.at(seg_max, seg_ids, v)
-    e = np.exp(v - seg_max[seg_ids])
-    denom = np.bincount(seg_ids, weights=e, minlength=n_segments)
-    p = e / denom[seg_ids]
+    heads = np.asarray(heads, dtype=np.intp)
+    tails = np.asarray(tails, dtype=np.intp)
+    h_val, t_val, w = head_state.value, tail_state.value, weight.value
+    n_tails, d_head = len(t_val), h_val.shape[1]
+    w_head, w_tail = w[:d_head], w[d_head:]
+    logits = (h_val @ w_head)[heads, 0] + (t_val @ w_tail)[tails, 0]
+    seg_max = np.full(n_heads, -np.inf)
+    np.maximum.at(seg_max, heads, logits)
+    e = np.exp(logits - seg_max[heads])
+    alpha = e / np.bincount(heads, weights=e, minlength=n_heads)[heads]
+    out = _scatter_rows(alpha[:, None] * t_val[tails], heads, n_heads)
 
     def backward(g):
-        seg_dot = np.bincount(seg_ids, weights=g * p, minlength=n_segments)
-        return (p * (g - seg_dot[seg_ids]),)
+        g_edges = g[heads]
+        d_alpha = np.einsum("ij,ij->i", g_edges, t_val[tails])
+        seg_dot = np.bincount(heads, weights=alpha * d_alpha, minlength=n_heads)
+        d_logit = alpha * (d_alpha - seg_dot[heads])
+        d_lh = np.bincount(heads, weights=d_logit, minlength=n_heads)
+        d_lt = np.bincount(tails, weights=d_logit, minlength=n_tails)
+        d_tail = _scatter_rows(alpha[:, None] * g_edges, tails, n_tails)
+        d_tail += np.outer(d_lt, w_tail)
+        d_weight = np.concatenate([h_val.T @ d_lh, t_val.T @ d_lt])[:, None]
+        return np.outer(d_lh, w_head), d_tail, d_weight
 
-    return DiffNode(p, (x,), backward, x.requires_grad)
+    requires = head_state.requires_grad or tail_state.requires_grad or weight.requires_grad
+    return DiffNode(out, (head_state, tail_state, weight), backward, requires), alpha
 
 
 def normalize_rows(a: DiffNode) -> DiffNode:

@@ -67,18 +67,13 @@ def student_table(
     preds, labels = _check_pair(preds, labels)
     if len(students) != len(preds):
         raise ValueError("students column length mismatch")
-    rows = []
-    for s in np.unique(students):
-        sel = students == s
-        rows.append(
-            StudentRow(
-                student=int(s),
-                n_train=int(train_counts[s]),
-                acc=accuracy(preds[sel], labels[sel]),
-                rmse=rmse(preds[sel], labels[sel]),
-            )
-        )
-    return rows
+    ids, inverse, counts = np.unique(students, return_inverse=True, return_counts=True)
+    hits = np.bincount(inverse, weights=(preds >= 0.5) == labels, minlength=len(ids))
+    sq_err = np.bincount(inverse, weights=(preds - labels) ** 2, minlength=len(ids))
+    return [
+        StudentRow(student=int(s), n_train=int(train_counts[s]), acc=float(a), rmse=float(r))
+        for s, a, r in zip(ids, hits / counts, np.sqrt(sq_err / counts))
+    ]
 
 
 def tail_metrics(rows: list[StudentRow]) -> tuple[float, float]:

@@ -3,8 +3,9 @@
 Embedding tables for students, exercises, and concepts feed an L-layer
 attention GCN with residual connections. Per layer and per direction, an
 edge's attention logit is a linear map of the concatenated [head, neighbor]
-embeddings, softmax-normalized within the head's neighbor segment; a node
-with no surviving neighbors just passes its residual through. The final
+embeddings, softmax-normalized within the head's neighbor segment; each
+aggregate is one fused `diffcore.attention_aggregate` node. A node with no
+surviving neighbors aggregates zero and keeps its residual. The final
 states map through sigmoid linear heads to per-concept mastery (students)
 and difficulty (exercises); predicted accuracy of a (student, exercise)
 pair averages sigmoid(predictor(mastery - difficulty)) over the exercise's
@@ -144,24 +145,14 @@ def _aggregate(
     adj: Adjacency,
     weight: dc.DiffNode,
     mask: np.ndarray | None,
-) -> tuple[dc.DiffNode | None, np.ndarray]:
-    """Attention-weighted neighbor sum into each head node.
-
-    Returns (aggregate, detached attention weights); aggregate is None when
-    no edges survive the mask.
+) -> tuple[dc.DiffNode, np.ndarray]:
+    """Attention-weighted neighbor sum into each head node over the edges the
+    mask keeps; returns (aggregate, detached attention weights).
     """
     heads, tails = adj.heads, adj.tails
     if mask is not None:
         heads, tails = heads[mask], tails[mask]
-    if len(heads) == 0:
-        return None, np.zeros(0)
-    n_heads = adj.n_heads
-    h = dc.gather_rows(head_state, heads)
-    t = dc.gather_rows(tail_state, tails)
-    logits = dc.reshape(dc.matmul(dc.concat([h, t], axis=1), weight), (len(heads),))
-    alpha = dc.softmax_segments(logits, heads, n_heads)
-    messages = dc.mul(dc.reshape(alpha, (len(heads), 1)), t)
-    return dc.segment_sum(messages, heads, n_heads), alpha.value
+    return dc.attention_aggregate(head_state, tail_state, weight, heads, tails, adj.n_heads)
 
 
 def gcn_forward(
@@ -197,13 +188,9 @@ def gcn_forward(
         agg_e_con, a_c2e = _aggregate(e, c, split.c2e, w["c2e"], None)
         agg_c, a_e2c = _aggregate(c, e, split.e2c, w["e2c"], None)
 
-        s_next = dc.add(agg_s, s) if agg_s is not None else s
-        e_next = e
-        if agg_e_stu is not None:
-            e_next = dc.add(agg_e_stu, e_next)
-        if agg_e_con is not None:
-            e_next = dc.add(agg_e_con, e_next)
-        c_next = dc.add(agg_c, c) if agg_c is not None else c
+        s_next = dc.add(agg_s, s)
+        e_next = dc.add(agg_e_con, dc.add(agg_e_stu, e))
+        c_next = dc.add(agg_c, c)
 
         for direction, a in zip(ATTN_DIRECTIONS, (a_e2s, a_s2e, a_c2e, a_e2c)):
             states.attention[direction].append(a)

@@ -10,6 +10,7 @@ so runs are bit-reproducible and resumable in single-thread double precision.
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 from dataclasses import asdict, dataclass, field, replace
@@ -247,10 +248,11 @@ class FitResult:
 
 
 def _write_responses_csv(path: Path, rs: ResponseSet) -> None:
-    with open(path, "w") as fh:
-        fh.write("student,exercise,score\n")
-        for s, e, t in zip(rs.students, rs.exercises, rs.scores):
-            fh.write(f"{rs.student_keys[s]},{rs.exercise_keys[e]},{t}\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("student", "exercise", "score"))
+        rows = zip(rs.students.tolist(), rs.exercises.tolist(), rs.scores.tolist())
+        writer.writerows((rs.student_keys[s], rs.exercise_keys[e], t) for s, e, t in rows)
 
 
 def _make_checkpoint(

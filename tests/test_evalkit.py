@@ -4,6 +4,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scdkit.corpus import load_responses
 from scdkit.evalkit import (
@@ -135,6 +137,27 @@ class TestStudentTable:
         assert rows[0].n_train == 5 and rows[1].n_train == 2
         assert rows[0].acc == 1.0
         assert rows[1].acc == pytest.approx(2 / 3)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_matches_per_student_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n_students = int(rng.integers(1, 30))
+        n_records = int(rng.integers(1, 200))
+        students = rng.integers(0, n_students, size=n_records)
+        preds = rng.random(n_records)
+        preds[rng.random(n_records) < 0.1] = 0.5  # the inclusive threshold
+        labels = rng.integers(0, 2, size=n_records)
+        counts = rng.integers(0, 50, size=n_students)
+        rows = student_table(students, preds, labels, counts)
+        # reference: the per-student mask loop the table is computed without
+        expected = []
+        for s in np.unique(students):
+            sel = students == s
+            expected.append((int(s), int(counts[s]), accuracy(preds[sel], labels[sel]),
+                             rmse(preds[sel], labels[sel])))
+        assert [(r.student, r.n_train, r.acc) for r in rows] == [e[:3] for e in expected]
+        npt.assert_allclose([r.rmse for r in rows], [e[3] for e in expected], rtol=0, atol=1e-12)
 
     def test_report_emitters_parse(self):
         rows = four_student_rows()

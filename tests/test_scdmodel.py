@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scdkit.corpus import QMatrix, ResponseSet
 from scdkit.relgraph import build_relation_graph, directed_split
@@ -33,10 +35,14 @@ def tiny_split():
     return directed_split(build_relation_graph(rs, q)), q
 
 
-def numpy_layer(split, params, layer):
-    """Independent plain-loop replica of one aggregation layer."""
+def numpy_layer(split, params, layer, view=None):
+    """Independent plain-loop replica of one aggregation layer.
 
-    def seg_softmax(logits, heads, n):
+    Returns the next (student, exercise, concept) states and, per direction,
+    the per-edge attention weights over the edges the view keeps.
+    """
+
+    def seg_softmax(logits, heads):
         out = np.zeros_like(logits)
         for h in set(heads.tolist()):
             sel = heads == h
@@ -44,22 +50,62 @@ def numpy_layer(split, params, layer):
             out[sel] = e / e.sum()
         return out
 
-    def aggregate(h_emb, t_emb, adj, w):
-        if adj.n_edges == 0:
-            return np.zeros_like(h_emb)
-        cat = np.concatenate([h_emb[adj.heads], t_emb[adj.tails]], axis=1)
-        alpha = seg_softmax((cat @ w).ravel(), adj.heads, adj.n_heads)
+    def aggregate(h_emb, t_emb, adj, w, mask):
+        heads, tails = adj.heads, adj.tails
+        if mask is not None:
+            heads, tails = heads[mask], tails[mask]
         agg = np.zeros_like(h_emb)
-        for a, h, t in zip(alpha, adj.heads, adj.tails):
+        if len(heads) == 0:
+            return agg, np.zeros(0)
+        cat = np.concatenate([h_emb[heads], t_emb[tails]], axis=1)
+        alpha = seg_softmax((cat @ w).ravel(), heads)
+        for a, h, t in zip(alpha, heads, tails):
             agg[h] += a * t_emb[t]
-        return agg
+        return agg, alpha
 
     s, e, c = params.student_emb, params.exercise_emb, params.concept_emb
     w = params.attn[layer]
-    s_next = aggregate(s, e, split.e2s, w["e2s"]) + s
-    e_next = aggregate(e, s, split.s2e, w["s2e"]) + aggregate(e, c, split.c2e, w["c2e"]) + e
-    c_next = aggregate(c, e, split.e2c, w["e2c"]) + c
-    return s_next, e_next, c_next
+    mask_e2s = view.kept_e2s if view is not None else None
+    mask_s2e = view.kept_s2e if view is not None else None
+    agg_s, a_e2s = aggregate(s, e, split.e2s, w["e2s"], mask_e2s)
+    agg_e_stu, a_s2e = aggregate(e, s, split.s2e, w["s2e"], mask_s2e)
+    agg_e_con, a_c2e = aggregate(e, c, split.c2e, w["c2e"], None)
+    agg_c, a_e2c = aggregate(c, e, split.e2c, w["e2c"], None)
+    alphas = {"e2s": a_e2s, "s2e": a_s2e, "c2e": a_c2e, "e2c": a_e2c}
+    return agg_s + s, agg_e_stu + agg_e_con + e, agg_c + c, alphas
+
+
+def random_split(rng):
+    """A small random graph with students, exercises and concepts that have
+    no edges in some directions."""
+    n_students = int(rng.integers(1, 7))
+    n_exercises = int(rng.integers(1, 7))
+    n_concepts = int(rng.integers(1, 4))
+    concepts = rng.integers(0, n_concepts, size=n_exercises)  # one each; some concepts unused
+    students, exercises = [], []
+    for s in range(n_students):
+        answered = np.flatnonzero(rng.random(n_exercises) < 0.5)  # possibly none
+        students.extend([s] * len(answered))
+        exercises.extend(answered.tolist())
+    if not students:
+        students, exercises = [0], [0]
+    rs = ResponseSet(
+        np.array(students, dtype=np.intp),
+        np.array(exercises, dtype=np.intp),
+        rng.integers(0, 2, len(students)).astype(np.int64),
+        n_students,
+        n_exercises,
+        tuple(f"s{i}" for i in range(n_students)),
+        tuple(f"e{j}" for j in range(n_exercises)),
+    )
+    q = QMatrix(
+        np.arange(n_exercises, dtype=np.intp),
+        concepts.astype(np.intp),
+        n_exercises,
+        n_concepts,
+        tuple(f"c{k}" for k in range(n_concepts)),
+    )
+    return directed_split(build_relation_graph(rs, q)), (n_students, n_exercises, n_concepts)
 
 
 class TestInit:
@@ -91,14 +137,41 @@ class TestInit:
 
 
 class TestForward:
-    def test_single_layer_matches_numpy_replica(self):
-        split, _ = tiny_split()
-        params = init_params(2, 2, 1, dim=2, n_layers=1, seed=3)
-        states = gcn_forward(params, split)
-        s1, e1, c1 = numpy_layer(split, params, 0)
-        npt.assert_allclose(states.students[1].value, s1, atol=1e-12)
-        npt.assert_allclose(states.exercises[1].value, e1, atol=1e-12)
-        npt.assert_allclose(states.concepts[1].value, c1, atol=1e-12)
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=100_000),
+        logit_scale=st.sampled_from([1.0, 3000.0]),
+        drop=st.sampled_from(["none", "random", "all"]),
+    )
+    def test_single_layer_matches_numpy_replica(self, seed, logit_scale, drop):
+        rng = np.random.default_rng(seed)
+        split, counts = random_split(rng)
+        params = init_params(*counts, dim=int(rng.integers(1, 4)), n_layers=1, seed=seed)
+        for w in params.attn[0].values():
+            w *= logit_scale  # 3000 drives attention logits to the order of +-1000
+        view = None
+        if drop != "none":
+            keep = 0.5 if drop == "random" else 0.0
+            view = View(
+                kept_e2s=rng.random(split.e2s.n_edges) < keep,
+                kept_s2e=rng.random(split.s2e.n_edges) < keep,
+            )
+        states = gcn_forward(params, split, view=view)
+        s1, e1, c1, alphas = numpy_layer(split, params, 0, view)
+        tol = 1e-12 * logit_scale
+        npt.assert_allclose(states.students[1].value, s1, rtol=0, atol=tol)
+        npt.assert_allclose(states.exercises[1].value, e1, rtol=0, atol=tol)
+        npt.assert_allclose(states.concepts[1].value, c1, rtol=0, atol=tol)
+        for direction, expected in alphas.items():
+            alpha = states.attention[direction][0]
+            assert np.all(np.isfinite(alpha))
+            npt.assert_allclose(alpha, expected, rtol=0, atol=tol)
+            adj = split.adjacency(direction)
+            mask = view.mask(direction) if view is not None else None
+            heads = adj.heads if mask is None else adj.heads[mask]
+            sums = np.bincount(heads, weights=alpha, minlength=adj.n_heads)
+            occupied = np.bincount(heads, minlength=adj.n_heads) > 0
+            npt.assert_allclose(sums[occupied], 1.0, rtol=0, atol=1e-12)
 
     def test_attention_normalized_per_head(self, small_world):
         split = small_world["split"]

@@ -1,8 +1,11 @@
+import csv
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from scdkit.corpus import load_responses
+from scdkit.evalkit import evaluate_checkpoint
 from scdkit.scdmodel import init_params, load_checkpoint
 from scdkit.synth import make_synthetic, write_synthetic
 from scdkit.trainkit import (
@@ -174,6 +177,26 @@ class TestFit:
         test_n = len(load_responses(out / "test.csv"))
         filtered = len(load_responses(rp))  # min_interactions=1 keeps everyone here
         assert train_n + test_n == filtered
+
+    def test_ids_with_comma_and_quote_survive_fit_and_eval(self, small_files, tmp_path):
+        rp, qp = small_files
+        rs = load_responses(rp)
+        busiest = int(np.argmax(np.bincount(rs.students)))
+        odd_id = 'stu,"7'
+        keys = list(rs.student_keys)
+        keys[busiest] = odd_id
+        responses = tmp_path / "responses.csv"
+        with open(responses, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["student", "exercise", "score"])
+            for s, e, t in zip(rs.students, rs.exercises, rs.scores):
+                writer.writerow([keys[s], rs.exercise_keys[e], t])
+        result = fit(self.config(epochs=1), responses, qp, tmp_path / "run")
+        assert odd_id in load_responses(result.train_path).student_keys
+        assert odd_id in load_responses(result.test_path).student_keys
+        report = evaluate_checkpoint(result.checkpoint_path, result.test_path)
+        assert odd_id in load_checkpoint(result.checkpoint_path).student_keys
+        assert sum(r.n_train for r in report.per_student) > 0
 
     def test_same_seed_bitwise_identical_logs(self, small_files, tmp_path):
         rp, qp = small_files
