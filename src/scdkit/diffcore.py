@@ -4,9 +4,15 @@ Covers exactly the operator set the diagnosis model and its losses need:
 matmul, elementwise arithmetic, row gathers with scatter-add backward, the
 fused graph-attention aggregate (`attention_aggregate`: per-edge logits,
 segment softmax and weighted neighbor sum in one node with a hand-written
-backward), sigmoid/log/exp, row-wise cosine machinery, and squared L2 norms.
+backward), sigmoid/log/exp, row normalization, and squared L2 norms.
 Every operator's backward rule accumulates exact gradients; `grad_check`
 compares them against central finite differences.
+
+Scatter-adds (the aggregate and the `gather_rows` backward) run one feature
+column at a time: each column is one `np.bincount` over the row indices, so
+no index-by-feature array is built and each bucket is summed in row order,
+bit-identical to `np.add.at`. Such ops may return transposed (Fortran-order)
+arrays.
 
 A computation graph is confined to one thread. Leaves are created with
 `param` (trainable, receives grads) or `constant`.
@@ -183,21 +189,17 @@ def transpose(a: DiffNode) -> DiffNode:
     return DiffNode(a.value.T, (a,), lambda g: (g.T,), a.requires_grad)
 
 
-def _scatter_rows(rows: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
-    """Sum the rows of an (E, d) array into `n` buckets by `idx`, each bucket
-    in row order as `np.add.at` would (one flat bincount over idx*d + col)."""
-    d = rows.shape[1]
-    flat = (idx * d)[:, None] + np.arange(d)
-    return np.bincount(flat.ravel(), weights=rows.ravel(), minlength=n * d).reshape(n, d)
-
-
 def gather_rows(a: DiffNode, idx) -> DiffNode:
     """Select rows `a[idx]` of a 2-d array; scatter-adds gradients back
     (repeats allowed)."""
     idx = np.asarray(idx, dtype=np.intp)
-    return DiffNode(
-        a.value[idx], (a,), lambda g: (_scatter_rows(g, idx, len(a.value)),), a.requires_grad
-    )
+    n = len(a.value)
+
+    def backward(g):
+        cols = [np.bincount(idx, weights=col, minlength=n) for col in g.T]
+        return (np.array(cols).T,)
+
+    return DiffNode(a.value[idx], (a,), backward, a.requires_grad)
 
 
 def rowsum(a: DiffNode) -> DiffNode:
@@ -222,12 +224,10 @@ def mean(a: DiffNode) -> DiffNode:
 
 
 def sigmoid(a: DiffNode) -> DiffNode:
+    # exp never overflows: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
     x = a.value
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     return DiffNode(out, (a,), lambda g: (g * out * (1.0 - out),), a.requires_grad)
 
 
@@ -261,6 +261,13 @@ def attention_aggregate(
     head's edges, max-subtracted. Row h of the output is the weighted sum of
     its edges' tail rows (zero for a head without edges). Returns the output
     node and the detached per-edge weights.
+
+    The sums run one feature column at a time over a transposed copy of the
+    tail states, so no edge-by-feature array is ever built: every per-edge
+    temporary is one column long. Each column is one `np.bincount`, which
+    adds a head's edges in edge order, so the output and the scatter term of
+    the tail gradient are bit-identical to `np.add.at`. Output and tail
+    gradient are transposed views (Fortran order).
     """
     heads = np.asarray(heads, dtype=np.intp)
     tails = np.asarray(tails, dtype=np.intp)
@@ -272,22 +279,28 @@ def attention_aggregate(
     np.maximum.at(seg_max, heads, logits)
     e = np.exp(logits - seg_max[heads])
     alpha = e / np.bincount(heads, weights=e, minlength=n_heads)[heads]
-    out = _scatter_rows(alpha[:, None] * t_val[tails], heads, n_heads)
+    t_cols = np.ascontiguousarray(t_val.T)
+    out = np.array(
+        [np.bincount(heads, weights=alpha * col[tails], minlength=n_heads) for col in t_cols]
+    )
 
     def backward(g):
-        g_edges = g[heads]
-        d_alpha = np.einsum("ij,ij->i", g_edges, t_val[tails])
+        d_alpha = np.zeros(len(heads))
+        d_tail = np.empty_like(t_cols)
+        for c, g_col in enumerate(np.ascontiguousarray(g.T)):
+            g_edges = g_col[heads]
+            d_alpha += g_edges * t_cols[c][tails]
+            d_tail[c] = np.bincount(tails, weights=alpha * g_edges, minlength=n_tails)
         seg_dot = np.bincount(heads, weights=alpha * d_alpha, minlength=n_heads)
         d_logit = alpha * (d_alpha - seg_dot[heads])
         d_lh = np.bincount(heads, weights=d_logit, minlength=n_heads)
         d_lt = np.bincount(tails, weights=d_logit, minlength=n_tails)
-        d_tail = _scatter_rows(alpha[:, None] * g_edges, tails, n_tails)
-        d_tail += np.outer(d_lt, w_tail)
+        d_tail += np.outer(w_tail, d_lt)
         d_weight = np.concatenate([h_val.T @ d_lh, t_val.T @ d_lt])[:, None]
-        return np.outer(d_lh, w_head), d_tail, d_weight
+        return np.outer(d_lh, w_head), d_tail.T, d_weight
 
     requires = head_state.requires_grad or tail_state.requires_grad or weight.requires_grad
-    return DiffNode(out, (head_state, tail_state, weight), backward, requires), alpha
+    return DiffNode(out.T, (head_state, tail_state, weight), backward, requires), alpha
 
 
 def normalize_rows(a: DiffNode) -> DiffNode:
@@ -302,11 +315,6 @@ def normalize_rows(a: DiffNode) -> DiffNode:
         return (g / safe[:, None] - a.value * (live * dot / safe**3)[:, None],)
 
     return DiffNode(out, (a,), backward, a.requires_grad)
-
-
-def cosine_similarity(a: DiffNode, b: DiffNode) -> DiffNode:
-    """Row-wise cosine similarity of two equal-shape 2-d arrays."""
-    return rowsum(mul(normalize_rows(a), normalize_rows(b)))
 
 
 def l2_norm_sq(a: DiffNode) -> DiffNode:
@@ -332,18 +340,18 @@ def grad_check(f, x: dict[str, np.ndarray], eps: float = 1e-5) -> float:
 
     worst = 0.0
     for key, base in x.items():
-        flat = base.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
+        # perturb by index: reshape(-1) of a non-C-ordered array is a copy
+        for i in np.ndindex(base.shape):
+            orig = base[i]
+            base[i] = orig + eps
             f_plus = float(f({k: constant(v) for k, v in x.items()}).value)
-            flat[i] = orig - eps
+            base[i] = orig - eps
             f_minus = float(f({k: constant(v) for k, v in x.items()}).value)
-            flat[i] = orig
+            base[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * eps)
             if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                 raise ValueError("non-finite function value during perturbation")
-            a = analytic[key].reshape(-1)[i]
+            a = analytic[key][i]
             worst = max(worst, abs(a - numeric) / max(1.0, abs(numeric)))
     return worst
 

@@ -134,18 +134,3 @@ def directed_split(g: RelationGraph) -> DirectedSplit:
         c2e=_csr(ex, c, g.n_exercises),
         e2c=_csr(c, ex, g.n_concepts),
     )
-
-
-def degree(split: DirectedSplit, direction: str, node: int) -> int:
-    """Indegree of `node` in the named directed subgraph."""
-    return split.adjacency(direction).indegree(node)
-
-
-def dump_edges(split: DirectedSplit) -> str:
-    """Line-delimited `direction,src,dst` listing for debugging."""
-    lines = []
-    for name in DIRECTIONS:
-        adj = split.adjacency(name)
-        for src, dst in zip(adj.tails, adj.heads):
-            lines.append(f"{name},{src},{dst}")
-    return "\n".join(lines)

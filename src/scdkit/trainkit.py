@@ -348,7 +348,7 @@ def fit(
     ckpt_path = output_dir / "checkpoint.npz"
     log_path = output_dir / "train_log.csv"
     log_rows: list[str] = []
-    last_good = _snapshot(params)
+    last_good, last_good_opt = _snapshot(params, opt)
 
     with open(log_path, "w") as log_file:
         log_file.write(LossBreakdown.CSV_HEADER + "\n")
@@ -359,7 +359,7 @@ def fit(
                 rescue = output_dir / "checkpoint_diverged.npz"
                 save_checkpoint(
                     rescue,
-                    _make_checkpoint(last_good, config, graph, rs, q, opt, epoch - 1),
+                    _make_checkpoint(last_good, config, graph, rs, q, last_good_opt, epoch - 1),
                 )
                 raise TrainingDiverged(
                     f"epoch {epoch}: {err}; last good state saved to {rescue}", rescue
@@ -368,7 +368,7 @@ def fit(
             log_rows.append(row)
             log_file.write(row + "\n")
             log.info("epoch %d: %s", epoch, row)
-            last_good = _snapshot(params)
+            last_good, last_good_opt = _snapshot(params, opt)
             if config.checkpoint_every and epoch % config.checkpoint_every == 0:
                 save_checkpoint(
                     output_dir / f"checkpoint_ep{epoch}.npz",
@@ -381,9 +381,12 @@ def fit(
     return FitResult(params, ckpt_path, log_path, log_rows, train_path, test_path, config)
 
 
-def _snapshot(params: ModelParams) -> ModelParams:
+def _snapshot(params: ModelParams, opt: AdamState) -> tuple[ModelParams, AdamState]:
+    """Copies of the params and the optimizer state at one instant. adam_step
+    rebinds the moment arrays instead of writing into them, so copies of the
+    moment dicts suffice."""
     flat = {k: v.copy() for k, v in params.as_dict().items()}
-    return replace(
+    params = replace(
         params,
         student_emb=flat["student_emb"],
         exercise_emb=flat["exercise_emb"],
@@ -399,3 +402,4 @@ def _snapshot(params: ModelParams) -> ModelParams:
         w_predict=flat["w_predict"],
         b_predict=flat["b_predict"],
     )
+    return params, AdamState(dict(opt.m), dict(opt.v), opt.step)

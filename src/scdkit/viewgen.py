@@ -44,7 +44,6 @@ class View:
 
     kept_e2s: np.ndarray
     kept_s2e: np.ndarray
-    seed_tag: int = 0
 
     def mask(self, direction: str) -> np.ndarray | None:
         if direction == "e2s":

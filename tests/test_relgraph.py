@@ -3,13 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from scdkit.corpus import QMatrix, ResponseSet
-from scdkit.relgraph import (
-    DIRECTIONS,
-    build_relation_graph,
-    degree,
-    directed_split,
-    dump_edges,
-)
+from scdkit.relgraph import build_relation_graph, directed_split
 from conftest import small_qmatrix, small_responses
 
 
@@ -82,15 +76,11 @@ class TestDirectedSplit:
 
     def test_degree_accessor_and_bounds(self, small_world):
         split = small_world["split"]
-        assert degree(split, "e2s", 0) == 3
+        assert split.e2s.indegree(0) == 3
         with pytest.raises(IndexError):
-            degree(split, "e2s", 4)
+            split.e2s.indegree(4)
+        with pytest.raises(IndexError):
+            split.e2s.indegree(-1)
         with pytest.raises(ValueError, match="direction"):
             split.adjacency("s2s")
 
-
-def test_dump_edges_covers_every_direction(small_world):
-    lines = dump_edges(small_world["split"]).splitlines()
-    assert len(lines) == 2 * 10 + 2 * 6
-    prefixes = {line.split(",")[0] for line in lines}
-    assert prefixes == set(DIRECTIONS)

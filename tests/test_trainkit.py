@@ -251,3 +251,7 @@ class TestFit:
         assert rescue.exists()
         back = load_checkpoint(rescue)
         assert all(np.all(np.isfinite(v)) for v in back.params.as_dict().values())
+        # diverged in epoch 1: the optimizer saved with the params is the fresh one
+        assert back.epoch == 0 and back.step == 0
+        assert all(not np.any(m) for m in back.adam_m.values())
+        assert all(not np.any(v) for v in back.adam_v.values())
