@@ -20,7 +20,7 @@ from .corpus import dataset_stats, filter_min_interactions, load_qmatrix, load_r
 from .evalkit import align_responses, case_study, evaluate_checkpoint
 from .relgraph import build_relation_graph, directed_split
 from .scdmodel import load_checkpoint
-from .trainkit import TrainConfig, fit
+from .trainkit import ResumeMismatch, TrainConfig, fit
 from .viewgen import DropoutParams, retention_table
 
 # config keys that name inputs rather than hyperparameters
@@ -116,11 +116,12 @@ def cmd_eval(args) -> int:
 def cmd_viewgen_audit(args) -> int:
     raw, paths = _load_config(args)
     _require(paths, "responses", "qmatrix")
-    dropout = DropoutParams(
-        k=raw.get("k", 1.0), theta=raw.get("theta", 0.01), p_min=raw.get("p_min", 0.3)
-    )
+    try:
+        dropout = DropoutParams.from_dict(raw)
+        min_interactions = int(raw.get("min_interactions", 0))
+    except (TypeError, ValueError) as err:  # bad value is the caller's fault
+        raise UsageError(str(err)) from None
     rs = load_responses(paths["responses"])
-    min_interactions = int(raw.get("min_interactions", 0))
     if min_interactions > 0:
         rs = filter_min_interactions(rs, min_interactions)
     q = load_qmatrix(paths["qmatrix"], rs)
@@ -210,7 +211,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except UsageError as err:
+    except (UsageError, ResumeMismatch) as err:  # a refused --resume is a usage error
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # noqa: BLE001 - boundary of the process

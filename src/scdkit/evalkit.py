@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import ResponseSet, load_responses
-from .relgraph import directed_split
-from .scdmodel import Checkpoint, diagnose, gcn_forward, load_checkpoint, predict
+from .relgraph import DirectedSplit, directed_split
+from .scdmodel import Checkpoint, Diagnosis, diagnose, gcn_forward, load_checkpoint, predict
 
 
 def accuracy(preds, labels, threshold: float = 0.5) -> float:
@@ -168,13 +168,17 @@ class EvalReport:
         return "\n".join(lines)
 
 
+def infer(params, split: DirectedSplit) -> tuple[Diagnosis, dict]:
+    """Forward on the original graph: the diagnosis plus the leaves `predict` reads."""
+    nodes = params.wrap()
+    return diagnose(gcn_forward(params, split, nodes=nodes), nodes), nodes
+
+
 def evaluate(params, split, q, test_set: ResponseSet, train_counts: np.ndarray) -> EvalReport:
     """Forward on the original graph and score every test record."""
     if len(test_set) == 0:
         raise ValueError("test set is empty")
-    nodes = params.wrap()
-    states = gcn_forward(params, split, nodes=nodes)
-    diag = diagnose(states, nodes)
+    diag, nodes = infer(params, split)
     preds = predict(diag, nodes, q, test_set.students, test_set.exercises).value
     labels = test_set.scores
     rows = student_table(test_set.students, preds, labels, train_counts)
@@ -308,10 +312,7 @@ def case_study(
     per_exercise = {e: tuple(int(c) for c in q.concepts_of(e)) for e in exercises}
     concept_ids = sorted({c for cs in per_exercise.values() for c in cs})
 
-    split = directed_split(ckpt.graph())
-    nodes = ckpt.params.wrap()
-    states = gcn_forward(ckpt.params, split, nodes=nodes)
-    diag = diagnose(states, nodes)
+    diag, _ = infer(ckpt.params, directed_split(ckpt.graph()))
     h_s = diag.h_student.value
     h_e = diag.h_exercise.value
 

@@ -30,52 +30,27 @@ from .viewgen import View
 ATTN_DIRECTIONS = ("e2s", "s2e", "c2e", "e2c")
 
 
-@dataclass(eq=False)
-class ModelParams:
-    """All trainable arrays plus the structural sizes they were built for."""
+def param_names(n_layers: int) -> list[str]:
+    """Every trainable array's name, in the order the regularizer sums them."""
+    attn = [f"attn{i}_{d}" for i in range(n_layers) for d in ATTN_DIRECTIONS]  # each (2d, 1)
+    heads = ["w_student_diag", "b_student_diag", "w_exercise_diag", "b_exercise_diag"]
+    return ["student_emb", "exercise_emb", "concept_emb", *attn, *heads, "w_predict", "b_predict"]
 
-    student_emb: np.ndarray
-    exercise_emb: np.ndarray
-    concept_emb: np.ndarray
-    attn: list[dict[str, np.ndarray]]  # per layer, per direction: (2d, 1)
-    w_student_diag: np.ndarray
-    b_student_diag: np.ndarray
-    w_exercise_diag: np.ndarray
-    b_exercise_diag: np.ndarray
-    w_predict: np.ndarray
-    b_predict: np.ndarray
+
+class ModelParams(dict):
+    """Name -> trainable array in `param_names` order; sizes are read off the arrays."""
 
     @property
     def n_layers(self) -> int:
-        return len(self.attn)
+        return sum(name.startswith("attn") for name in self) // len(ATTN_DIRECTIONS)
 
     @property
     def dim(self) -> int:
-        return self.student_emb.shape[1]
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        """Flat name -> live array view of every trainable parameter."""
-        out = {
-            "student_emb": self.student_emb,
-            "exercise_emb": self.exercise_emb,
-            "concept_emb": self.concept_emb,
-        }
-        for layer, weights in enumerate(self.attn):
-            for direction in ATTN_DIRECTIONS:
-                out[f"attn{layer}_{direction}"] = weights[direction]
-        out.update(
-            w_student_diag=self.w_student_diag,
-            b_student_diag=self.b_student_diag,
-            w_exercise_diag=self.w_exercise_diag,
-            b_exercise_diag=self.b_exercise_diag,
-            w_predict=self.w_predict,
-            b_predict=self.b_predict,
-        )
-        return out
+        return self["student_emb"].shape[1]
 
     def wrap(self) -> dict[str, dc.DiffNode]:
         """Fresh trainable leaves for one optimization step."""
-        return {name: dc.param(arr) for name, arr in self.as_dict().items()}
+        return {name: dc.param(arr) for name, arr in self.items()}
 
 
 @dataclass(eq=False)
@@ -121,15 +96,17 @@ def init_params(
         raise ValueError("all counts and the layer count must be >= 1")
     d = n_concepts if dim is None else dim
     rng = np.random.default_rng(seed)
-    attn = [
-        {direction: dc.init_array(rng, (2 * d, 1), 2 * d) for direction in ATTN_DIRECTIONS}
-        for _ in range(n_layers)
-    ]
-    return ModelParams(
+    # the draw order (attention, embeddings, heads) is not the name order;
+    # it stays fixed so that a seed keeps giving the same arrays
+    drawn = {
+        f"attn{layer}_{direction}": dc.init_array(rng, (2 * d, 1), 2 * d)
+        for layer in range(n_layers)
+        for direction in ATTN_DIRECTIONS
+    }
+    drawn.update(
         student_emb=dc.init_array(rng, (n_students, d), d),
         exercise_emb=dc.init_array(rng, (n_exercises, d), d),
         concept_emb=dc.init_array(rng, (n_concepts, d), d),
-        attn=attn,
         w_student_diag=dc.init_array(rng, (d, n_concepts), d),
         b_student_diag=np.zeros(n_concepts),
         w_exercise_diag=dc.init_array(rng, (d, n_concepts), d),
@@ -137,6 +114,7 @@ def init_params(
         w_predict=dc.init_array(rng, (n_concepts, n_concepts), n_concepts),
         b_predict=np.zeros(n_concepts),
     )
+    return ModelParams((name, drawn[name]) for name in param_names(n_layers))
 
 
 def _aggregate(
@@ -241,16 +219,6 @@ def predict(
     return dc.mul(dc.rowsum(picked), dc.constant(1.0 / counts))
 
 
-def forward_diagnosis(
-    params: ModelParams, split: DirectedSplit
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inference-only mastery and difficulty matrices on the original graph."""
-    nodes = params.wrap()
-    states = gcn_forward(params, split, nodes=nodes)
-    diag = diagnose(states, nodes)
-    return diag.h_student.value, diag.h_exercise.value
-
-
 @dataclass(eq=False)
 class Checkpoint:
     """A trained model plus everything needed to rebuild its graph and resume."""
@@ -300,7 +268,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "exercise_keys": list(ckpt.exercise_keys),
         "concept_keys": list(ckpt.concept_keys),
     }
-    arrays = {f"p__{k}": v for k, v in ckpt.params.as_dict().items()}
+    arrays = {f"p__{k}": v for k, v in ckpt.params.items()}
     if ckpt.adam_m is not None:
         arrays.update({f"m__{k}": v for k, v in ckpt.adam_m.items()})
         arrays.update({f"v__{k}": v for k, v in (ckpt.adam_v or {}).items()})
@@ -313,31 +281,17 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     )
 
 
-def _params_from_arrays(arrays: dict[str, np.ndarray], n_layers: int) -> ModelParams:
-    attn = [
-        {direction: arrays[f"attn{layer}_{direction}"] for direction in ATTN_DIRECTIONS}
-        for layer in range(n_layers)
-    ]
-    return ModelParams(
-        student_emb=arrays["student_emb"],
-        exercise_emb=arrays["exercise_emb"],
-        concept_emb=arrays["concept_emb"],
-        attn=attn,
-        w_student_diag=arrays["w_student_diag"],
-        b_student_diag=arrays["b_student_diag"],
-        w_exercise_diag=arrays["w_exercise_diag"],
-        b_exercise_diag=arrays["b_exercise_diag"],
-        w_predict=arrays["w_predict"],
-        b_predict=arrays["b_predict"],
-    )
-
-
 def load_checkpoint(path) -> Checkpoint:
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
-        params = _params_from_arrays(
-            {k[3:]: data[k] for k in data.files if k.startswith("p__")}, meta["n_layers"]
-        )
+        names = param_names(meta["n_layers"])
+        stored = {k[3:] for k in data.files if k.startswith("p__")}
+        if stored != set(names):
+            raise ValueError(
+                f"{path}: missing parameter arrays {sorted(set(names) - stored)}, "
+                f"unexpected {sorted(stored - set(names))}"
+            )
+        params = ModelParams((name, data[f"p__{name}"]) for name in names)
         adam_m = adam_v = None
         if meta["has_adam"]:
             adam_m = {k[3:]: data[k] for k in data.files if k.startswith("m__")}

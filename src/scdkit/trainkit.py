@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from .corpus import (
 )
 from .corpus import QMatrix
 from .objectives import LossBreakdown, main_loss, ssl_loss, total_loss
-from .relgraph import DirectedSplit, build_relation_graph, directed_split
+from .relgraph import DirectedSplit, RelationGraph, build_relation_graph, directed_split
 from .scdmodel import (
     Checkpoint,
     ModelParams,
@@ -94,10 +94,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
-        raw = dict(raw)
-        dropout = DropoutParams(
-            k=raw.pop("k", 1.0), theta=raw.pop("theta", 0.01), p_min=raw.pop("p_min", 0.3)
-        )
+        dropout = DropoutParams.from_dict(raw)
+        raw = {k: v for k, v in raw.items() if k not in DropoutParams.__dataclass_fields__}
         known = {f for f in cls.__dataclass_fields__ if f != "dropout"}
         unknown = set(raw) - known
         if unknown:
@@ -189,7 +187,6 @@ def train_epoch(
 
     sums = np.zeros(4)  # main, ssl_s, ssl_e, reg
     n_batches = 0
-    flat = params.as_dict()
     for start in range(0, len(order), config.batch_size):
         batch = order[start : start + config.batch_size]
         b_students = train_set.students[batch]
@@ -218,7 +215,7 @@ def train_epoch(
         total.backward()
         grads = {name: node.grad for name, node in nodes.items()}
         opt.step += 1
-        adam_step(flat, grads, opt, config)
+        adam_step(params, grads, opt, config)
 
         sums += (breakdown.main, breakdown.ssl_student, breakdown.ssl_exercise, breakdown.reg)
         n_batches += 1
@@ -234,6 +231,40 @@ def train_epoch(
         lambda2=config.lambda2,
         tau=config.tau,
     )
+
+
+class ResumeMismatch(ValueError):
+    """A checkpoint that does not belong to the run asked to continue it."""
+
+
+# config keys that fix the train split, the views and the random streams
+_RESUME_KEYS = ("mode", "master_seed", "k", "theta", "p_min", "min_interactions", "train_ratio")
+
+
+def _check_resume(ckpt: Checkpoint, config: TrainConfig, graph: RelationGraph) -> None:
+    """Raise ResumeMismatch naming the first way `ckpt` differs from this run."""
+    saved, wanted = ckpt.config, config.to_dict()
+    checks = [(key, saved.get(key), wanted[key]) for key in _RESUME_KEYS]
+    checks += [
+        (
+            "node counts",
+            (ckpt.n_students, ckpt.n_exercises, ckpt.n_concepts),
+            (graph.n_students, graph.n_exercises, graph.n_concepts),
+        ),
+        ("n_layers", ckpt.params.n_layers, config.n_layers),
+        ("dim", ckpt.params.dim, graph.n_concepts if config.dim is None else config.dim),
+    ]
+    for what, have, want in checks:
+        if have != want:
+            raise ResumeMismatch(
+                f"cannot resume: checkpoint has {what} {have!r}, this run {want!r}"
+            )
+    for what, have, want in (
+        ("student-exercise edges", ckpt.se_edges, graph.se_edges),
+        ("exercise-concept edges", ckpt.ec_edges, graph.ec_edges),
+    ):
+        if not np.array_equal(have, want):
+            raise ResumeMismatch(f"cannot resume: the checkpoint's {what} differ from this run's")
 
 
 @dataclass(eq=False)
@@ -258,7 +289,7 @@ def _write_responses_csv(path: Path, rs: ResponseSet) -> None:
 def _make_checkpoint(
     params: ModelParams,
     config: TrainConfig,
-    graph,
+    graph: RelationGraph,
     rs: ResponseSet,
     q: QMatrix,
     opt: AdamState,
@@ -294,6 +325,10 @@ def fit(
     Writes into `output_dir`: train.csv / test.csv (the split, in raw keys),
     mappings.json, stats.json, train_log.csv, and checkpoint.npz (params,
     config, graph, and optimizer state, so training can resume bit-exactly).
+
+    `resume_from` continues a checkpoint of this run; one from other data, model
+    structure, mode, seed, dropout or split settings raises ResumeMismatch before
+    any file is written. A resumed train_log.csv holds only the epochs it trains.
     """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -310,6 +345,26 @@ def fit(
     graph = build_relation_graph(train_set, q)
     split = directed_split(graph)
 
+    start_epoch = 0
+    if resume_from is not None:
+        ckpt = load_checkpoint(resume_from)
+        _check_resume(ckpt, config, graph)
+        params = ckpt.params
+        opt = AdamState(m=dict(ckpt.adam_m), v=dict(ckpt.adam_v), step=ckpt.step)
+        start_epoch = ckpt.epoch
+        if ckpt.epoch >= config.epochs:
+            raise ValueError(f"checkpoint already at epoch {ckpt.epoch} >= epochs {config.epochs}")
+    else:
+        params = init_params(
+            graph.n_students,
+            graph.n_exercises,
+            graph.n_concepts,
+            dim=config.dim,
+            n_layers=config.n_layers,
+            seed=config.master_seed,
+        )
+        opt = AdamState.fresh(params)
+
     train_path = output_dir / "train.csv"
     test_path = output_dir / "test.csv"
     _write_responses_csv(train_path, train_set)
@@ -325,25 +380,6 @@ def fit(
         )
     )
     (output_dir / "stats.json").write_text(json.dumps(dataset_stats(rs, q).to_dict(), indent=1))
-
-    start_epoch = 0
-    if resume_from is not None:
-        ckpt = load_checkpoint(resume_from)
-        params = ckpt.params
-        opt = AdamState(m=dict(ckpt.adam_m), v=dict(ckpt.adam_v), step=ckpt.step)
-        start_epoch = ckpt.epoch
-        if ckpt.epoch >= config.epochs:
-            raise ValueError(f"checkpoint already at epoch {ckpt.epoch} >= epochs {config.epochs}")
-    else:
-        params = init_params(
-            graph.n_students,
-            graph.n_exercises,
-            graph.n_concepts,
-            dim=config.dim,
-            n_layers=config.n_layers,
-            seed=config.master_seed,
-        )
-        opt = AdamState.fresh(params.as_dict())
 
     ckpt_path = output_dir / "checkpoint.npz"
     log_path = output_dir / "train_log.csv"
@@ -385,21 +421,5 @@ def _snapshot(params: ModelParams, opt: AdamState) -> tuple[ModelParams, AdamSta
     """Copies of the params and the optimizer state at one instant. adam_step
     rebinds the moment arrays instead of writing into them, so copies of the
     moment dicts suffice."""
-    flat = {k: v.copy() for k, v in params.as_dict().items()}
-    params = replace(
-        params,
-        student_emb=flat["student_emb"],
-        exercise_emb=flat["exercise_emb"],
-        concept_emb=flat["concept_emb"],
-        attn=[
-            {d: flat[f"attn{layer}_{d}"] for d in params.attn[layer]}
-            for layer in range(params.n_layers)
-        ],
-        w_student_diag=flat["w_student_diag"],
-        b_student_diag=flat["b_student_diag"],
-        w_exercise_diag=flat["w_exercise_diag"],
-        b_exercise_diag=flat["b_exercise_diag"],
-        w_predict=flat["w_predict"],
-        b_predict=flat["b_predict"],
-    )
+    params = ModelParams((k, v.copy()) for k, v in params.items())
     return params, AdamState(dict(opt.m), dict(opt.v), opt.step)

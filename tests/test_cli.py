@@ -143,6 +143,18 @@ class TestTrain:
         assert "error:" in err
 
 
+    def test_resume_mismatch_is_usage_error(self, capsys, data_dir, trained, tmp_path):
+        code, _, err = run(
+            capsys,
+            *train_args(
+                data_dir, tmp_path, "--override", "epochs=6", "--override", "n_layers=3",
+                "--resume", str(trained / "checkpoint.npz"),
+            ),
+        )
+        assert code == 2
+        assert "n_layers" in err
+
+
 @pytest.fixture(scope="module")
 def trained(data_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("trained")
@@ -221,3 +233,14 @@ class TestViewgenAudit:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+    @pytest.mark.parametrize("pair", ["k=0", "theta=-1", "p_min=x", "min_interactions=x"])
+    def test_bad_config_value_is_usage_error(self, capsys, data_dir, pair):
+        code, out, err = run(
+            capsys, "viewgen-audit",
+            "--responses", str(data_dir / "responses.csv"),
+            "--qmatrix", str(data_dir / "qmatrix.csv"),
+            "--override", pair, "--draws", "5",
+        )
+        assert code == 2
+        assert "error:" in err and out == ""

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,19 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scdkit.corpus import QMatrix, ResponseSet
+from scdkit.evalkit import infer
 from scdkit.relgraph import build_relation_graph, directed_split
 from scdkit.scdmodel import (
+    ATTN_DIRECTIONS,
     Checkpoint,
     diagnose,
-    forward_diagnosis,
     gcn_forward,
     init_params,
     load_checkpoint,
+    param_names,
     predict,
     save_checkpoint,
 )
 from scdkit.viewgen import View
 from scdkit import diffcore as dc
+
+FIXTURE = Path(__file__).parent / "fixtures" / "checkpoint_fca24c9.npz"
 
 
 def tiny_split():
@@ -63,8 +69,8 @@ def numpy_layer(split, params, layer, view=None):
             agg[h] += a * t_emb[t]
         return agg, alpha
 
-    s, e, c = params.student_emb, params.exercise_emb, params.concept_emb
-    w = params.attn[layer]
+    s, e, c = params["student_emb"], params["exercise_emb"], params["concept_emb"]
+    w = {d: params[f"attn{layer}_{d}"] for d in ATTN_DIRECTIONS}
     mask_e2s = view.kept_e2s if view is not None else None
     mask_s2e = view.kept_s2e if view is not None else None
     agg_s, a_e2s = aggregate(s, e, split.e2s, w["e2s"], mask_e2s)
@@ -112,20 +118,20 @@ class TestInit:
     def test_shapes_and_dim_default(self):
         p = init_params(4, 5, 3, n_layers=2, seed=0)
         assert p.dim == 3 and p.n_layers == 2
-        assert p.student_emb.shape == (4, 3)
-        assert p.attn[1]["c2e"].shape == (6, 1)
-        assert p.w_predict.shape == (3, 3)
-        assert set(p.as_dict()) == set(init_params(4, 5, 3, seed=1).as_dict())
+        assert p["student_emb"].shape == (4, 3)
+        assert p["attn1_c2e"].shape == (6, 1)
+        assert p["w_predict"].shape == (3, 3)
+        assert set(p) == set(init_params(4, 5, 3, seed=1))
 
     def test_explicit_dim(self):
         p = init_params(2, 2, 3, dim=8, n_layers=1)
-        assert p.student_emb.shape == (2, 8)
-        assert p.w_student_diag.shape == (8, 3)
+        assert p["student_emb"].shape == (2, 8)
+        assert p["w_student_diag"].shape == (8, 3)
 
     def test_seed_controls_values(self):
-        a = init_params(2, 2, 2, seed=5).student_emb
-        b = init_params(2, 2, 2, seed=5).student_emb
-        c = init_params(2, 2, 2, seed=6).student_emb
+        a = init_params(2, 2, 2, seed=5)["student_emb"]
+        b = init_params(2, 2, 2, seed=5)["student_emb"]
+        c = init_params(2, 2, 2, seed=6)["student_emb"]
         npt.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -147,8 +153,9 @@ class TestForward:
         rng = np.random.default_rng(seed)
         split, counts = random_split(rng)
         params = init_params(*counts, dim=int(rng.integers(1, 4)), n_layers=1, seed=seed)
-        for w in params.attn[0].values():
-            w *= logit_scale  # 3000 drives attention logits to the order of +-1000
+        for d in ATTN_DIRECTIONS:
+            # 3000 drives attention logits to the order of +-1000
+            params[f"attn0_{d}"] *= logit_scale
         view = None
         if drop != "none":
             keep = 0.5 if drop == "random" else 0.0
@@ -193,17 +200,17 @@ class TestForward:
             kept_s2e=np.ones(3, dtype=bool),
         )
         states = gcn_forward(params, split, view=view)
-        npt.assert_array_equal(states.students[1].value[0], params.student_emb[0])
-        assert not np.array_equal(states.students[1].value[1], params.student_emb[1])
+        npt.assert_array_equal(states.students[1].value[0], params["student_emb"][0])
+        assert not np.array_equal(states.students[1].value[1], params["student_emb"][1])
 
     def test_all_edges_dropped_returns_embeddings(self):
         split, _ = tiny_split()
         params = init_params(2, 2, 1, dim=2, n_layers=2, seed=0)
         view = View(kept_e2s=np.zeros(3, dtype=bool), kept_s2e=np.zeros(3, dtype=bool))
         states = gcn_forward(params, split, view=view)
-        npt.assert_array_equal(states.final_students.value, params.student_emb)
+        npt.assert_array_equal(states.final_students.value, params["student_emb"])
         # exercises still hear from concepts
-        assert not np.array_equal(states.final_exercises.value, params.exercise_emb)
+        assert not np.array_equal(states.final_exercises.value, params["exercise_emb"])
 
     def test_full_view_bitwise_equals_no_view(self, small_world):
         split = small_world["split"]
@@ -221,7 +228,8 @@ class TestForward:
 class TestDiagnosisAndPredict:
     def test_outputs_live_in_unit_interval(self, small_world):
         params = init_params(4, 5, 3, seed=4)
-        h_s, h_e = forward_diagnosis(params, small_world["split"])
+        diag, _ = infer(params, small_world["split"])
+        h_s, h_e = diag.h_student.value, diag.h_exercise.value
         assert h_s.shape == (4, 3) and h_e.shape == (5, 3)
         assert np.all((h_s > 0) & (h_s < 1))
         assert np.all((h_e > 0) & (h_e < 1))
@@ -263,10 +271,8 @@ class TestDiagnosisAndPredict:
         nodes = params.wrap()
         states = gcn_forward(params, small_world["split"], nodes=nodes)
         diag = diagnose(states, nodes)
-        manual = 1.0 / (
-            1.0
-            + np.exp(-(states.final_students.value @ params.w_student_diag + params.b_student_diag))
-        )
+        logits = states.final_students.value @ params["w_student_diag"] + params["b_student_diag"]
+        manual = 1.0 / (1.0 + np.exp(-logits))
         npt.assert_allclose(diag.h_student.value, manual, atol=1e-12)
 
 
@@ -274,7 +280,6 @@ class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path, small_world):
         g = small_world["graph"]
         params = init_params(4, 5, 3, seed=9)
-        flat = params.as_dict()
         ckpt = Checkpoint(
             params=params,
             config={"mode": "scd", "epochs": 7},
@@ -288,19 +293,54 @@ class TestCheckpoint:
             concept_keys=("c0", "c1", "c2"),
             epoch=7,
             step=21,
-            adam_m={k: np.full_like(v, 0.25) for k, v in flat.items()},
-            adam_v={k: np.full_like(v, 4.0) for k, v in flat.items()},
+            adam_m={k: np.full_like(v, 0.25) for k, v in params.items()},
+            adam_v={k: np.full_like(v, 4.0) for k, v in params.items()},
         )
         path = tmp_path / "ck.npz"
         save_checkpoint(path, ckpt)
         back = load_checkpoint(path)
-        for k, v in flat.items():
-            npt.assert_array_equal(back.params.as_dict()[k], v)
+        for k, v in params.items():
+            npt.assert_array_equal(back.params[k], v)
         assert back.config == {"mode": "scd", "epochs": 7}
         assert back.epoch == 7 and back.step == 21
         assert back.student_keys == ckpt.student_keys
         npt.assert_array_equal(back.se_edges, g.se_edges)
         npt.assert_array_equal(back.adam_m["student_emb"], 0.25)
+
+    def test_loads_checkpoint_written_before_the_mapping(self):
+        """The fixture was written by save_checkpoint at commit fca24c9, when
+        ModelParams held one field per array: init_params(4, 5, 3,
+        n_layers=2, seed=9) with Adam moments 0.25 and 4.0 at epoch 1, step 3.
+        Bit equality with a fresh init also pins the RNG draw order."""
+        back = load_checkpoint(FIXTURE)
+        fresh = init_params(4, 5, 3, n_layers=2, seed=9)
+        assert list(back.params) == param_names(2) == list(fresh)
+        with np.load(FIXTURE) as data:  # written in the order the regularizer sums
+            assert [k[3:] for k in data.files if k.startswith("p__")] == param_names(2)
+        for name, arr in fresh.items():
+            assert back.params[name].dtype == arr.dtype
+            assert back.params[name].shape == arr.shape
+            assert back.params[name].tobytes() == arr.tobytes(), name
+        assert back.params.n_layers == 2 and back.params.dim == 3
+        assert back.epoch == 1 and back.step == 3 and back.config["epochs"] == 4
+        assert set(back.adam_m) == set(back.adam_v) == set(param_names(2))
+        assert all(np.all(m == 0.25) for m in back.adam_m.values())
+        assert all(np.all(v == 4.0) for v in back.adam_v.values())
+
+    @pytest.mark.parametrize("edit", ["missing", "unexpected"])
+    def test_missing_or_extra_param_array_rejected(self, tmp_path, edit):
+        with np.load(FIXTURE) as data:
+            arrays = {k: data[k] for k in data.files}
+        if edit == "missing":
+            name = "attn1_c2e"
+            del arrays[f"p__{name}"]
+        else:
+            name = "attn2_e2s"
+            arrays[f"p__{name}"] = arrays["p__attn1_e2s"]
+        path = tmp_path / "edited.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=f"{edit}.*{name}"):
+            load_checkpoint(path)
 
     def test_rebuilds_graph_and_qmatrix(self, tmp_path, small_world):
         g, q = small_world["graph"], small_world["q"]

@@ -100,7 +100,7 @@ class TestTrainEpoch:
     def test_supervised_only_has_exactly_zero_ssl(self):
         params, split, q, train = self.world()
         cfg = TrainConfig(epochs=1, mode="supervised-only", batch_size=4)
-        opt = AdamState.fresh(params.as_dict())
+        opt = AdamState.fresh(params)
         b = train_epoch(params, split, q, train, cfg, epoch=1, opt=opt)
         assert b.ssl_student == 0.0 and b.ssl_exercise == 0.0
         assert b.total == pytest.approx(b.main + cfg.lambda2 * b.reg, rel=1e-12)
@@ -108,7 +108,7 @@ class TestTrainEpoch:
     def test_breakdown_composition_invariant(self):
         params, split, q, train = self.world()
         cfg = TrainConfig(epochs=1, mode="scd", batch_size=4)
-        opt = AdamState.fresh(params.as_dict())
+        opt = AdamState.fresh(params)
         b = train_epoch(params, split, q, train, cfg, epoch=1, opt=opt)
         assert b.total == pytest.approx(
             b.main + b.lambda1 * (b.ssl_student + b.ssl_exercise) + b.lambda2 * b.reg,
@@ -118,7 +118,7 @@ class TestTrainEpoch:
     def test_loss_decreases_over_fifty_epochs(self):
         params, split, q, train = self.world()
         cfg = TrainConfig(epochs=50, mode="scd", batch_size=16, learning_rate=0.01)
-        opt = AdamState.fresh(params.as_dict())
+        opt = AdamState.fresh(params)
         first = train_epoch(params, split, q, train, cfg, epoch=1, opt=opt)
         last = None
         for epoch in range(2, 51):
@@ -128,7 +128,7 @@ class TestTrainEpoch:
     def test_adam_steps_advance_per_batch(self):
         params, split, q, train = self.world()
         cfg = TrainConfig(epochs=1, mode="supervised-only", batch_size=3)
-        opt = AdamState.fresh(params.as_dict())
+        opt = AdamState.fresh(params)
         train_epoch(params, split, q, train, cfg, epoch=1, opt=opt)
         assert opt.step == 4  # ceil(10 / 3)
 
@@ -137,7 +137,7 @@ class TestTrainEpoch:
         empty = train.replace_records(np.zeros(len(train), dtype=bool))
         cfg = TrainConfig(epochs=1)
         with pytest.raises(ValueError, match="empty"):
-            train_epoch(params, split, q, empty, cfg, 1, AdamState.fresh(params.as_dict()))
+            train_epoch(params, split, q, empty, cfg, 1, AdamState.fresh(params))
 
 
 class TestSeeding:
@@ -203,8 +203,8 @@ class TestFit:
         a = fit(self.config(), rp, qp, tmp_path / "a")
         b = fit(self.config(), rp, qp, tmp_path / "b")
         assert a.log_path.read_text() == b.log_path.read_text()
-        for k, v in a.params.as_dict().items():
-            npt.assert_array_equal(v, b.params.as_dict()[k])
+        for k, v in a.params.items():
+            npt.assert_array_equal(v, b.params[k])
 
     def test_different_seed_differs(self, small_files, tmp_path):
         rp, qp = small_files
@@ -221,8 +221,8 @@ class TestFit:
             resume_from=head.checkpoint_path,
         )
         assert tail.log_rows == full.log_rows[3:]
-        for k, v in full.params.as_dict().items():
-            npt.assert_array_equal(v, tail.params.as_dict()[k])
+        for k, v in full.params.items():
+            npt.assert_array_equal(v, tail.params[k])
         ck_full = load_checkpoint(full.checkpoint_path)
         ck_tail = load_checkpoint(tail.checkpoint_path)
         for k in ck_full.adam_m:
@@ -234,6 +234,54 @@ class TestFit:
         head = fit(self.config(epochs=3), rp, qp, tmp_path / "head")
         with pytest.raises(ValueError, match="already at epoch"):
             fit(self.config(epochs=3), rp, qp, tmp_path / "again",
+                resume_from=head.checkpoint_path)
+
+    def test_resume_on_other_data_with_same_counts_rejected(self, small_files, tmp_path):
+        rp, qp = small_files
+        head = fit(self.config(epochs=3), rp, qp, tmp_path / "head")
+        other = write_synthetic(tmp_path / "other", make_synthetic(30, 15, 5, seed=4))
+        ckpt = load_checkpoint(head.checkpoint_path)
+        rs = load_responses(other[0])
+        assert (ckpt.n_students, ckpt.n_exercises) == (rs.n_students, rs.n_exercises)
+        with pytest.raises(ValueError, match="edges"):
+            fit(self.config(epochs=6), *other, tmp_path / "tail",
+                resume_from=head.checkpoint_path)
+
+    def test_resume_on_other_node_counts_rejected(self, small_files, tmp_path):
+        rp, qp = small_files
+        head = fit(self.config(epochs=3), rp, qp, tmp_path / "head")
+        other = write_synthetic(tmp_path / "other", make_synthetic(40, 15, 5, seed=3))
+        with pytest.raises(ValueError, match="node counts"):
+            fit(self.config(epochs=6), *other, tmp_path / "tail",
+                resume_from=head.checkpoint_path)
+
+    def test_resume_with_other_model_structure_rejected(self, small_files, tmp_path):
+        rp, qp = small_files
+        head = fit(self.config(epochs=3), rp, qp, tmp_path / "head")
+        with pytest.raises(ValueError, match="n_layers"):
+            fit(self.config(epochs=6, n_layers=3, dim=7), rp, qp, tmp_path / "tail",
+                resume_from=head.checkpoint_path)
+        with pytest.raises(ValueError, match="dim"):
+            fit(self.config(epochs=6, dim=7), rp, qp, tmp_path / "tail",
+                resume_from=head.checkpoint_path)
+
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"mode": "scd-random"}, "mode"),
+            ({"master_seed": 6}, "master_seed"),
+            ({"dropout": DropoutParams(p_min=0.5)}, "p_min"),
+            ({"min_interactions": 2}, "min_interactions"),
+            ({"train_ratio": 0.7}, "train_ratio"),
+        ],
+    )
+    def test_resume_with_other_data_or_view_config_rejected(
+        self, small_files, tmp_path, change, key
+    ):
+        rp, qp = small_files
+        head = fit(self.config(epochs=1), rp, qp, tmp_path / "head")
+        with pytest.raises(ValueError, match=key):
+            fit(self.config(epochs=2, **change), rp, qp, tmp_path / "tail",
                 resume_from=head.checkpoint_path)
 
     def test_periodic_checkpoints(self, small_files, tmp_path):
@@ -250,7 +298,7 @@ class TestFit:
         rescue = tmp_path / "run" / "checkpoint_diverged.npz"
         assert rescue.exists()
         back = load_checkpoint(rescue)
-        assert all(np.all(np.isfinite(v)) for v in back.params.as_dict().values())
+        assert all(np.all(np.isfinite(v)) for v in back.params.values())
         # diverged in epoch 1: the optimizer saved with the params is the fresh one
         assert back.epoch == 0 and back.step == 0
         assert all(not np.any(m) for m in back.adam_m.values())
