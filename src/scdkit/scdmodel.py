@@ -123,14 +123,34 @@ def _aggregate(
     adj: Adjacency,
     weight: dc.DiffNode,
     mask: np.ndarray | None,
+    keep_heads: np.ndarray | None,
 ) -> tuple[dc.DiffNode, np.ndarray]:
     """Attention-weighted neighbor sum into each head node over the edges the
     mask keeps; returns (aggregate, detached attention weights).
+
+    `keep_heads` (a per-head bool array) further drops the edges into the
+    heads it marks False; those heads aggregate zero. Each kept head sums the
+    same edges in the same order either way, so its row does not change.
     """
+    if keep_heads is not None:
+        into_kept = keep_heads[adj.heads]
+        mask = into_kept if mask is None else mask & into_kept
     heads, tails = adj.heads, adj.tails
     if mask is not None:
         heads, tails = heads[mask], tails[mask]
     return dc.attention_aggregate(head_state, tail_state, weight, heads, tails, adj.n_heads)
+
+
+def _last_layer_heads(split: DirectedSplit, rows) -> dict[str, np.ndarray]:
+    """Per-direction head masks for the final rows `rows = (students,
+    exercises)`: students for e2s, exercises for s2e and c2e, no concepts."""
+    students, exercises = rows
+    keep_s = np.zeros(split.e2s.n_heads, dtype=bool)
+    keep_s[np.asarray(students, dtype=np.intp)] = True
+    keep_e = np.zeros(split.s2e.n_heads, dtype=bool)
+    keep_e[np.asarray(exercises, dtype=np.intp)] = True
+    no_concepts = np.zeros(split.e2c.n_heads, dtype=bool)
+    return {"e2s": keep_s, "s2e": keep_e, "c2e": keep_e, "e2c": no_concepts}
 
 
 def gcn_forward(
@@ -138,11 +158,20 @@ def gcn_forward(
     split: DirectedSplit,
     view: View | None = None,
     nodes: dict[str, dc.DiffNode] | None = None,
+    rows: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> NodeStates:
     """Run the L-layer aggregation, optionally under a sparse view.
 
     Pass `nodes` (from ModelParams.wrap()) to share leaves across several
     forwards of one training step; omit it for standalone inference.
+
+    `rows = (students, exercises)` names the final-layer rows the caller
+    reads (repeats allowed); None means every row. With `rows`, the last
+    layer aggregates only the edges into those students and exercises, so
+    only those final student and exercise rows are valid and no final
+    concept row is; the last layer's `attention` covers only the kept edges.
+    The valid rows, and the gradients of a loss that reads only them, are
+    bit-identical to the full forward's. Earlier layers are always full.
     """
     if nodes is None:
         nodes = params.wrap()
@@ -155,16 +184,19 @@ def gcn_forward(
         concepts=[c],
         attention={direction: [] for direction in ATTN_DIRECTIONS},
     )
+    mask_e2s = view.kept_e2s if view is not None else None
+    mask_s2e = view.kept_s2e if view is not None else None
+    keep = dict.fromkeys(ATTN_DIRECTIONS)
 
     for layer in range(params.n_layers):
         w = {d: nodes[f"attn{layer}_{d}"] for d in ATTN_DIRECTIONS}
-        mask_e2s = view.kept_e2s if view is not None else None
-        mask_s2e = view.kept_s2e if view is not None else None
+        if rows is not None and layer == params.n_layers - 1:
+            keep = _last_layer_heads(split, rows)
 
-        agg_s, a_e2s = _aggregate(s, e, split.e2s, w["e2s"], mask_e2s)
-        agg_e_stu, a_s2e = _aggregate(e, s, split.s2e, w["s2e"], mask_s2e)
-        agg_e_con, a_c2e = _aggregate(e, c, split.c2e, w["c2e"], None)
-        agg_c, a_e2c = _aggregate(c, e, split.e2c, w["e2c"], None)
+        agg_s, a_e2s = _aggregate(s, e, split.e2s, w["e2s"], mask_e2s, keep["e2s"])
+        agg_e_stu, a_s2e = _aggregate(e, s, split.s2e, w["s2e"], mask_s2e, keep["s2e"])
+        agg_e_con, a_c2e = _aggregate(e, c, split.c2e, w["c2e"], None, keep["c2e"])
+        agg_c, a_e2c = _aggregate(c, e, split.e2c, w["e2c"], None, keep["e2c"])
 
         s_next = dc.add(agg_s, s)
         e_next = dc.add(agg_e_con, dc.add(agg_e_stu, e))
@@ -237,6 +269,7 @@ class Checkpoint:
     step: int = 0
     adam_m: dict[str, np.ndarray] | None = None
     adam_v: dict[str, np.ndarray] | None = None
+    train_sha256: str | None = None  # fingerprint of the train records, for --resume
 
     def graph(self) -> RelationGraph:
         return RelationGraph(
@@ -255,7 +288,10 @@ class Checkpoint:
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Single-file npz: parameter arrays with shape headers, config, graph,
-    key maps, and optimizer state."""
+    key maps, train-record fingerprint, and optimizer state (both Adam
+    moments or neither)."""
+    if (ckpt.adam_m is None) != (ckpt.adam_v is None):
+        raise ValueError("a checkpoint holds both adam_m and adam_v or neither")
     meta = {
         "config": ckpt.config,
         "counts": [ckpt.n_students, ckpt.n_exercises, ckpt.n_concepts],
@@ -267,11 +303,12 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "student_keys": list(ckpt.student_keys),
         "exercise_keys": list(ckpt.exercise_keys),
         "concept_keys": list(ckpt.concept_keys),
+        "train_sha256": ckpt.train_sha256,
     }
     arrays = {f"p__{k}": v for k, v in ckpt.params.items()}
     if ckpt.adam_m is not None:
         arrays.update({f"m__{k}": v for k, v in ckpt.adam_m.items()})
-        arrays.update({f"v__{k}": v for k, v in (ckpt.adam_v or {}).items()})
+        arrays.update({f"v__{k}": v for k, v in ckpt.adam_v.items()})
     np.savez(
         path,
         meta=np.array(json.dumps(meta)),
@@ -281,21 +318,26 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     )
 
 
+def _named_arrays(data, path, prefix: str, names: list[str], what: str) -> dict:
+    """The `prefix<name>` arrays of `data`, which must be exactly `names`."""
+    stored = {k[len(prefix) :] for k in data.files if k.startswith(prefix)}
+    if stored != set(names):
+        raise ValueError(
+            f"{path}: missing {what} arrays {sorted(set(names) - stored)}, "
+            f"unexpected {sorted(stored - set(names))}"
+        )
+    return {name: data[prefix + name] for name in names}
+
+
 def load_checkpoint(path) -> Checkpoint:
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         names = param_names(meta["n_layers"])
-        stored = {k[3:] for k in data.files if k.startswith("p__")}
-        if stored != set(names):
-            raise ValueError(
-                f"{path}: missing parameter arrays {sorted(set(names) - stored)}, "
-                f"unexpected {sorted(stored - set(names))}"
-            )
-        params = ModelParams((name, data[f"p__{name}"]) for name in names)
+        params = ModelParams(_named_arrays(data, path, "p__", names, "parameter"))
         adam_m = adam_v = None
         if meta["has_adam"]:
-            adam_m = {k[3:]: data[k] for k in data.files if k.startswith("m__")}
-            adam_v = {k[3:]: data[k] for k in data.files if k.startswith("v__")}
+            adam_m = _named_arrays(data, path, "m__", names, "Adam first-moment")
+            adam_v = _named_arrays(data, path, "v__", names, "Adam second-moment")
         return Checkpoint(
             params=params,
             config=meta["config"],
@@ -311,4 +353,5 @@ def load_checkpoint(path) -> Checkpoint:
             step=meta["step"],
             adam_m=adam_m,
             adam_v=adam_v,
+            train_sha256=meta.get("train_sha256"),  # absent before fingerprints
         )

@@ -11,6 +11,7 @@ so runs are bit-reproducible and resumable in single-thread double precision.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import logging
 from dataclasses import asdict, dataclass, field
@@ -192,19 +193,25 @@ def train_epoch(
         b_students = train_set.students[batch]
         b_exercises = train_set.exercises[batch]
 
+        # the final rows this step's losses read; the contrastive subsets hold
+        # the batch's nodes, and None (full population) means every row
+        rows = (b_students, b_exercises)
+        if view1 is not None:
+            s_sub, e_sub = _ssl_subsets(
+                b_students, b_exercises, config, train_set.n_students, train_set.n_exercises
+            )
+            rows = None if s_sub is None else (s_sub, e_sub)
+
         nodes = params.wrap()
-        states = gcn_forward(params, split, nodes=nodes)
+        states = gcn_forward(params, split, nodes=nodes, rows=rows)
         diag = diagnose(states, nodes)
         y = predict(diag, nodes, q, b_students, b_exercises)
         l_main = main_loss(y, train_set.scores[batch])
 
         l_ssl_s = l_ssl_e = None
         if view1 is not None:
-            s_sub, e_sub = _ssl_subsets(
-                b_students, b_exercises, config, train_set.n_students, train_set.n_exercises
-            )
-            states1 = gcn_forward(params, split, view=view1, nodes=nodes)
-            states2 = gcn_forward(params, split, view=view2, nodes=nodes)
+            states1 = gcn_forward(params, split, view=view1, nodes=nodes, rows=rows)
+            states2 = gcn_forward(params, split, view=view2, nodes=nodes, rows=rows)
             l_ssl_s, l_ssl_e = ssl_loss(
                 states1, states2, config.tau, s_sub, e_sub, config.include_positive
             )
@@ -241,8 +248,20 @@ class ResumeMismatch(ValueError):
 _RESUME_KEYS = ("mode", "master_seed", "k", "theta", "p_min", "min_interactions", "train_ratio")
 
 
-def _check_resume(ckpt: Checkpoint, config: TrainConfig, graph: RelationGraph) -> None:
+def _records_sha256(rs: ResponseSet) -> str:
+    """sha256 of the (student, exercise, score) records, in record order."""
+    digest = hashlib.sha256()
+    for column, dtype in ((rs.students, "<i8"), (rs.exercises, "<i8"), (rs.scores, "<f8")):
+        digest.update(np.ascontiguousarray(column, dtype=dtype).tobytes())
+    return digest.hexdigest()
+
+
+def _check_resume(
+    ckpt: Checkpoint, config: TrainConfig, graph: RelationGraph, train_set: ResponseSet
+) -> None:
     """Raise ResumeMismatch naming the first way `ckpt` differs from this run."""
+    if ckpt.adam_m is None:
+        raise ResumeMismatch("cannot resume: the checkpoint holds no optimizer state")
     saved, wanted = ckpt.config, config.to_dict()
     checks = [(key, saved.get(key), wanted[key]) for key in _RESUME_KEYS]
     checks += [
@@ -265,6 +284,11 @@ def _check_resume(ckpt: Checkpoint, config: TrainConfig, graph: RelationGraph) -
     ):
         if not np.array_equal(have, want):
             raise ResumeMismatch(f"cannot resume: the checkpoint's {what} differ from this run's")
+    # checkpoints written before the fingerprint carry none
+    if ckpt.train_sha256 is not None and ckpt.train_sha256 != _records_sha256(train_set):
+        raise ResumeMismatch(
+            "cannot resume: the checkpoint's train records differ from this run's"
+        )
 
 
 @dataclass(eq=False)
@@ -290,7 +314,7 @@ def _make_checkpoint(
     params: ModelParams,
     config: TrainConfig,
     graph: RelationGraph,
-    rs: ResponseSet,
+    train_set: ResponseSet,
     q: QMatrix,
     opt: AdamState,
     epoch: int,
@@ -303,13 +327,14 @@ def _make_checkpoint(
         n_students=graph.n_students,
         n_exercises=graph.n_exercises,
         n_concepts=graph.n_concepts,
-        student_keys=rs.student_keys,
-        exercise_keys=rs.exercise_keys,
+        student_keys=train_set.student_keys,
+        exercise_keys=train_set.exercise_keys,
         concept_keys=q.concept_keys,
         epoch=epoch,
         step=opt.step,
         adam_m=opt.m,
         adam_v=opt.v,
+        train_sha256=_records_sha256(train_set),
     )
 
 
@@ -326,9 +351,10 @@ def fit(
     mappings.json, stats.json, train_log.csv, and checkpoint.npz (params,
     config, graph, and optimizer state, so training can resume bit-exactly).
 
-    `resume_from` continues a checkpoint of this run; one from other data, model
-    structure, mode, seed, dropout or split settings raises ResumeMismatch before
-    any file is written. A resumed train_log.csv holds only the epochs it trains.
+    `resume_from` continues a checkpoint of this run; one from other data or train
+    records, model structure, mode, seed, dropout or split settings, or one
+    without optimizer state, raises ResumeMismatch before any file is written.
+    A resumed train_log.csv holds only the epochs it trains.
     """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -348,7 +374,7 @@ def fit(
     start_epoch = 0
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
-        _check_resume(ckpt, config, graph)
+        _check_resume(ckpt, config, graph, train_set)
         params = ckpt.params
         opt = AdamState(m=dict(ckpt.adam_m), v=dict(ckpt.adam_v), step=ckpt.step)
         start_epoch = ckpt.epoch
@@ -395,7 +421,9 @@ def fit(
                 rescue = output_dir / "checkpoint_diverged.npz"
                 save_checkpoint(
                     rescue,
-                    _make_checkpoint(last_good, config, graph, rs, q, last_good_opt, epoch - 1),
+                    _make_checkpoint(
+                        last_good, config, graph, train_set, q, last_good_opt, epoch - 1
+                    ),
                 )
                 raise TrainingDiverged(
                     f"epoch {epoch}: {err}; last good state saved to {rescue}", rescue
@@ -408,11 +436,11 @@ def fit(
             if config.checkpoint_every and epoch % config.checkpoint_every == 0:
                 save_checkpoint(
                     output_dir / f"checkpoint_ep{epoch}.npz",
-                    _make_checkpoint(params, config, graph, rs, q, opt, epoch),
+                    _make_checkpoint(params, config, graph, train_set, q, opt, epoch),
                 )
 
     save_checkpoint(
-        ckpt_path, _make_checkpoint(params, config, graph, rs, q, opt, config.epochs)
+        ckpt_path, _make_checkpoint(params, config, graph, train_set, q, opt, config.epochs)
     )
     return FitResult(params, ckpt_path, log_path, log_rows, train_path, test_path, config)
 

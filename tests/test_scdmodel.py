@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,84 @@ class TestForward:
         npt.assert_array_equal(a.final_exercises.value, b.final_exercises.value)
 
 
+class TestFinalRows:
+    """gcn_forward(..., rows=...) against the full forward, bit for bit."""
+
+    @staticmethod
+    def rows_loss(states, nodes, students, exercises, rng):
+        # reads the final states through the diagnosis heads, like the
+        # response loss, but only at the given rows
+        diag = diagnose(states, nodes)
+        w_s = rng.normal(size=(len(students), diag.h_student.value.shape[1]))
+        w_e = rng.normal(size=(len(exercises), diag.h_exercise.value.shape[1]))
+        picked_s = dc.mul(dc.gather_rows(diag.h_student, students), dc.constant(w_s))
+        picked_e = dc.mul(dc.gather_rows(diag.h_exercise, exercises), dc.constant(w_e))
+        return dc.add(dc.total_sum(picked_s), dc.total_sum(picked_e))
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=100_000),
+        drop=st.sampled_from(["none", "random", "all"]),
+        pick=st.sampled_from(["random", "empty", "repeated", "all"]),
+    )
+    def test_rows_match_full_forward_bitwise(self, seed, drop, pick):
+        rng = np.random.default_rng(seed)
+        split, (m, n, k) = random_split(rng)
+        n_layers = int(rng.integers(1, 4))
+        params = init_params(m, n, k, dim=int(rng.integers(1, 5)), n_layers=n_layers, seed=seed)
+        view = None
+        if drop != "none":
+            keep = 0.5 if drop == "random" else 0.0
+            view = View(
+                kept_e2s=rng.random(split.e2s.n_edges) < keep,
+                kept_s2e=rng.random(split.s2e.n_edges) < keep,
+            )
+        if pick == "random":
+            students = rng.integers(0, m, size=int(rng.integers(0, 2 * m)))
+            exercises = rng.integers(0, n, size=int(rng.integers(0, 2 * n)))
+        elif pick == "empty":
+            students = exercises = np.zeros(0, dtype=np.intp)
+        elif pick == "repeated":
+            students = np.full(3, rng.integers(0, m))
+            exercises = np.full(3, rng.integers(0, n))
+        else:
+            students, exercises = np.arange(m), np.arange(n)
+
+        runs = []
+        for rows in (None, (students, exercises)):
+            nodes = params.wrap()
+            states = gcn_forward(params, split, view=view, nodes=nodes, rows=rows)
+            loss_rng = np.random.default_rng(seed)  # the same loss weights for both
+            self.rows_loss(states, nodes, students, exercises, loss_rng).backward()
+            runs.append((states, nodes))
+        (full, full_nodes), (part, part_nodes) = runs
+
+        for layer in range(n_layers):  # every layer but the last is computed in full
+            for a, b in zip(
+                (full.students, full.exercises, full.concepts),
+                (part.students, part.exercises, part.concepts),
+            ):
+                assert a[layer].value.tobytes() == b[layer].value.tobytes()
+        fs, ps = full.final_students.value, part.final_students.value
+        fe, pe = full.final_exercises.value, part.final_exercises.value
+        assert fs[students].tobytes() == ps[students].tobytes()
+        assert fe[exercises].tobytes() == pe[exercises].tobytes()
+
+        kept_heads = {"e2s": students, "s2e": exercises, "c2e": exercises, "e2c": []}
+        for direction, kept in kept_heads.items():
+            adj = split.adjacency(direction)
+            mask = view.mask(direction) if view is not None else None
+            heads = adj.heads if mask is None else adj.heads[mask]
+            expected = full.attention[direction][-1][np.isin(heads, kept)]
+            assert part.attention[direction][-1].tobytes() == expected.tobytes()
+
+        for name in params:
+            g_full, g_part = full_nodes[name].grad, part_nodes[name].grad
+            assert (g_full is None) == (g_part is None), name
+            if g_full is not None:
+                assert np.array_equal(g_full, g_part), name
+
+
 class TestDiagnosisAndPredict:
     def test_outputs_live_in_unit_interval(self, small_world):
         params = init_params(4, 5, 3, seed=4)
@@ -341,6 +420,30 @@ class TestCheckpoint:
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match=f"{edit}.*{name}"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("prefix", ["m__", "v__"])
+    @pytest.mark.parametrize("edit", ["missing", "unexpected"])
+    def test_missing_or_extra_moment_array_rejected(self, tmp_path, prefix, edit):
+        with np.load(FIXTURE) as data:
+            arrays = {k: data[k] for k in data.files}
+        if edit == "missing":
+            name = "w_predict"
+            del arrays[f"{prefix}{name}"]
+        else:
+            name = "attn2_e2s"
+            arrays[f"{prefix}{name}"] = arrays[f"{prefix}attn1_e2s"]
+        path = tmp_path / "edited.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=f"{edit}.*{name}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("half", ["adam_m", "adam_v"])
+    def test_save_refuses_half_the_optimizer_state(self, tmp_path, half):
+        ckpt = load_checkpoint(FIXTURE)
+        ckpt = dataclasses.replace(ckpt, **{half: None})
+        with pytest.raises(ValueError, match="adam_m and adam_v"):
+            save_checkpoint(tmp_path / "half.npz", ckpt)
+        assert not (tmp_path / "half.npz").exists()
 
     def test_rebuilds_graph_and_qmatrix(self, tmp_path, small_world):
         g, q = small_world["graph"], small_world["q"]

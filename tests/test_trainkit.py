@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import numpy.testing as npt
@@ -6,10 +7,12 @@ import pytest
 
 from scdkit.corpus import load_responses
 from scdkit.evalkit import evaluate_checkpoint
-from scdkit.scdmodel import init_params, load_checkpoint
+from scdkit.scdmodel import gcn_forward, init_params, load_checkpoint, save_checkpoint
 from scdkit.synth import make_synthetic, write_synthetic
+from scdkit import trainkit
 from scdkit.trainkit import (
     AdamState,
+    ResumeMismatch,
     TrainConfig,
     TrainingDiverged,
     adam_step,
@@ -138,6 +141,64 @@ class TestTrainEpoch:
         cfg = TrainConfig(epochs=1)
         with pytest.raises(ValueError, match="empty"):
             train_epoch(params, split, q, empty, cfg, 1, AdamState.fresh(params))
+
+
+class TestTrainEpochRows:
+    """train_epoch computes the last layer only for the rows a step reads;
+    the reference is the same step loop with every forward in full."""
+
+    @pytest.mark.parametrize(
+        "mode, ssl_full_population, one_student",
+        [
+            ("scd", False, False),
+            ("scd-random", False, False),
+            ("supervised-only", False, False),
+            ("scd", True, False),
+            ("scd", False, True),
+        ],
+    )
+    def test_matches_full_forward_loop_bitwise(
+        self, monkeypatch, mode, ssl_full_population, one_student
+    ):
+        train = small_responses()
+        q = small_qmatrix()
+        split = directed_split(build_relation_graph(train, q))
+        if one_student:  # every batch holds one distinct student
+            train = train.replace_records(train.students == 1)
+        cfg = TrainConfig(
+            epochs=2, mode=mode, batch_size=3, learning_rate=0.01,
+            ssl_full_population=ssl_full_population,
+        )
+        seen_rows = []
+
+        def full_forward(*args, rows=None, **kwargs):
+            seen_rows.append(rows)
+            return gcn_forward(*args, **kwargs)
+
+        def run():
+            params = init_params(4, 5, 3, seed=0)
+            opt = AdamState.fresh(params)
+            logs = [train_epoch(params, split, q, train, cfg, epoch, opt) for epoch in (1, 2)]
+            return logs, params, opt
+
+        logs, params, opt = run()
+        monkeypatch.setattr(trainkit, "gcn_forward", full_forward)
+        ref_logs, ref_params, ref_opt = run()
+
+        assert logs == ref_logs
+        for name, value in ref_params.items():
+            assert params[name].tobytes() == value.tobytes(), name
+            assert opt.m[name].tobytes() == ref_opt.m[name].tobytes(), name
+            assert opt.v[name].tobytes() == ref_opt.v[name].tobytes(), name
+        # the rows train_epoch asked for
+        if ssl_full_population:
+            assert all(rows is None for rows in seen_rows)
+        else:
+            assert all(rows is not None for rows in seen_rows)
+            if one_student:  # the contrastive subset widens to every student
+                assert all(set(rows[0]) == set(range(4)) for rows in seen_rows)
+            else:
+                assert any(len(set(rows[0])) < 4 for rows in seen_rows)
 
 
 class TestSeeding:
@@ -283,6 +344,40 @@ class TestFit:
         with pytest.raises(ValueError, match=key):
             fit(self.config(epochs=2, **change), rp, qp, tmp_path / "tail",
                 resume_from=head.checkpoint_path)
+
+    def test_resume_on_other_scores_rejected(self, small_files, tmp_path):
+        rp, qp = small_files
+        head = fit(self.config(epochs=2), rp, qp, tmp_path / "head")
+        data = make_synthetic(30, 15, 5, seed=3)
+        flipped = dataclasses.replace(
+            data, responses=[(s, e, 1 - t) for s, e, t in data.responses]
+        )
+        other = write_synthetic(tmp_path / "flipped", flipped)
+        with pytest.raises(ResumeMismatch, match="train records"):
+            fit(self.config(epochs=4), *other, tmp_path / "tail",
+                resume_from=head.checkpoint_path)
+        assert not any((tmp_path / "tail").iterdir())
+
+    def test_resume_without_optimizer_state_rejected(self, small_files, tmp_path):
+        rp, qp = small_files
+        head = fit(self.config(epochs=1), rp, qp, tmp_path / "head")
+        bare = tmp_path / "bare.npz"
+        ckpt = load_checkpoint(head.checkpoint_path)
+        save_checkpoint(bare, dataclasses.replace(ckpt, adam_m=None, adam_v=None))
+        with pytest.raises(ResumeMismatch, match="optimizer state"):
+            fit(self.config(epochs=2), rp, qp, tmp_path / "tail", resume_from=bare)
+        assert not any((tmp_path / "tail").iterdir())
+
+    def test_resume_with_missing_moment_array_rejected(self, small_files, tmp_path):
+        rp, qp = small_files
+        head = fit(self.config(epochs=1), rp, qp, tmp_path / "head")
+        with np.load(head.checkpoint_path) as data:
+            arrays = {k: data[k] for k in data.files if k != "m__w_predict"}
+        edited = tmp_path / "edited.npz"
+        np.savez(edited, **arrays)
+        with pytest.raises(ValueError, match="missing.*w_predict"):
+            fit(self.config(epochs=2), rp, qp, tmp_path / "tail", resume_from=edited)
+        assert not any((tmp_path / "tail").iterdir())
 
     def test_periodic_checkpoints(self, small_files, tmp_path):
         rp, qp = small_files
