@@ -250,17 +250,15 @@ def clip(a: DiffNode, lo: float, hi: float) -> DiffNode:
 
 
 def attention_aggregate(
-    head_state: DiffNode, tail_state: DiffNode, weight: DiffNode, heads, tails, n_heads: int
+    tail_state: DiffNode, weight: DiffNode, heads, tails, n_heads: int
 ) -> tuple[DiffNode, np.ndarray]:
     """Attention-weighted sum of tail rows into head rows, as one node.
 
     Edge e carries `tail_state[tails[e]]` into head `heads[e]` with logit
-    `[head_state[heads[e]], tail_state[tails[e]]] @ weight`, computed by
-    splitting `weight` into head and tail halves and projecting each node
-    once (GAT's decomposition). Logits are softmax-normalized within each
-    head's edges, max-subtracted. Row h of the output is the weighted sum of
-    its edges' tail rows (zero for a head without edges). Returns the output
-    node and the detached per-edge weights.
+    `tail_state[tails[e]] @ weight`, where `weight` is (d, 1). Logits are
+    softmax-normalized within each head's edges, max-subtracted. Row h of the
+    output is the weighted sum of its edges' tail rows (zero for a head
+    without edges). Returns the output node and the detached per-edge weights.
 
     The sums run one feature column at a time over a transposed copy of the
     tail states, so no edge-by-feature array is ever built: every per-edge
@@ -271,10 +269,9 @@ def attention_aggregate(
     """
     heads = np.asarray(heads, dtype=np.intp)
     tails = np.asarray(tails, dtype=np.intp)
-    h_val, t_val, w = head_state.value, tail_state.value, weight.value
-    n_tails, d_head = len(t_val), h_val.shape[1]
-    w_head, w_tail = w[:d_head], w[d_head:]
-    logits = (h_val @ w_head)[heads, 0] + (t_val @ w_tail)[tails, 0]
+    t_val, w = tail_state.value, weight.value
+    n_tails = len(t_val)
+    logits = (t_val @ w)[tails, 0]
     seg_max = np.full(n_heads, -np.inf)
     np.maximum.at(seg_max, heads, logits)
     e = np.exp(logits - seg_max[heads])
@@ -293,14 +290,12 @@ def attention_aggregate(
             d_tail[c] = np.bincount(tails, weights=alpha * g_edges, minlength=n_tails)
         seg_dot = np.bincount(heads, weights=alpha * d_alpha, minlength=n_heads)
         d_logit = alpha * (d_alpha - seg_dot[heads])
-        d_lh = np.bincount(heads, weights=d_logit, minlength=n_heads)
         d_lt = np.bincount(tails, weights=d_logit, minlength=n_tails)
-        d_tail += np.outer(w_tail, d_lt)
-        d_weight = np.concatenate([h_val.T @ d_lh, t_val.T @ d_lt])[:, None]
-        return np.outer(d_lh, w_head), d_tail.T, d_weight
+        d_tail += np.outer(w, d_lt)
+        return d_tail.T, (t_val.T @ d_lt)[:, None]
 
-    requires = head_state.requires_grad or tail_state.requires_grad or weight.requires_grad
-    return DiffNode(out.T, (head_state, tail_state, weight), backward, requires), alpha
+    requires = tail_state.requires_grad or weight.requires_grad
+    return DiffNode(out.T, (tail_state, weight), backward, requires), alpha
 
 
 def normalize_rows(a: DiffNode) -> DiffNode:

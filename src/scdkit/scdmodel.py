@@ -2,9 +2,13 @@
 
 Embedding tables for students, exercises, and concepts feed an L-layer
 attention GCN with residual connections. Per layer and per direction, an
-edge's attention logit is a linear map of the concatenated [head, neighbor]
-embeddings, softmax-normalized within the head's neighbor segment; each
-aggregate is one fused `diffcore.attention_aggregate` node. A node with no
+edge's attention logit is a linear map of the neighbor's state,
+softmax-normalized within the head's neighbor segment; each aggregate is one
+fused `diffcore.attention_aggregate` node. The paper's GAT-style logit
+`[head, neighbor] @ w` also adds the head's own term, but with no
+nonlinearity that term is the same for all of a head's edges, and the
+per-head softmax cancels it exactly, so the model keeps only the neighbor
+half of `w`. A node with no
 surviving neighbors aggregates zero and keeps its residual. The final
 states map through sigmoid linear heads to per-concept mastery (students)
 and difficulty (exercises); predicted accuracy of a (student, exercise)
@@ -32,9 +36,20 @@ ATTN_DIRECTIONS = ("e2s", "s2e", "c2e", "e2c")
 
 def param_names(n_layers: int) -> list[str]:
     """Every trainable array's name, in the order the regularizer sums them."""
-    attn = [f"attn{i}_{d}" for i in range(n_layers) for d in ATTN_DIRECTIONS]  # each (2d, 1)
+    attn = [f"attn{i}_{d}" for i in range(n_layers) for d in ATTN_DIRECTIONS]  # each (d, 1)
     heads = ["w_student_diag", "b_student_diag", "w_exercise_diag", "b_exercise_diag"]
     return ["student_emb", "exercise_emb", "concept_emb", *attn, *heads, "w_predict", "b_predict"]
+
+
+def param_shapes(
+    n_students: int, n_exercises: int, n_concepts: int, dim: int, n_layers: int
+) -> dict[str, tuple[int, ...]]:
+    """Every trainable array's shape, by name in `param_names` order."""
+    m, n, k, d = n_students, n_exercises, n_concepts, dim
+    shapes = {"student_emb": (m, d), "exercise_emb": (n, d), "concept_emb": (k, d)}
+    shapes.update(w_student_diag=(d, k), b_student_diag=(k,), w_exercise_diag=(d, k))
+    shapes.update(b_exercise_diag=(k,), w_predict=(k, k), b_predict=(k,))
+    return {name: shapes.get(name, (d, 1)) for name in param_names(n_layers)}
 
 
 class ModelParams(dict):
@@ -95,30 +110,25 @@ def init_params(
     if min(n_students, n_exercises, n_concepts) < 1 or n_layers < 1:
         raise ValueError("all counts and the layer count must be >= 1")
     d = n_concepts if dim is None else dim
+    shapes = param_shapes(n_students, n_exercises, n_concepts, d, n_layers)
     rng = np.random.default_rng(seed)
-    # the draw order (attention, embeddings, heads) is not the name order;
-    # it stays fixed so that a seed keeps giving the same arrays
+    # the draw order (attention, embeddings, weights) is not the name order;
+    # it stays fixed so that a seed keeps giving the same arrays. Attention
+    # draws the paper's (2d, 1) [head, neighbor] weight at fan-in 2d and keeps
+    # its neighbor half, so every other array is the one the full weight
+    # gave, and dropping the inert head half changes nothing else.
     drawn = {
-        f"attn{layer}_{direction}": dc.init_array(rng, (2 * d, 1), 2 * d)
-        for layer in range(n_layers)
-        for direction in ATTN_DIRECTIONS
+        name: dc.init_array(rng, (2 * d, 1), 2 * d)[d:]
+        for name in shapes
+        if name.startswith("attn")
     }
-    drawn.update(
-        student_emb=dc.init_array(rng, (n_students, d), d),
-        exercise_emb=dc.init_array(rng, (n_exercises, d), d),
-        concept_emb=dc.init_array(rng, (n_concepts, d), d),
-        w_student_diag=dc.init_array(rng, (d, n_concepts), d),
-        b_student_diag=np.zeros(n_concepts),
-        w_exercise_diag=dc.init_array(rng, (d, n_concepts), d),
-        b_exercise_diag=np.zeros(n_concepts),
-        w_predict=dc.init_array(rng, (n_concepts, n_concepts), n_concepts),
-        b_predict=np.zeros(n_concepts),
-    )
-    return ModelParams((name, drawn[name]) for name in param_names(n_layers))
+    for name in ("student_emb", "exercise_emb", "concept_emb", "w_student_diag", "w_exercise_diag"):
+        drawn[name] = dc.init_array(rng, shapes[name], d)
+    drawn["w_predict"] = dc.init_array(rng, shapes["w_predict"], n_concepts)
+    return ModelParams((name, drawn.get(name, np.zeros(shape))) for name, shape in shapes.items())
 
 
 def _aggregate(
-    head_state: dc.DiffNode,
     tail_state: dc.DiffNode,
     adj: Adjacency,
     weight: dc.DiffNode,
@@ -138,7 +148,7 @@ def _aggregate(
     heads, tails = adj.heads, adj.tails
     if mask is not None:
         heads, tails = heads[mask], tails[mask]
-    return dc.attention_aggregate(head_state, tail_state, weight, heads, tails, adj.n_heads)
+    return dc.attention_aggregate(tail_state, weight, heads, tails, adj.n_heads)
 
 
 def _last_layer_heads(split: DirectedSplit, rows) -> dict[str, np.ndarray]:
@@ -193,10 +203,10 @@ def gcn_forward(
         if rows is not None and layer == params.n_layers - 1:
             keep = _last_layer_heads(split, rows)
 
-        agg_s, a_e2s = _aggregate(s, e, split.e2s, w["e2s"], mask_e2s, keep["e2s"])
-        agg_e_stu, a_s2e = _aggregate(e, s, split.s2e, w["s2e"], mask_s2e, keep["s2e"])
-        agg_e_con, a_c2e = _aggregate(e, c, split.c2e, w["c2e"], None, keep["c2e"])
-        agg_c, a_e2c = _aggregate(c, e, split.e2c, w["e2c"], None, keep["e2c"])
+        agg_s, a_e2s = _aggregate(e, split.e2s, w["e2s"], mask_e2s, keep["e2s"])
+        agg_e_stu, a_s2e = _aggregate(s, split.s2e, w["s2e"], mask_s2e, keep["s2e"])
+        agg_e_con, a_c2e = _aggregate(c, split.c2e, w["c2e"], None, keep["c2e"])
+        agg_c, a_e2c = _aggregate(e, split.e2c, w["e2c"], None, keep["e2c"])
 
         s_next = dc.add(agg_s, s)
         e_next = dc.add(agg_e_con, dc.add(agg_e_stu, e))
@@ -318,26 +328,39 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     )
 
 
-def _named_arrays(data, path, prefix: str, names: list[str], what: str) -> dict:
-    """The `prefix<name>` arrays of `data`, which must be exactly `names`."""
+def _named_arrays(data, path, prefix: str, shapes: dict, what: str) -> dict:
+    """The `prefix<name>` arrays of `data`, which must be exactly the names of
+    `shapes`, with those shapes. An attention array of the older (2d, 1)
+    [head, neighbor] shape is cut to its neighbor half; the head half never
+    reached the output."""
     stored = {k[len(prefix) :] for k in data.files if k.startswith(prefix)}
-    if stored != set(names):
+    if stored != set(shapes):
         raise ValueError(
-            f"{path}: missing {what} arrays {sorted(set(names) - stored)}, "
-            f"unexpected {sorted(stored - set(names))}"
+            f"{path}: missing {what} arrays {sorted(set(shapes) - stored)}, "
+            f"unexpected {sorted(stored - set(shapes))}"
         )
-    return {name: data[prefix + name] for name in names}
+    arrays = {}
+    for name, shape in shapes.items():
+        arr = data[prefix + name]
+        if name.startswith("attn") and arr.shape == (2 * shape[0], 1):
+            arr = arr[shape[0] :]
+        if arr.shape != shape:
+            raise ValueError(
+                f"{path}: array {prefix}{name} has shape {arr.shape}, expected {shape}"
+            )
+        arrays[name] = arr
+    return arrays
 
 
 def load_checkpoint(path) -> Checkpoint:
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
-        names = param_names(meta["n_layers"])
-        params = ModelParams(_named_arrays(data, path, "p__", names, "parameter"))
+        shapes = param_shapes(*meta["counts"], meta["dim"], meta["n_layers"])
+        params = ModelParams(_named_arrays(data, path, "p__", shapes, "parameter"))
         adam_m = adam_v = None
         if meta["has_adam"]:
-            adam_m = _named_arrays(data, path, "m__", names, "Adam first-moment")
-            adam_v = _named_arrays(data, path, "v__", names, "Adam second-moment")
+            adam_m = _named_arrays(data, path, "m__", shapes, "Adam first-moment")
+            adam_v = _named_arrays(data, path, "v__", shapes, "Adam second-moment")
         return Checkpoint(
             params=params,
             config=meta["config"],

@@ -102,11 +102,10 @@ class TestShapeOps:
 
 def edge_softmax(x, seg, n_seg):
     """attention_aggregate with logits equal to `x`: every edge has its own
-    one-column tail row x[e], and the weight reads only the tail half."""
+    one-column tail row x[e], and the weight is 1."""
     _, alpha = dc.attention_aggregate(
-        dc.param(np.zeros((n_seg, 1))),
         dc.param(np.asarray(x, dtype=np.float64)[:, None]),
-        dc.param(np.array([[0.0], [1.0]])),
+        dc.param(np.array([[1.0]])),
         seg,
         np.arange(len(seg)),
         n_seg,
@@ -149,9 +148,8 @@ class TestSoftmaxSegments:
 
         def f(leaves):
             out, _ = dc.attention_aggregate(
-                dc.constant(np.zeros((2, 1))),
                 leaves["x"],
-                dc.constant(np.array([[0.0], [1.0]])),
+                dc.constant(np.array([[1.0]])),
                 seg,
                 np.arange(5),
                 2,
@@ -162,9 +160,10 @@ class TestSoftmaxSegments:
 
 
 def add_at_aggregate(h, t, w, heads, tails, n_heads, g):
-    """The aggregate over edge-by-feature arrays with `np.add.at` scatters:
-    returns the output and the head, tail and weight gradients for the
-    output gradient `g`."""
+    """The paper's aggregate, with logit [h[head], t[tail]] @ w for a (2d, 1)
+    weight w, over edge-by-feature arrays with `np.add.at` scatters: returns
+    the output and the head, tail and weight gradients for the output
+    gradient `g`."""
     d_head = h.shape[1]
     w_head, w_tail = w[:d_head], w[d_head:]
     logits = (h @ w_head)[heads, 0] + (t @ w_tail)[tails, 0]
@@ -197,8 +196,13 @@ class TestAttentionAggregate:
     @given(
         seed=st.integers(min_value=0, max_value=100_000),
         drop=st.sampled_from(["none", "random", "all"]),
+        head_half=st.sampled_from(["zero", "random"]),
     )
-    def test_matches_add_at_reference(self, seed, drop):
+    def test_matches_add_at_reference(self, seed, drop, head_half):
+        """The op, fed the tail half w[d:], against the reference with the
+        full weight w. With a zero head half the output is bit-identical.
+        With a random one it agrees to rounding, and the reference's head
+        and head-half gradients are rounding noise: the head half is inert."""
         rng = np.random.default_rng(seed)
         n_heads, n_tails = int(rng.integers(1, 12)), int(rng.integers(1, 10))
         d, n_edges = int(rng.integers(1, 6)), int(rng.integers(0, 50))
@@ -210,18 +214,28 @@ class TestAttentionAggregate:
             heads, tails = heads[kept], tails[kept]
         h, t = rng.normal(size=(n_heads, d)), rng.normal(size=(n_tails, d))
         w, g = rng.normal(size=(2 * d, 1)) * 3.0, rng.normal(size=(n_heads, d))
+        if head_half == "zero":
+            w[:d] = 0.0
 
-        leaves = dc.param(h), dc.param(t), dc.param(w)
+        leaves = dc.param(t), dc.param(w[d:])
         out, _ = dc.attention_aggregate(*leaves, heads, tails, n_heads)
         dc.total_sum(dc.mul(out, dc.constant(g))).backward()
-        ref_out, *ref_grads = add_at_aggregate(h, t, w, heads, tails, n_heads, g)
+        ref_out, ref_d_head, ref_d_tail, ref_d_w = add_at_aggregate(
+            h, t, w, heads, tails, n_heads, g
+        )
+
+        def close(got, ref):
+            # the inert terms are zero up to rounding, so scale by max(1, |ref|)
+            err = np.max(np.abs(got - ref), initial=0.0)
+            return err <= 1e-12 * max(1.0, np.max(np.abs(ref), initial=0.0))
 
         assert out.shape == ref_out.shape
-        assert np.ascontiguousarray(out.value).tobytes() == ref_out.tobytes()
-        for leaf, ref in zip(leaves, ref_grads):
-            # the head gradient is zero up to rounding, so scale by max(1, |ref|)
-            err = np.max(np.abs(leaf.grad - ref), initial=0.0)
-            assert err <= 1e-12 * max(1.0, np.max(np.abs(ref), initial=0.0))
+        if head_half == "zero":
+            assert np.ascontiguousarray(out.value).tobytes() == ref_out.tobytes()
+        assert close(out.value, ref_out)
+        assert close(leaves[0].grad, ref_d_tail)
+        assert close(leaves[1].grad, ref_d_w[d:])
+        assert close(ref_d_head, 0.0) and close(ref_d_w[:d], 0.0)
 
     def test_stacked_layers_on_fortran_ordered_inputs(self):
         # the op returns Fortran-ordered arrays, which the next layer receives
@@ -233,12 +247,12 @@ class TestAttentionAggregate:
 
         def f(leaves):
             s, w = leaves["s"], leaves["w"]
-            s1, _ = dc.attention_aggregate(s, s, w, heads, tails, n)
-            s2, _ = dc.attention_aggregate(s1, dc.add(s1, s), w, tails, heads, n)
+            s1, _ = dc.attention_aggregate(s, w, heads, tails, n)
+            s2, _ = dc.attention_aggregate(dc.add(s1, s), w, tails, heads, n)
             return dc.total_sum(dc.mul(s2, dc.constant(seed_grad)))
 
         x = {"s": np.asfortranarray(rand((n, d), seed=1)),
-             "w": np.asfortranarray(rand((2 * d, 1), seed=2))}
+             "w": np.asfortranarray(rand((d, 1), seed=2))}
         assert not x["s"].flags.c_contiguous
         assert dc.grad_check(f, x) < 1e-8
 
@@ -247,8 +261,7 @@ class TestAttentionAggregate:
         n_heads, n_tails, d, n_edges = 500, 100, 32, 20_000
         heads = np.sort(rng.integers(0, n_heads, size=n_edges))
         tails = rng.integers(0, n_tails, size=n_edges)
-        leaves = (dc.param(rng.normal(size=(n_heads, d))), dc.param(rng.normal(size=(n_tails, d))),
-                  dc.param(rng.normal(size=(2 * d, 1))))
+        leaves = dc.param(rng.normal(size=(n_tails, d))), dc.param(rng.normal(size=(d, 1)))
         seed_grad = dc.constant(rng.normal(size=(n_heads, d)))
         tracemalloc.start()
         try:
@@ -270,12 +283,11 @@ class TestAttentionAggregate:
 
         def f(leaves):
             out, _ = dc.attention_aggregate(
-                leaves["h"], leaves["t"], leaves["w"], heads[kept], tails[kept], n_heads
+                leaves["t"], leaves["w"], heads[kept], tails[kept], n_heads
             )
             return dc.total_sum(dc.mul(out, dc.constant(seed_grad)))
 
-        x = {"h": rand((n_heads, d), seed=1), "t": rand((n_tails, d), seed=2),
-             "w": rand((2 * d, 1), seed=3)}
+        x = {"t": rand((n_tails, d), seed=2), "w": rand((d, 1), seed=3)}
         assert dc.grad_check(f, x) < 1e-8
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +43,16 @@ def tiny_split():
     return directed_split(build_relation_graph(rs, q)), q
 
 
+def kept_mask(view, direction):
+    """The view's mask over one direction's edges; concept edges are never masked."""
+    if view is None:
+        return None
+    return {"e2s": view.kept_e2s, "s2e": view.kept_s2e}.get(direction)
+
+
 def numpy_layer(split, params, layer, view=None):
-    """Independent plain-loop replica of one aggregation layer.
+    """Independent plain-loop replica of one aggregation layer, with the
+    paper's attention logit [head, neighbor] @ w over full (2d, 1) weights.
 
     Returns the next (student, exercise, concept) states and, per direction,
     the per-edge attention weights over the edges the view keeps.
@@ -120,7 +129,7 @@ class TestInit:
         p = init_params(4, 5, 3, n_layers=2, seed=0)
         assert p.dim == 3 and p.n_layers == 2
         assert p["student_emb"].shape == (4, 3)
-        assert p["attn1_c2e"].shape == (6, 1)
+        assert p["attn1_c2e"].shape == (3, 1)
         assert p["w_predict"].shape == (3, 3)
         assert set(p) == set(init_params(4, 5, 3, seed=1))
 
@@ -151,12 +160,19 @@ class TestForward:
         drop=st.sampled_from(["none", "random", "all"]),
     )
     def test_single_layer_matches_numpy_replica(self, seed, logit_scale, drop):
+        """The model, fed only the neighbor half w[d:] of a full random (2d, 1)
+        attention weight, matches the replica of [head, neighbor] @ w: the
+        head half is inert."""
         rng = np.random.default_rng(seed)
         split, counts = random_split(rng)
-        params = init_params(*counts, dim=int(rng.integers(1, 4)), n_layers=1, seed=seed)
+        dim = int(rng.integers(1, 4))
+        params = init_params(*counts, dim=dim, n_layers=1, seed=seed)
+        full = dict(params)
         for d in ATTN_DIRECTIONS:
-            # 3000 drives attention logits to the order of +-1000
-            params[f"attn0_{d}"] *= logit_scale
+            # the init bound; 3000 drives attention logits to the order of +-1000
+            bound = logit_scale / np.sqrt(2 * dim)
+            full[f"attn0_{d}"] = rng.uniform(-bound, bound, (2 * dim, 1))
+            params[f"attn0_{d}"] = full[f"attn0_{d}"][dim:]
         view = None
         if drop != "none":
             keep = 0.5 if drop == "random" else 0.0
@@ -165,7 +181,7 @@ class TestForward:
                 kept_s2e=rng.random(split.s2e.n_edges) < keep,
             )
         states = gcn_forward(params, split, view=view)
-        s1, e1, c1, alphas = numpy_layer(split, params, 0, view)
+        s1, e1, c1, alphas = numpy_layer(split, full, 0, view)
         tol = 1e-12 * logit_scale
         npt.assert_allclose(states.students[1].value, s1, rtol=0, atol=tol)
         npt.assert_allclose(states.exercises[1].value, e1, rtol=0, atol=tol)
@@ -175,7 +191,7 @@ class TestForward:
             assert np.all(np.isfinite(alpha))
             npt.assert_allclose(alpha, expected, rtol=0, atol=tol)
             adj = split.adjacency(direction)
-            mask = view.mask(direction) if view is not None else None
+            mask = kept_mask(view, direction)
             heads = adj.heads if mask is None else adj.heads[mask]
             sums = np.bincount(heads, weights=alpha, minlength=adj.n_heads)
             occupied = np.bincount(heads, minlength=adj.n_heads) > 0
@@ -292,7 +308,7 @@ class TestFinalRows:
         kept_heads = {"e2s": students, "s2e": exercises, "c2e": exercises, "e2c": []}
         for direction, kept in kept_heads.items():
             adj = split.adjacency(direction)
-            mask = view.mask(direction) if view is not None else None
+            mask = kept_mask(view, direction)
             heads = adj.heads if mask is None else adj.heads[mask]
             expected = full.attention[direction][-1][np.isin(heads, kept)]
             assert part.attention[direction][-1].tobytes() == expected.tobytes()
@@ -388,9 +404,10 @@ class TestCheckpoint:
 
     def test_loads_checkpoint_written_before_the_mapping(self):
         """The fixture was written by save_checkpoint at commit fca24c9, when
-        ModelParams held one field per array: init_params(4, 5, 3,
-        n_layers=2, seed=9) with Adam moments 0.25 and 4.0 at epoch 1, step 3.
-        Bit equality with a fresh init also pins the RNG draw order."""
+        ModelParams held one field per array and each attention weight was
+        (2d, 1): init_params(4, 5, 3, n_layers=2, seed=9) with Adam moments
+        0.25 and 4.0 at epoch 1, step 3. Bit equality with a fresh init also
+        pins the RNG draw order, and that init keeps the neighbor half."""
         back = load_checkpoint(FIXTURE)
         fresh = init_params(4, 5, 3, n_layers=2, seed=9)
         assert list(back.params) == param_names(2) == list(fresh)
@@ -405,6 +422,37 @@ class TestCheckpoint:
         assert set(back.adam_m) == set(back.adam_v) == set(param_names(2))
         assert all(np.all(m == 0.25) for m in back.adam_m.values())
         assert all(np.all(v == 4.0) for v in back.adam_v.values())
+        for name, arr in fresh.items():
+            assert back.adam_m[name].shape == back.adam_v[name].shape == arr.shape, name
+
+    def test_fixture_scores_as_the_full_weight_formula(self):
+        """The fixture, loaded with its attention arrays cut to their neighbor
+        halves, scores what [head, neighbor] @ w gives with the full arrays."""
+        ckpt = load_checkpoint(FIXTURE)
+        with np.load(FIXTURE) as data:
+            full = {k[3:]: data[k] for k in data.files if k.startswith("p__")}
+        assert full["attn0_e2s"].shape == (6, 1)
+        split, q = directed_split(ckpt.graph()), ckpt.qmatrix()
+        states = dict(full)
+        for layer in range(2):
+            s, e, c, _ = numpy_layer(split, states, layer)
+            states.update(student_emb=s, exercise_emb=e, concept_emb=c)
+
+        def sig(x):
+            return 1.0 / (1.0 + np.exp(-x))
+
+        h_s = sig(s @ full["w_student_diag"] + full["b_student_diag"])
+        h_e = sig(e @ full["w_exercise_diag"] + full["b_exercise_diag"])
+        students, exercises = np.divmod(np.arange(4 * 5), 5)  # every pair
+        concepts = q.dense_mask()[exercises]
+        v = sig((h_s[students] - h_e[exercises]) @ full["w_predict"] + full["b_predict"])
+        expected = (v * concepts).sum(axis=1) / concepts.sum(axis=1)
+
+        diag, nodes = infer(ckpt.params, split)
+        scores = predict(diag, nodes, q, students, exercises).value
+        pairs = [(diag.h_student.value, h_s), (diag.h_exercise.value, h_e), (scores, expected)]
+        for got, want in pairs:
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
 
     @pytest.mark.parametrize("edit", ["missing", "unexpected"])
     def test_missing_or_extra_param_array_rejected(self, tmp_path, edit):
@@ -419,6 +467,26 @@ class TestCheckpoint:
         path = tmp_path / "edited.npz"
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match=f"{edit}.*{name}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key, shape",
+        [
+            ("p__student_emb", (3, 3)),
+            ("p__attn1_s2e", (4, 1)),
+            ("m__attn0_e2c", (3,)),
+            ("v__b_predict", (3, 1)),
+        ],
+    )
+    def test_wrong_shaped_array_rejected(self, tmp_path, key, shape):
+        with np.load(FIXTURE) as data:
+            arrays = {k: data[k] for k in data.files}
+        expected = (3, 1) if "attn" in key else arrays[key].shape
+        arrays[key] = np.zeros(shape)
+        path = tmp_path / "edited.npz"
+        np.savez(path, **arrays)
+        message = f"{key} has shape {shape}, expected {expected}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("prefix", ["m__", "v__"])

@@ -290,6 +290,27 @@ class TestFit:
             npt.assert_array_equal(ck_full.adam_m[k], ck_tail.adam_m[k])
             npt.assert_array_equal(ck_full.adam_v[k], ck_tail.adam_v[k])
 
+    def test_resume_from_full_width_attention_checkpoint(self, small_files, tmp_path):
+        """Checkpoints written while each attention weight was the full (2d, 1)
+        [head, neighbor] array load with the neighbor halves of the weights
+        and moments, and train on exactly as the unbroken run."""
+        rp, qp = small_files
+        full = fit(self.config(epochs=6), rp, qp, tmp_path / "full")
+        head = fit(self.config(epochs=3), rp, qp, tmp_path / "head")
+        rng = np.random.default_rng(0)
+        with np.load(head.checkpoint_path) as data:
+            arrays = {k: data[k] for k in data.files}
+        for key, arr in arrays.items():
+            if key[3:].startswith("attn"):  # p__, m__ and v__ arrays
+                # positive, so that a second moment stays valid
+                arrays[key] = np.concatenate([rng.uniform(0.1, 1.0, arr.shape), arr])
+        wide = tmp_path / "wide.npz"
+        np.savez(wide, **arrays)
+        tail = fit(self.config(epochs=6), rp, qp, tmp_path / "tail", resume_from=wide)
+        assert tail.log_rows == full.log_rows[3:]
+        for k, v in full.params.items():
+            npt.assert_array_equal(v, tail.params[k])
+
     def test_resume_beyond_target_rejected(self, small_files, tmp_path):
         rp, qp = small_files
         head = fit(self.config(epochs=3), rp, qp, tmp_path / "head")
