@@ -54,11 +54,6 @@ class Adjacency:
     def n_heads(self) -> int:
         return len(self.offsets) - 1
 
-    def indegree(self, head: int) -> int:
-        if not 0 <= head < self.n_heads:
-            raise IndexError(f"head {head} out of range [0, {self.n_heads})")
-        return int(self.offsets[head + 1] - self.offsets[head])
-
     def indegrees(self) -> np.ndarray:
         return np.diff(self.offsets)
 

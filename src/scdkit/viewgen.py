@@ -51,16 +51,6 @@ class View:
     kept_e2s: np.ndarray
     kept_s2e: np.ndarray
 
-    def mask(self, direction: str) -> np.ndarray | None:
-        if direction == "e2s":
-            return self.kept_e2s
-        if direction == "s2e":
-            return self.kept_s2e
-        return None  # concept edges are never masked
-
-    def all_kept(self) -> bool:
-        return bool(self.kept_e2s.all() and self.kept_s2e.all())
-
 
 def edge_importance(d: int, p: DropoutParams) -> float:
     """t = k / ln(d + theta) for an edge whose head node has indegree d."""

@@ -121,7 +121,9 @@ def test_c02_attention_weights_sum_to_one_per_neighborhood():
         states = gcn_forward(params, split, view)
         for direction in ATTN_DIRECTIONS:
             adj = split.adjacency(direction)
-            mask = view.mask(direction) if view is not None else None
+            mask = None  # concept edges are never masked
+            if view is not None:
+                mask = {"e2s": view.kept_e2s, "s2e": view.kept_s2e}.get(direction)
             heads = adj.heads if mask is None else adj.heads[mask]
             for alpha in states.attention[direction]:
                 if len(alpha) == 0:
@@ -306,7 +308,7 @@ def test_c07_p_min_one_views_reproduce_intact_graph_gradients():
         return {name: np.array(node.grad, copy=True) for name, node in leaves.items()}
 
     va, vb = generate_view_pair(split, DropoutParams(p_min=1.0), np.random.default_rng(3))
-    assert va.all_kept() and vb.all_kept()
+    assert all(v.kept_e2s.all() and v.kept_s2e.all() for v in (va, vb))
     with_views = grads((va, vb))
     without = grads((None, None))
     assert with_views.keys() == without.keys()

@@ -76,11 +76,7 @@ class TestDirectedSplit:
 
     def test_degree_accessor_and_bounds(self, small_world):
         split = small_world["split"]
-        assert split.e2s.indegree(0) == 3
-        with pytest.raises(IndexError):
-            split.e2s.indegree(4)
-        with pytest.raises(IndexError):
-            split.e2s.indegree(-1)
+        assert split.e2s.indegrees()[0] == 3
         with pytest.raises(ValueError, match="direction"):
             split.adjacency("s2s")
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -78,7 +80,7 @@ class TestViews:
         view = generate_view(split, DEFAULTS, np.random.default_rng(0))
         assert view.kept_e2s.shape == (split.e2s.n_edges,)
         assert view.kept_s2e.shape == (split.s2e.n_edges,)
-        assert view.mask("c2e") is None and view.mask("e2c") is None
+        assert [f.name for f in dataclasses.fields(view)] == ["kept_e2s", "kept_s2e"]
 
     def test_deterministic_per_seed(self, small_world):
         split = small_world["split"]
@@ -95,7 +97,7 @@ class TestViews:
     def test_p_min_one_keeps_everything(self, small_world):
         split = small_world["split"]
         view = generate_view(split, DropoutParams(p_min=1.0), np.random.default_rng(3))
-        assert view.all_kept()
+        assert view.kept_e2s.all() and view.kept_s2e.all()
 
     def test_low_degree_edges_always_survive(self):
         # degrees 1 and 2 sit above the t=1 threshold with default params
@@ -109,7 +111,7 @@ class TestViews:
         with pytest.raises(ValueError):
             generate_random_view(split, 0.0, np.random.default_rng(0))
         view = generate_random_view(split, 1.0, np.random.default_rng(0))
-        assert view.all_kept()
+        assert view.kept_e2s.all() and view.kept_s2e.all()
 
 
 class TestMatching:
