@@ -9,6 +9,7 @@ pairs and dedicated flags win over file values, in that order.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import sys
@@ -137,6 +138,12 @@ def cmd_viewgen_audit(args) -> int:
     return 0
 
 
+def _id_list(raw: str) -> list[str]:
+    """Ids from one CSV row, each stripped as the loaders strip them; empty
+    items are dropped."""
+    return [key for key in (field.strip() for field in next(csv.reader([raw]), [])) if key]
+
+
 def cmd_diagnose(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     test_set = None
@@ -144,12 +151,7 @@ def cmd_diagnose(args) -> int:
         test_set = align_responses(
             load_responses(args.test), ckpt.student_keys, ckpt.exercise_keys
         )
-    study = case_study(
-        ckpt,
-        [s for s in args.students.split(",") if s],
-        [e for e in args.exercises.split(",") if e],
-        test_set,
-    )
+    study = case_study(ckpt, _id_list(args.students), _id_list(args.exercises), test_set)
     print(study.concept_csv())
     if study.scores:
         print()
@@ -196,8 +198,9 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", help="dump mastery/difficulty slices as CSV")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--students", required=True, help="comma-separated raw student ids")
-    p.add_argument("--exercises", required=True, help="comma-separated raw exercise ids")
+    ids = "as one CSV row: quote an id that holds a comma"
+    p.add_argument("--students", required=True, help=f"comma-separated raw student ids, {ids}")
+    p.add_argument("--exercises", required=True, help=f"comma-separated raw exercise ids, {ids}")
     p.add_argument("--test", help="test CSV supplying ground-truth scores")
     p.set_defaults(func=cmd_diagnose)
     return parser

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -191,6 +192,34 @@ class TestEvalAndDiagnose:
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == f"concept,mastery:{s},difficulty:{e}"
+
+    def test_diagnose_id_lists_strip_spaces(self, capsys, trained):
+        mappings = json.loads((trained / "mappings.json").read_text())
+        s0, s1 = mappings["students"][:2]
+        e0, e1 = mappings["exercises"][:2]
+        code, out, err = run(
+            capsys, "diagnose",
+            "--checkpoint", str(trained / "checkpoint.npz"),
+            "--students", f"{s0}, {s1}", "--exercises", f" {e0} ,{e1},",
+        )
+        assert code == 0, err
+        header = f"concept,mastery:{s0},mastery:{s1},difficulty:{e0},difficulty:{e1}"
+        assert out.splitlines()[0] == header
+
+    def test_diagnose_names_an_id_that_holds_a_comma(self, capsys, data_dir, tmp_path):
+        with open(data_dir / "responses.csv", newline="") as src:
+            rows = [["a,b" if row[0] == "s1" else row[0], *row[1:]] for row in csv.reader(src)]
+        with open(tmp_path / "responses.csv", "w", newline="") as dst:
+            csv.writer(dst).writerows(rows)
+        (tmp_path / "qmatrix.csv").write_text((data_dir / "qmatrix.csv").read_text())
+        assert run(capsys, *train_args(tmp_path, tmp_path / "run"))[0] == 0
+        code, out, err = run(
+            capsys, "diagnose",
+            "--checkpoint", str(tmp_path / "run" / "checkpoint.npz"),
+            "--students", 's0,"a,b"', "--exercises", "e0",
+        )
+        assert code == 0, err
+        assert out.splitlines()[0].startswith("concept,mastery:s0,mastery:a,b,difficulty:e0")
 
     def test_diagnose_unknown_id_fails(self, capsys, trained):
         code, _, err = run(
