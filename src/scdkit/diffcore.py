@@ -50,15 +50,6 @@ class DiffNode:
     def __repr__(self):
         return f"DiffNode(shape={self.value.shape}, leaf={not self.parents})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
     def item(self) -> float:
         return float(self.value)
 
