@@ -141,7 +141,7 @@ def cmd_viewgen_audit(args) -> int:
 def _id_list(raw: str) -> list[str]:
     """Ids from one CSV row, each stripped as the loaders strip them; empty
     items are dropped."""
-    return [key for key in (field.strip() for field in next(csv.reader([raw]), [])) if key]
+    return [key for key in map(str.strip, next(csv.reader([raw]))) if key]
 
 
 def cmd_diagnose(args) -> int:
@@ -198,9 +198,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", help="dump mastery/difficulty slices as CSV")
     p.add_argument("--checkpoint", required=True)
-    ids = "as one CSV row: quote an id that holds a comma"
-    p.add_argument("--students", required=True, help=f"comma-separated raw student ids, {ids}")
-    p.add_argument("--exercises", required=True, help=f"comma-separated raw exercise ids, {ids}")
+    p.add_argument("--students", required=True, help="raw student ids, as one CSV row")
+    p.add_argument("--exercises", required=True, help="raw exercise ids, as one CSV row")
     p.add_argument("--test", help="test CSV supplying ground-truth scores")
     p.set_defaults(func=cmd_diagnose)
     return parser

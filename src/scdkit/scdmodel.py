@@ -2,14 +2,12 @@
 
 Embedding tables for students, exercises, and concepts feed an L-layer
 attention GCN with residual connections. Per layer and per direction, an
-edge's attention logit is a linear map of the neighbor's state,
-softmax-normalized within the head's neighbor segment; each aggregate is one
-fused `diffcore.attention_aggregate` node. The paper's GAT-style logit
-`[head, neighbor] @ w` also adds the head's own term, but with no
-nonlinearity that term is the same for all of a head's edges, and the
-per-head softmax cancels it exactly, so the model keeps only the neighbor
-half of `w`. A node with no
-surviving neighbors aggregates zero and keeps its residual. The final
+edge's attention logit is a linear map of the neighbor's state alone,
+softmax-normalized within the head's neighbor segment: the paper's GAT logit
+`[head, neighbor] @ w` adds the head's own term, the same on all its edges,
+which the softmax cancels exactly (no nonlinearity comes between them).
+Each aggregate is one fused `diffcore.attention_aggregate` node. A node with
+no surviving neighbors aggregates zero and keeps its residual. The final
 states map through sigmoid linear heads to per-concept mastery (students)
 and difficulty (exercises); predicted accuracy of a (student, exercise)
 pair averages sigmoid(predictor(mastery - difficulty)) over the exercise's
@@ -114,14 +112,10 @@ def init_params(
     rng = np.random.default_rng(seed)
     # the draw order (attention, embeddings, weights) is not the name order;
     # it stays fixed so that a seed keeps giving the same arrays. Attention
-    # draws the paper's (2d, 1) [head, neighbor] weight at fan-in 2d and keeps
-    # its neighbor half, so every other array is the one the full weight
-    # gave, and dropping the inert head half changes nothing else.
-    drawn = {
-        name: dc.init_array(rng, (2 * d, 1), 2 * d)[d:]
-        for name in shapes
-        if name.startswith("attn")
-    }
+    # keeps the neighbor half of the paper's (2d, 1) draw at fan-in 2d, so
+    # every array equals the one the full [head, neighbor] weight gave.
+    attn = [name for name in shapes if name.startswith("attn")]
+    drawn = {name: dc.init_array(rng, (2 * d, 1), 2 * d)[d:] for name in attn}
     for name in ("student_emb", "exercise_emb", "concept_emb", "w_student_diag", "w_exercise_diag"):
         drawn[name] = dc.init_array(rng, shapes[name], d)
     drawn["w_predict"] = dc.init_array(rng, shapes["w_predict"], n_concepts)
@@ -329,10 +323,9 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def _named_arrays(data, path, prefix: str, shapes: dict, what: str) -> dict:
-    """The `prefix<name>` arrays of `data`, which must be exactly the names of
-    `shapes`, with those shapes. An attention array of the older (2d, 1)
-    [head, neighbor] shape is cut to its neighbor half; the head half never
-    reached the output."""
+    """The `prefix<name>` arrays of `data`: exactly the names of `shapes`, with
+    those shapes, except that an older (2d, 1) attention array is cut to its
+    neighbor half, which is all of it that ever reached the output."""
     stored = {k[len(prefix) :] for k in data.files if k.startswith(prefix)}
     if stored != set(shapes):
         raise ValueError(
