@@ -1,12 +1,13 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
 Covers exactly the operator set the diagnosis model and its losses need:
-matmul, elementwise arithmetic, row gathers with scatter-add backward, the
-fused graph-attention aggregate (`attention_aggregate`: per-edge logits,
-segment softmax and weighted neighbor sum in one node with a hand-written
-backward), sigmoid/log/exp, row normalization, and squared L2 norms.
-Every operator's backward rule accumulates exact gradients; `grad_check`
-compares them against central finite differences.
+matmul, add/sub/mul/scale, row and total sums, row gathers with scatter-add
+backward, sigmoid, row normalization, the fused graph-attention aggregate
+(`attention_aggregate`: per-edge logits, segment softmax and weighted
+neighbor sum in one node with a hand-written backward), and one squared L2
+norm node over many arrays. The loss terms in `objectives` are single
+`DiffNode`s with their own backward rules. `grad_check` compares every
+backward rule against central finite differences.
 
 Scatter-adds (the aggregate and the `gather_rows` backward) run one feature
 column at a time: each column is one `np.bincount` over the row indices, so
@@ -176,10 +177,6 @@ def matmul(a: DiffNode, b: DiffNode) -> DiffNode:
     )
 
 
-def transpose(a: DiffNode) -> DiffNode:
-    return DiffNode(a.value.T, (a,), lambda g: (g.T,), a.requires_grad)
-
-
 def gather_rows(a: DiffNode, idx) -> DiffNode:
     """Select rows `a[idx]` of a 2-d array; scatter-adds gradients back
     (repeats allowed)."""
@@ -207,37 +204,12 @@ def total_sum(a: DiffNode) -> DiffNode:
     return DiffNode(a.value.sum(), (a,), lambda g: (np.full_like(a.value, float(g)),), a.requires_grad)
 
 
-def mean(a: DiffNode) -> DiffNode:
-    size = a.value.size
-    return DiffNode(
-        a.value.mean(), (a,), lambda g: (np.full_like(a.value, float(g) / size),), a.requires_grad
-    )
-
-
 def sigmoid(a: DiffNode) -> DiffNode:
     # exp never overflows: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
     x = a.value
     e = np.exp(-np.abs(x))
     out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     return DiffNode(out, (a,), lambda g: (g * out * (1.0 - out),), a.requires_grad)
-
-
-def exp(a: DiffNode) -> DiffNode:
-    out = np.exp(a.value)
-    return DiffNode(out, (a,), lambda g: (g * out,), a.requires_grad)
-
-
-def log(a: DiffNode) -> DiffNode:
-    """Natural log; inputs must be positive (clip beforehand if unsure)."""
-    return DiffNode(np.log(a.value), (a,), lambda g: (g / a.value,), a.requires_grad)
-
-
-def clip(a: DiffNode, lo: float, hi: float) -> DiffNode:
-    """Clamp values into [lo, hi]; gradient passes only where unclamped."""
-    inside = (a.value >= lo) & (a.value <= hi)
-    return DiffNode(
-        np.clip(a.value, lo, hi), (a,), lambda g: (g * inside,), a.requires_grad
-    )
 
 
 def attention_aggregate(
@@ -303,9 +275,13 @@ def normalize_rows(a: DiffNode) -> DiffNode:
     return DiffNode(out, (a,), backward, a.requires_grad)
 
 
-def l2_norm_sq(a: DiffNode) -> DiffNode:
+def l2_norm_sq(*nodes: DiffNode) -> DiffNode:
+    """Squared entries of all `nodes` summed as one node: per node, then left to right from 0.0."""
     return DiffNode(
-        np.sum(a.value**2), (a,), lambda g: (2.0 * float(g) * a.value,), a.requires_grad
+        sum((np.sum(a.value**2) for a in nodes), 0.0),
+        nodes,
+        lambda g: tuple(2.0 * float(g) * a.value for a in nodes),
+        any(a.requires_grad for a in nodes),
     )
 
 

@@ -1,6 +1,9 @@
 """Training objectives: supervised cross-entropy, contrastive alignment
 between view pairs, and their weighted multi-task combination.
 
+Each loss term is one tape node with a hand-written backward: `main_loss`,
+`infonce` and the regularizer, `dc.l2_norm_sq` over every parameter.
+
 The contrastive term treats the two representations of one node under the
 two views as the positive pair and, by default, puts ONLY the other nodes'
 representations in the denominator (the positive pair is excluded); with
@@ -21,17 +24,22 @@ from .scdmodel import NodeStates
 
 
 def main_loss(y: DiffNode, labels: np.ndarray) -> DiffNode:
-    """Summed cross entropy between predicted accuracies and 0/1 scores.
+    """Summed cross entropy between predicted accuracies and 0/1 scores, as one node.
 
-    Predictions are clamped into [1e-12, 1 - 1e-12] before the logs.
+    Predictions are clamped into [1e-12, 1 - 1e-12] before the logs; a
+    clamped prediction gets a zero gradient.
     """
     labels = np.asarray(labels, dtype=np.float64)
     if y.value.shape != labels.shape:
         raise ValueError(f"shape mismatch: predictions {y.value.shape}, labels {labels.shape}")
-    y_c = dc.clip(y, 1e-12, 1.0 - 1e-12)
-    hit = dc.mul(dc.constant(labels), dc.log(y_c))
-    miss = dc.mul(dc.constant(1.0 - labels), dc.log(dc.sub(dc.constant(1.0), y_c)))
-    return dc.scale(dc.total_sum(dc.add(hit, miss)), -1.0)
+    y_c = np.clip(y.value, 1e-12, 1.0 - 1e-12)
+    value = -(labels * np.log(y_c) + (1.0 - labels) * np.log(1.0 - y_c)).sum()
+
+    def backward(g):
+        d_y = g * (1.0 - labels) / (1.0 - y_c) - g * labels / y_c
+        return (np.where(y_c == y.value, d_y, 0.0),)
+
+    return DiffNode(value, (y,), backward, y.requires_grad)
 
 
 def infonce(
@@ -45,11 +53,12 @@ def infonce(
 
     Per node i: -log( exp(cos(z1_i, z2_i)/tau) / sum_j exp(cos(z1_i, z2_j)/tau) ),
     where j ranges over the other nodes only unless `include_positive`.
+    One node over the two `dc.normalize_rows` outputs computes the rest and
+    keeps the n x n exponentials (diagonal zeroed unless `include_positive`).
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     if subset is not None:
-        subset = np.asarray(subset, dtype=np.intp)
         z1 = dc.gather_rows(z1, subset)
         z2 = dc.gather_rows(z2, subset)
     n = z1.value.shape[0]
@@ -58,15 +67,23 @@ def infonce(
     if n < 2:
         raise ValueError("contrastive loss needs at least 2 nodes to form negatives")
 
-    u1 = dc.normalize_rows(z1)
-    u2 = dc.normalize_rows(z2)
-    pos = dc.scale(dc.rowsum(dc.mul(u1, u2)), 1.0 / tau)
-    sims = dc.scale(dc.matmul(u1, dc.transpose(u2)), 1.0 / tau)
-    exp_all = dc.exp(sims)
+    n1, n2 = dc.normalize_rows(z1), dc.normalize_rows(z2)
+    u1, u2 = n1.value, n2.value
+    inv_tau = 1.0 / tau
+    e = np.exp((u1 @ u2.T) * inv_tau)
     if not include_positive:
-        exp_all = dc.mul(exp_all, dc.constant(1.0 - np.eye(n)))
-    denom = dc.rowsum(exp_all)
-    return dc.mean(dc.sub(dc.log(denom), pos))
+        np.fill_diagonal(e, 0.0)
+    denom = e.sum(axis=1)
+    value = (np.log(denom) - (u1 * u2).sum(axis=1) * inv_tau).mean()
+
+    def backward(g):
+        g_row = float(g) / n
+        d_sims = e * (g_row / denom)[:, None]
+        d_sims *= inv_tau
+        g_pos = -g_row * inv_tau
+        return d_sims @ u2 + g_pos * u2, (u1.T @ d_sims).T + g_pos * u1
+
+    return DiffNode(value, (n1, n2), backward, n1.requires_grad or n2.requires_grad)
 
 
 def ssl_loss(
@@ -129,12 +146,7 @@ def total_loss(
     """
     if (ssl_student is None) != (ssl_exercise is None):
         raise ValueError("either both or neither contrastive component must be given")
-    reg: DiffNode | None = None
-    for node in param_nodes.values():
-        sq = dc.l2_norm_sq(node)
-        reg = sq if reg is None else dc.add(reg, sq)
-    if reg is None:
-        reg = dc.constant(0.0)
+    reg = dc.l2_norm_sq(*param_nodes.values())
 
     total = main
     if ssl_student is not None:

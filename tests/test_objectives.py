@@ -56,6 +56,15 @@ class TestMainLoss:
         main_loss(node, r).backward()
         npt.assert_allclose(node.grad, (y - r) / (y * (1 - y)), rtol=1e-9)
 
+    def test_gradient_zero_outside_clamp(self):
+        y = np.array([0.0, 0.3, 1.0, 0.8])
+        r = np.array([1.0, 1.0, 0.0, 0.0])
+        node = dc.param(y)
+        main_loss(node, r).backward()
+        assert node.grad[0] == 0.0 and node.grad[2] == 0.0
+        y_in, r_in = y[[1, 3]], r[[1, 3]]
+        npt.assert_allclose(node.grad[[1, 3]], (y_in - r_in) / (y_in * (1 - y_in)), rtol=1e-12)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             main_loss(dc.constant([0.5, 0.5]), np.array([1]))
@@ -113,12 +122,13 @@ class TestInfonce:
         with pytest.raises(ValueError, match="tau"):
             infonce(dc.constant(np.ones((3, 2))), dc.constant(np.ones((3, 2))), 0.0)
 
-    def test_gradient_against_finite_difference(self):
+    @pytest.mark.parametrize("include_positive", [False, True])
+    def test_gradient_against_finite_difference(self, include_positive):
         rng = np.random.default_rng(11)
         x = {"z1": rng.normal(size=(5, 3)), "z2": rng.normal(size=(5, 3))}
 
         def f(leaves):
-            return infonce(leaves["z1"], leaves["z2"], tau=0.7)
+            return infonce(leaves["z1"], leaves["z2"], tau=0.7, include_positive=include_positive)
 
         assert dc.grad_check(f, x) < 1e-7
 

@@ -32,7 +32,8 @@ def test_losses_match_checked_in_reference(tmp_path):
             bad = ~np.isclose(got[:, col], want[:, col], rtol=RTOL, atol=0.0)
             mismatches += [
                 f"{name} row {int(want[i, 0])} {column}: "
-                f"{float(got[i, col])!r} != {float(want[i, col])!r}"
+                f"{float(got[i, col])!r} != {float(want[i, col])!r} "
+                f"(relative drift {abs(got[i, col] - want[i, col]) / abs(want[i, col]):.2e})"
                 for i in np.flatnonzero(bad)
             ]
     assert not mismatches, "\n".join(mismatches)
