@@ -10,6 +10,8 @@ students, where M' counts students with at least one test record.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass, field
 
@@ -36,6 +38,13 @@ def _check_pair(preds, labels) -> tuple[np.ndarray, np.ndarray]:
     if preds.shape != labels.shape or preds.size == 0:
         raise ValueError("preds and labels must be equal-length and nonempty")
     return preds, labels
+
+
+def _csv_text(rows) -> str:
+    """Rows as CSV text, quoting only the fields that need it; no final newline."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().removesuffix("\n")
 
 
 @dataclass(frozen=True)
@@ -129,6 +138,7 @@ class EvalReport:
     rmse50: float
     per_group: list[GroupRow]
     per_student: list[StudentRow] = field(default_factory=list)
+    student_keys: tuple[str, ...] = ()  # id of each student index, for per_student_csv
 
     def to_json(self) -> str:
         def _clean(x):
@@ -155,9 +165,12 @@ class EvalReport:
         )
 
     def per_student_csv(self) -> str:
-        lines = ["student,train_interactions,acc,rmse"]
-        lines += [f"{r.student},{r.n_train},{r.acc!r},{r.rmse!r}" for r in self.per_student]
-        return "\n".join(lines)
+        rows = [["student", "train_interactions", "acc", "rmse"]]
+        rows += [
+            [self.student_keys[r.student], r.n_train, repr(r.acc), repr(r.rmse)]
+            for r in self.per_student
+        ]
+        return _csv_text(rows)
 
     def per_group_csv(self) -> str:
         lines = ["bucket,n_students,n_interactions,acc,rmse"]
@@ -190,6 +203,7 @@ def evaluate(params, split, q, test_set: ResponseSet, train_counts: np.ndarray) 
         rmse50=rmse50,
         per_group=group_report(rows),
         per_student=rows,
+        student_keys=test_set.student_keys,
     )
 
 
@@ -262,28 +276,25 @@ class CaseStudy:
         return dominates == (self.scores[(student, exercise)] == 1)
 
     def concept_csv(self) -> str:
-        header = (
+        rows = [
             ["concept"]
             + [f"mastery:{s}" for s in self.student_labels]
             + [f"difficulty:{e}" for e in self.exercise_labels]
-        )
-        lines = [",".join(header)]
+        ]
         for j, label in enumerate(self.concept_labels):
             cells = [label]
             cells += [repr(float(v)) for v in self.mastery[:, j]]
             cells += [repr(float(v)) for v in self.difficulty[:, j]]
-            lines.append(",".join(cells))
-        return "\n".join(lines)
+            rows.append(cells)
+        return _csv_text(rows)
 
     def outcome_csv(self) -> str:
-        lines = ["student,exercise,score,consistent"]
+        rows = [["student", "exercise", "score", "consistent"]]
         for (s, e), score in sorted(self.scores.items()):
-            flag = self.consistent(s, e)
-            lines.append(
-                f"{self.student_labels[self.student_ids.index(s)]},"
-                f"{self.exercise_labels[self.exercise_ids.index(e)]},{score},{flag}"
-            )
-        return "\n".join(lines)
+            student = self.student_labels[self.student_ids.index(s)]
+            exercise = self.exercise_labels[self.exercise_ids.index(e)]
+            rows.append([student, exercise, score, self.consistent(s, e)])
+        return _csv_text(rows)
 
 
 def case_study(

@@ -176,7 +176,12 @@ class TestEvalAndDiagnose:
         blob = json.loads(out)
         assert set(blob) >= {"acc", "rmse", "acc50", "rmse50", "per_group"}
         assert json.loads((tmp_path / "report.json").read_text()) == blob
-        assert (tmp_path / "per_student.csv").read_text().startswith("student,")
+        with open(tmp_path / "per_student.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        with open(trained / "test.csv", newline="") as fh:
+            test_ids = {row[0] for row in list(csv.reader(fh))[1:]}
+        assert header == ["student", "train_interactions", "acc", "rmse"]
+        assert sorted(row[0] for row in rows) == sorted(test_ids)
         assert (tmp_path / "per_group.csv").read_text().startswith("bucket,")
 
     def test_diagnose_emits_csv(self, capsys, trained, data_dir):
@@ -219,7 +224,8 @@ class TestEvalAndDiagnose:
             "--students", 's0,"a,b"', "--exercises", "e0",
         )
         assert code == 0, err
-        assert out.splitlines()[0].startswith("concept,mastery:s0,mastery:a,b,difficulty:e0")
+        header = next(csv.reader(out.splitlines()))
+        assert header == ["concept", "mastery:s0", "mastery:a,b", "difficulty:e0"]
 
     def test_diagnose_unknown_id_fails(self, capsys, trained):
         code, _, err = run(

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -165,13 +166,17 @@ class TestStudentTable:
         report = EvalReport(
             acc=0.8, rmse=0.3, acc50=acc50, rmse50=rmse50,
             per_group=group_report(rows), per_student=rows,
+            student_keys=("zed", "amy", "x,y", 'q"t'),
         )
         blob = json.loads(report.to_json())
         assert blob["acc50"] == 0.75
         assert blob["per_group"][1]["acc"] is None  # empty bucket -> null
         lines = report.per_student_csv().splitlines()
         assert lines[0] == "student,train_interactions,acc,rmse"
-        assert len(lines) == 5
+        assert lines[1] == "zed,2,0.5,0.2"
+        parsed = list(csv.reader(lines))
+        assert [row[0] for row in parsed[1:]] == ["zed", "amy", "x,y", 'q"t']
+        assert all(len(row) == 4 for row in parsed)
         assert report.per_group_csv().splitlines()[2].endswith(",0,,")
 
 
