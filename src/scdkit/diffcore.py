@@ -29,10 +29,11 @@ EPS_GUARD = 1e-12
 class DiffNode:
     """One node of the computation graph.
 
-    `value` is a float64 ndarray (0-d for scalars), `grad` a same-shape,
-    read-only array filled in by `backward` (it may share memory with other
-    gradients). Non-leaf nodes carry their parents and a backward rule
-    returning one gradient (or None) per parent.
+    `value` is a float64 ndarray (0-d for scalars). On a trainable leaf,
+    `grad` is a same-shape, read-only array filled in by `backward` (it may
+    share memory with other gradients); interior nodes do not keep theirs.
+    Non-leaf nodes carry their parents and a backward rule returning one
+    gradient (or None) per parent.
     """
 
     __slots__ = ("value", "grad", "parents", "backward_fn", "requires_grad")
@@ -60,7 +61,8 @@ class DiffNode:
         Visits each reachable node exactly once, in reverse topological
         order, accumulating parent gradients additively. A first gradient is
         kept as received (rules may hand one array to several parents), so
-        only sums allocated here are added into in place.
+        only sums allocated here are added into in place. Interior gradients
+        are dropped once their rule has run: only leaves keep `.grad`.
         """
         if self.value.ndim != 0:
             raise ValueError("backward() requires a scalar root")
@@ -71,6 +73,7 @@ class DiffNode:
             if node.backward_fn is None or not node.requires_grad or node.grad is None:
                 continue
             gs = node.backward_fn(node.grad)
+            node.grad = None
             for parent, g in zip(node.parents, gs):
                 if g is None or not parent.requires_grad:
                     continue
@@ -82,7 +85,7 @@ class DiffNode:
                     parent.grad = parent.grad + g
                     owned.add(id(parent))
         for node in order:
-            if node.requires_grad and node.grad is None:
+            if node.requires_grad and not node.parents and node.grad is None:
                 node.grad = np.zeros_like(node.value)
 
 

@@ -14,7 +14,10 @@ pair averages sigmoid(predictor(mastery - difficulty)) over the exercise's
 concepts.
 
 Forward passes accept an optional View whose masks thin the interaction
-directions only; concept edges always participate at full density.
+directions only; concept edges always participate at full density. A View of
+k stacked mask rows runs as one forward over a k-copy disjoint union: copy j
+offsets its node indices by j*M, j*N and j*K and keeps the interaction edges
+of mask row j and every concept edge.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .corpus import QMatrix
-from .relgraph import Adjacency, DirectedSplit, RelationGraph
+from .relgraph import DirectedSplit, RelationGraph
 from .viewgen import View
 
 ATTN_DIRECTIONS = ("e2s", "s2e", "c2e", "e2c")
@@ -71,13 +74,25 @@ class NodeStates:
     """Per-layer embeddings (index 0 is the embedding layer output).
 
     `attention` keeps detached per-edge softmax weights for auditing,
-    keyed by direction, one array per layer.
+    keyed by direction, one array per layer. A forward over a k-copy union
+    (`copies` = k) stacks the copies' rows, copy 0 first.
     """
 
     students: list[dc.DiffNode]
     exercises: list[dc.DiffNode]
     concepts: list[dc.DiffNode]
     attention: dict[str, list[np.ndarray]] = field(default_factory=dict)
+    copies: int = 1
+
+    def copy_rows(self, j: int, students=None, exercises=None) -> "NodeStates":
+        """Copy j's final `students` and `exercises` rows (per-copy indices,
+        None for all), gathered into a one-layer NodeStates."""
+        picked = []
+        for final, idx in ((self.final_students, students), (self.final_exercises, exercises)):
+            n = len(final.value) // self.copies
+            idx = np.arange(n) if idx is None else np.asarray(idx, dtype=np.intp)
+            picked.append([dc.gather_rows(final, idx + j * n)])
+        return NodeStates(*picked, concepts=[])
 
     @property
     def final_students(self) -> dc.DiffNode:
@@ -124,37 +139,36 @@ def init_params(
 
 def _aggregate(
     tail_state: dc.DiffNode,
-    adj: Adjacency,
+    edges: tuple[np.ndarray, np.ndarray, int],
     weight: dc.DiffNode,
-    mask: np.ndarray | None,
     keep_heads: np.ndarray | None,
 ) -> tuple[dc.DiffNode, np.ndarray]:
-    """Attention-weighted neighbor sum into each head node over the edges the
-    mask keeps; returns (aggregate, detached attention weights).
+    """Attention-weighted neighbor sum into each head node over `edges =
+    (heads, tails, n_heads)`; returns (aggregate, detached attention weights).
 
-    `keep_heads` (a per-head bool array) further drops the edges into the
-    heads it marks False; those heads aggregate zero. Each kept head sums the
-    same edges in the same order either way, so its row does not change.
+    `keep_heads` (a per-head bool array) drops the edges into the heads it
+    marks False; those heads aggregate zero. Each kept head sums the same
+    edges in the same order either way, so its row does not change.
     """
+    heads, tails, n_heads = edges
     if keep_heads is not None:
-        into_kept = keep_heads[adj.heads]
-        mask = into_kept if mask is None else mask & into_kept
-    heads, tails = adj.heads, adj.tails
-    if mask is not None:
-        heads, tails = heads[mask], tails[mask]
-    return dc.attention_aggregate(tail_state, weight, heads, tails, adj.n_heads)
+        into_kept = keep_heads[heads]
+        heads, tails = heads[into_kept], tails[into_kept]
+    return dc.attention_aggregate(tail_state, weight, heads, tails, n_heads)
 
 
-def _last_layer_heads(split: DirectedSplit, rows) -> dict[str, np.ndarray]:
-    """Per-direction head masks for the final rows `rows = (students,
-    exercises)`: students for e2s, exercises for s2e and c2e, no concepts."""
+def _last_layer_heads(split: DirectedSplit, rows, copies: int) -> dict[str, np.ndarray]:
+    """Per-direction head masks over `copies` copies for the final rows
+    `rows = (students, exercises)`: students for e2s, exercises for s2e and
+    c2e, no concepts."""
     students, exercises = rows
     keep_s = np.zeros(split.e2s.n_heads, dtype=bool)
     keep_s[np.asarray(students, dtype=np.intp)] = True
     keep_e = np.zeros(split.s2e.n_heads, dtype=bool)
     keep_e[np.asarray(exercises, dtype=np.intp)] = True
     no_concepts = np.zeros(split.e2c.n_heads, dtype=bool)
-    return {"e2s": keep_s, "s2e": keep_e, "c2e": keep_e, "e2c": no_concepts}
+    keep = zip(ATTN_DIRECTIONS, (keep_s, keep_e, keep_e, no_concepts))
+    return {d: np.tile(heads, copies) for d, heads in keep}
 
 
 def gcn_forward(
@@ -166,41 +180,58 @@ def gcn_forward(
 ) -> NodeStates:
     """Run the L-layer aggregation, optionally under a sparse view.
 
+    A `view` of k stacked mask rows runs one k-copy disjoint union (module
+    docstring); copy j's rows and attention equal row j's own forward, bitwise.
+
     Pass `nodes` (from ModelParams.wrap()) to share leaves across several
     forwards of one training step; omit it for standalone inference.
 
     `rows = (students, exercises)` names the final-layer rows the caller
-    reads (repeats allowed); None means every row. With `rows`, the last
-    layer aggregates only the edges into those students and exercises, so
-    only those final student and exercise rows are valid and no final
-    concept row is; the last layer's `attention` covers only the kept edges.
-    The valid rows, and the gradients of a loss that reads only them, are
-    bit-identical to the full forward's. Earlier layers are always full.
+    reads in each copy (repeats allowed); None means every row. With `rows`,
+    the last layer aggregates only the edges into those students and
+    exercises, so only those final rows are valid and no final concept row
+    is; the last layer's `attention` covers only the kept edges. The valid
+    rows, and the gradients of a loss that reads only them, are bit-identical
+    to the full forward's. Earlier layers are always full.
     """
     if nodes is None:
         nodes = params.wrap()
     s = nodes["student_emb"]
     e = nodes["exercise_emb"]
     c = nodes["concept_emb"]
+    copies = 1 if view is None else len(np.atleast_2d(view.kept_e2s))
+    masks = {} if view is None else {"e2s": view.kept_e2s, "s2e": view.kept_s2e}
+    n_tails = {"e2s": len(e.value), "s2e": len(s.value), "c2e": len(c.value), "e2c": len(e.value)}
+    edges = {}  # (heads, tails, n_heads) per direction
+    for d in ATTN_DIRECTIONS:
+        adj = split.adjacency(d)
+        heads, tails = adj.heads, adj.tails
+        if copies > 1:  # copy j's node ids are offset by j copies
+            heads = (heads + np.arange(copies)[:, None] * adj.n_heads).ravel()
+            tails = (tails + np.arange(copies)[:, None] * n_tails[d]).ravel()
+        if d in masks:
+            heads, tails = heads[masks[d].ravel()], tails[masks[d].ravel()]
+        edges[d] = heads, tails, copies * adj.n_heads
+    if copies > 1:
+        s, e, c = (dc.gather_rows(x, np.tile(np.arange(len(x.value)), copies)) for x in (s, e, c))
     states = NodeStates(
         students=[s],
         exercises=[e],
         concepts=[c],
         attention={direction: [] for direction in ATTN_DIRECTIONS},
+        copies=copies,
     )
-    mask_e2s = view.kept_e2s if view is not None else None
-    mask_s2e = view.kept_s2e if view is not None else None
     keep = dict.fromkeys(ATTN_DIRECTIONS)
 
     for layer in range(params.n_layers):
         w = {d: nodes[f"attn{layer}_{d}"] for d in ATTN_DIRECTIONS}
         if rows is not None and layer == params.n_layers - 1:
-            keep = _last_layer_heads(split, rows)
+            keep = _last_layer_heads(split, rows, copies)
 
-        agg_s, a_e2s = _aggregate(e, split.e2s, w["e2s"], mask_e2s, keep["e2s"])
-        agg_e_stu, a_s2e = _aggregate(s, split.s2e, w["s2e"], mask_s2e, keep["s2e"])
-        agg_e_con, a_c2e = _aggregate(c, split.c2e, w["c2e"], None, keep["c2e"])
-        agg_c, a_e2c = _aggregate(e, split.e2c, w["e2c"], None, keep["e2c"])
+        agg_s, a_e2s = _aggregate(e, edges["e2s"], w["e2s"], keep["e2s"])
+        agg_e_stu, a_s2e = _aggregate(s, edges["s2e"], w["s2e"], keep["s2e"])
+        agg_e_con, a_c2e = _aggregate(c, edges["c2e"], w["c2e"], keep["c2e"])
+        agg_c, a_e2c = _aggregate(e, edges["e2c"], w["e2c"], keep["e2c"])
 
         s_next = dc.add(agg_s, s)
         e_next = dc.add(agg_e_con, dc.add(agg_e_stu, e))

@@ -2,10 +2,11 @@
 
 Each epoch draws one fresh view pair of the interaction subgraph (importance
 -based, uniform-matched for the random ablation, or none for supervised-only)
-and walks shuffled mini-batches. Per batch the supervised loss runs on the
-ORIGINAL graph, the contrastive loss on both views, and one Adam step
-follows. Every random stream is derived from (master_seed, epoch, stream),
-so runs are bit-reproducible and resumable in single-thread double precision.
+stacked into one two-row View, and walks shuffled mini-batches. Per batch the
+supervised loss runs on the ORIGINAL graph, the contrastive loss on both views
+(one forward over their two-copy disjoint union), and one Adam step follows.
+Every random stream is derived from (master_seed, epoch, stream), so runs are
+bit-reproducible and resumable in single-thread double precision.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from .scdmodel import (
     predict,
     save_checkpoint,
 )
-from .viewgen import DropoutParams, generate_random_view, generate_view_pair, matched_uniform_p
+from .viewgen import DropoutParams, View, generate_random_view, generate_view_pair
+from .viewgen import matched_uniform_p
 
 log = logging.getLogger(__name__)
 
@@ -142,17 +144,17 @@ def _rng(master_seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng((int(master_seed), *map(int, tags)))
 
 
-def _epoch_views(split: DirectedSplit, config: TrainConfig, epoch: int):
+def _epoch_views(split: DirectedSplit, config: TrainConfig, epoch: int) -> View | None:
+    """The epoch's two views stacked into one two-row View; None for supervised-only."""
     if config.mode == "supervised-only":
-        return None, None
+        return None
     rng = _rng(config.master_seed, epoch, _STREAM_VIEWS)
     if config.mode == "scd":
-        return generate_view_pair(split, config.dropout, rng)
-    p_uniform = matched_uniform_p(split, config.dropout)
-    return (
-        generate_random_view(split, p_uniform, rng),
-        generate_random_view(split, p_uniform, rng),
-    )
+        pair = generate_view_pair(split, config.dropout, rng)
+    else:
+        p_uniform = matched_uniform_p(split, config.dropout)
+        pair = [generate_random_view(split, p_uniform, rng) for _ in range(2)]
+    return View(np.stack([v.kept_e2s for v in pair]), np.stack([v.kept_s2e for v in pair]))
 
 
 def _ssl_subsets(
@@ -183,7 +185,7 @@ def train_epoch(
     """One pass over shuffled mini-batches; returns the batch-averaged breakdown."""
     if len(train_set) == 0:
         raise ValueError("train set is empty")
-    view1, view2 = _epoch_views(split, config, epoch)
+    views = _epoch_views(split, config, epoch)
     order = _rng(config.master_seed, epoch, _STREAM_SHUFFLE).permutation(len(train_set))
 
     sums = np.zeros(4)  # main, ssl_s, ssl_e, reg
@@ -196,7 +198,7 @@ def train_epoch(
         # the final rows this step's losses read; the contrastive subsets hold
         # the batch's nodes, and None (full population) means every row
         rows = (b_students, b_exercises)
-        if view1 is not None:
+        if views is not None:
             s_sub, e_sub = _ssl_subsets(
                 b_students, b_exercises, config, train_set.n_students, train_set.n_exercises
             )
@@ -209,11 +211,11 @@ def train_epoch(
         l_main = main_loss(y, train_set.scores[batch])
 
         l_ssl_s = l_ssl_e = None
-        if view1 is not None:
-            states1 = gcn_forward(params, split, view=view1, nodes=nodes, rows=rows)
-            states2 = gcn_forward(params, split, view=view2, nodes=nodes, rows=rows)
+        if views is not None:
+            union = gcn_forward(params, split, view=views, nodes=nodes, rows=rows)
+            states1, states2 = (union.copy_rows(j, s_sub, e_sub) for j in (0, 1))
             l_ssl_s, l_ssl_e = ssl_loss(
-                states1, states2, config.tau, s_sub, e_sub, config.include_positive
+                states1, states2, config.tau, include_positive=config.include_positive
             )
 
         total, breakdown = total_loss(

@@ -46,7 +46,11 @@ class DropoutParams:
 
 @dataclass(frozen=True, eq=False)
 class View:
-    """Per-direction retained-edge masks over the interaction subgraph."""
+    """Per-direction retained-edge masks over the interaction subgraph.
+
+    A 1-D mask is one view; k stacked rows, shape (k, E), are k views that
+    `scdmodel.gcn_forward` runs as one k-copy disjoint union.
+    """
 
     kept_e2s: np.ndarray
     kept_s2e: np.ndarray

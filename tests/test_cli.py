@@ -1,7 +1,13 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scdkit.cli import main
 from scdkit.synth import make_synthetic, write_synthetic
@@ -279,3 +285,104 @@ class TestViewgenAudit:
         )
         assert code == 2
         assert "error:" in err and out == ""
+
+
+# ids as the loaders leave them: stripped and non-empty; commas, quotes,
+# spaces and any printable unicode inside
+ID = (
+    st.text(
+        st.one_of(st.sampled_from(',"\' '), st.characters(blacklist_categories=("Cc", "Cs"))),
+        min_size=1,
+        max_size=6,
+    )
+    .map(str.strip)
+    .filter(bool)
+)
+
+
+def call(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def csv_rows(text):
+    return list(csv.reader(io.StringIO(text)))
+
+
+def csv_line(ids):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(ids)
+    return buf.getvalue()
+
+
+class TestIdsRoundTrip:
+    @settings(max_examples=8, deadline=None)
+    @given(
+        students=st.lists(ID, min_size=3, max_size=3, unique=True),
+        exercises=st.lists(ID, min_size=3, max_size=3, unique=True),
+        concepts=st.lists(ID, min_size=2, max_size=2, unique=True),
+    )
+    def test_ids_survive_train_eval_and_diagnose(self, students, exercises, concepts):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            with open(root / "responses.csv", "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(("student", "exercise", "score"))
+                for i, s in enumerate(students):
+                    writer.writerows((s, e, (i + j) % 2) for j, e in enumerate(exercises))
+            with open(root / "qmatrix.csv", "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(("exercise", "concept"))
+                writer.writerows((e, concepts[j % 2]) for j, e in enumerate(exercises))
+            code, _, err = call(
+                "train",
+                "--responses", str(root / "responses.csv"),
+                "--qmatrix", str(root / "qmatrix.csv"),
+                "--output-dir", str(root / "run"),
+                "--override", "epochs=1",
+                "--override", "min_interactions=1",
+                "--override", "train_ratio=0.5",
+            )
+            assert code == 0, err
+            run = root / "run"
+            mappings = json.loads((run / "mappings.json").read_text())
+            assert mappings == {"students": students, "exercises": exercises, "concepts": concepts}
+            split_rows = [
+                row for name in ("train.csv", "test.csv")
+                for row in csv_rows((run / name).read_text())[1:]
+            ]
+            assert {row[0] for row in split_rows} == set(students)
+            assert {row[1] for row in split_rows} == set(exercises)
+
+            code, _, err = call(
+                "eval",
+                "--checkpoint", str(run / "checkpoint.npz"),
+                "--test", str(run / "test.csv"),
+                "--output-dir", str(root / "eval"),
+            )
+            assert code == 0, err
+            test_students = {row[0] for row in csv_rows((run / "test.csv").read_text())[1:]}
+            per_student = csv_rows((root / "eval" / "per_student.csv").read_text())[1:]
+            assert {row[0] for row in per_student} == test_students
+
+            code, out, err = call(
+                "diagnose",
+                "--checkpoint", str(run / "checkpoint.npz"),
+                f"--students={csv_line(students)}",
+                f"--exercises={csv_line(exercises)}",
+                "--test", str(run / "test.csv"),
+            )
+            assert code == 0, err
+            concept_table, outcomes = out.split("\n\n")
+            header, *rows = csv_rows(concept_table)
+            assert header == [
+                "concept",
+                *(f"mastery:{s}" for s in students),
+                *(f"difficulty:{e}" for e in exercises),
+            ]
+            assert [row[0] for row in rows] == concepts
+            outcome_rows = csv_rows(outcomes)[1:]
+            assert {row[0] for row in outcome_rows} == test_students
+            assert {row[1] for row in outcome_rows} <= set(exercises)

@@ -320,6 +320,82 @@ class TestFinalRows:
                 assert np.array_equal(g_full, g_part), name
 
 
+class TestViewUnion:
+    """gcn_forward under a stacked (v1, v2) View against one forward per view."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=100_000), with_rows=st.booleans())
+    def test_copies_match_single_view_forwards_bitwise(self, seed, with_rows):
+        rng = np.random.default_rng(seed)
+        split, (m, n, k) = random_split(rng)
+        n_layers = int(rng.integers(1, 4))
+        params = init_params(m, n, k, dim=int(rng.integers(1, 5)), n_layers=n_layers, seed=seed)
+        views = [
+            View(rng.random(split.e2s.n_edges) < keep, rng.random(split.s2e.n_edges) < keep)
+            for keep in rng.choice([0.0, 0.5, 1.0], size=2)
+        ]
+        pair = View(np.stack([v.kept_e2s for v in views]), np.stack([v.kept_s2e for v in views]))
+        rows = None
+        if with_rows:
+            rows = (
+                rng.integers(0, m, size=int(rng.integers(0, 2 * m))),
+                rng.integers(0, n, size=int(rng.integers(0, 2 * n))),
+            )
+        union = gcn_forward(params, split, view=pair, rows=rows)
+        singles = [gcn_forward(params, split, view=view, rows=rows) for view in views]
+        assert union.copies == 2
+
+        for layer in range(n_layers + 1):
+            pruned = with_rows and layer == n_layers
+            for kind, size in (("students", m), ("exercises", n), ("concepts", k)):
+                got = getattr(union, kind)[layer].value
+                assert got.shape[0] == 2 * size
+                for j, single in enumerate(singles):
+                    want = getattr(single, kind)[layer].value
+                    if pruned:  # only the named final rows are valid
+                        if kind == "concepts":
+                            continue
+                        picked = rows[0] if kind == "students" else rows[1]
+                        want, got_rows = want[picked], got[picked + j * size]
+                    else:
+                        got_rows = got[j * size : (j + 1) * size]
+                    assert got_rows.tobytes() == want.tobytes(), (kind, layer, j)
+
+        for direction in ATTN_DIRECTIONS:
+            adj = split.adjacency(direction)
+            for layer in range(n_layers):
+                alpha = union.attention[direction][layer]
+                parts = [single.attention[direction][layer] for single in singles]
+                assert alpha.tobytes() == np.concatenate(parts).tobytes()
+                for j, (view, part) in enumerate(zip(views, parts)):
+                    mask = kept_mask(view, direction)
+                    heads = adj.heads if mask is None else adj.heads[mask]
+                    if with_rows and layer == n_layers - 1:
+                        kept = {"e2s": rows[0], "s2e": rows[1], "c2e": rows[1], "e2c": []}
+                        heads = heads[np.isin(heads, kept[direction])]
+                    sums = np.bincount(heads, weights=part, minlength=adj.n_heads)
+                    occupied = np.bincount(heads, minlength=adj.n_heads) > 0
+                    npt.assert_allclose(sums[occupied], 1.0, rtol=0, atol=1e-12)
+
+    def test_copy_reads_its_own_copy_at_per_copy_rows(self, small_world):
+        split = small_world["split"]
+        params = init_params(4, 5, 3, seed=3)
+        e2s, s2e = np.arange(split.e2s.n_edges), np.arange(split.s2e.n_edges)
+        views = [View(e2s % 2 == 0, s2e % 3 != 0), View(e2s % 2 == 1, s2e % 3 != 1)]
+        pair = View(np.stack([v.kept_e2s for v in views]), np.stack([v.kept_s2e for v in views]))
+        union = gcn_forward(params, split, view=pair)
+        students, exercises = np.array([3, 0, 3]), np.array([4, 1])
+        for j, view in enumerate(views):
+            single = gcn_forward(params, split, view=view)
+            picked, whole = union.copy_rows(j, students, exercises), union.copy_rows(j)
+            s_final, e_final = single.final_students.value, single.final_exercises.value
+            assert picked.final_students.value.tobytes() == s_final[students].tobytes()
+            assert picked.final_exercises.value.tobytes() == e_final[exercises].tobytes()
+            assert whole.final_students.value.tobytes() == s_final.tobytes()
+            assert whole.final_exercises.value.tobytes() == e_final.tobytes()
+        assert not np.array_equal(union.copy_rows(0).final_students.value, s_final)
+
+
 class TestDiagnosisAndPredict:
     def test_outputs_live_in_unit_interval(self, small_world):
         params = init_params(4, 5, 3, seed=4)

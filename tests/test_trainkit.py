@@ -5,9 +5,18 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from scdkit import diffcore as dc
 from scdkit.corpus import load_responses
 from scdkit.evalkit import evaluate_checkpoint
-from scdkit.scdmodel import gcn_forward, init_params, load_checkpoint, save_checkpoint
+from scdkit.objectives import main_loss, ssl_loss, total_loss
+from scdkit.scdmodel import (
+    diagnose,
+    gcn_forward,
+    init_params,
+    load_checkpoint,
+    predict,
+    save_checkpoint,
+)
 from scdkit.synth import make_synthetic, write_synthetic
 from scdkit import trainkit
 from scdkit.trainkit import (
@@ -18,6 +27,7 @@ from scdkit.trainkit import (
     adam_step,
     fit,
     train_epoch,
+    _epoch_views,
     _rng,
 )
 from scdkit.viewgen import DropoutParams
@@ -199,6 +209,35 @@ class TestTrainEpochRows:
                 assert all(set(rows[0]) == set(range(4)) for rows in seen_rows)
             else:
                 assert any(len(set(rows[0])) < 4 for rows in seen_rows)
+
+
+class TestUnionObjective:
+    def test_gradients_through_view_union_match_finite_differences(self):
+        """The objective of one mini-batch as train_epoch builds it: the
+        response loss on the intact graph and the contrastive loss on both
+        views through one union forward, on views that drop edges and so give
+        the positive pairs a gradient."""
+        train, q = small_responses(), small_qmatrix()
+        split = directed_split(build_relation_graph(train, q))
+        params = init_params(4, 5, 3, dim=3, n_layers=2, seed=11)
+        pair = _epoch_views(split, TrainConfig(dropout=DropoutParams(k=0.3)), epoch=1)
+        for j in (0, 1):
+            assert not np.concatenate([pair.kept_e2s[j], pair.kept_s2e[j]]).all()
+        assert not np.array_equal(pair.kept_e2s[0], pair.kept_e2s[1])
+        batch = np.array([0, 3, 6, 7])  # students 0-2 and exercises 0, 2, 3
+        b_students, b_exercises = train.students[batch], train.exercises[batch]
+        s_sub, e_sub = np.unique(b_students), np.unique(b_exercises)
+
+        def objective(leaves):
+            states = gcn_forward(params, split, nodes=leaves, rows=(s_sub, e_sub))
+            y = predict(diagnose(states, leaves), leaves, q, b_students, b_exercises)
+            union = gcn_forward(params, split, view=pair, nodes=leaves, rows=(s_sub, e_sub))
+            loss_s, loss_e = ssl_loss(*(union.copy_rows(j, s_sub, e_sub) for j in (0, 1)), 0.5)
+            main = main_loss(y, train.scores[batch])
+            return total_loss(main, loss_s, loss_e, leaves, 1.0, 1e-4, 0.5)[0]
+
+        worst = dc.grad_check(objective, params, eps=1e-5)
+        assert worst < 1e-4, f"max relative gradient error {worst}"
 
 
 class TestSeeding:
