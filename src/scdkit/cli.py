@@ -115,6 +115,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_viewgen_audit(args) -> int:
+    if args.draws < 0:
+        raise UsageError("--draws must be >= 0")
     raw, paths = _load_config(args)
     _require(paths, "responses", "qmatrix")
     try:

@@ -1,13 +1,14 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
 Covers exactly the operator set the diagnosis model and its losses need:
-matmul, add/sub/mul/scale, row and total sums, row gathers with scatter-add
-backward, sigmoid, row normalization, the fused graph-attention aggregate
-(`attention_aggregate`: per-edge logits, segment softmax and weighted
-neighbor sum in one node with a hand-written backward), and one squared L2
-norm node over many arrays. The loss terms in `objectives` are single
-`DiffNode`s with their own backward rules. `grad_check` compares every
-backward rule against central finite differences.
+same-shape add, scale, row gathers with scatter-add backward, row
+normalization, the fused graph-attention aggregate (`attention_aggregate`:
+per-edge logits, segment softmax and weighted neighbor sum in one node with
+a hand-written backward), and one squared L2 norm node over many arrays.
+`sigmoid` is a plain array function. The model heads in `scdmodel` and the
+loss terms in `objectives` are single `DiffNode`s with their own backward
+rules. `grad_check` compares every backward rule against central finite
+differences.
 
 Scatter-adds (the aggregate and the `gather_rows` backward) run one feature
 column at a time: each column is one `np.bincount` over the row indices, so
@@ -119,65 +120,17 @@ def constant(value) -> DiffNode:
     return DiffNode(np.asarray(value, dtype=np.float64), requires_grad=False)
 
 
-def _as_node(x) -> DiffNode:
-    return x if isinstance(x, DiffNode) else constant(x)
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast gradient back down to `shape`."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g.reshape(shape)
-
-
-def add(a, b) -> DiffNode:
-    a, b = _as_node(a), _as_node(b)
-    return DiffNode(
-        a.value + b.value,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
-        a.requires_grad or b.requires_grad,
-    )
-
-
-def sub(a, b) -> DiffNode:
-    a, b = _as_node(a), _as_node(b)
-    return DiffNode(
-        a.value - b.value,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
-        a.requires_grad or b.requires_grad,
-    )
-
-
-def mul(a, b) -> DiffNode:
-    a, b = _as_node(a), _as_node(b)
-    return DiffNode(
-        a.value * b.value,
-        (a, b),
-        lambda g: (_unbroadcast(g * b.value, a.shape), _unbroadcast(g * a.value, b.shape)),
-        a.requires_grad or b.requires_grad,
-    )
+def add(a: DiffNode, b: DiffNode) -> DiffNode:
+    """Elementwise sum of two same-shape nodes; both receive the gradient as is."""
+    if a.shape != b.shape:
+        raise ValueError(f"add expects operands of one shape, got {a.shape} and {b.shape}")
+    requires = a.requires_grad or b.requires_grad
+    return DiffNode(a.value + b.value, (a, b), lambda g: (g, g), requires)
 
 
 def scale(a: DiffNode, c: float) -> DiffNode:
     c = float(c)
     return DiffNode(a.value * c, (a,), lambda g: (g * c,), a.requires_grad)
-
-
-def matmul(a: DiffNode, b: DiffNode) -> DiffNode:
-    a, b = _as_node(a), _as_node(b)
-    if a.value.ndim != 2 or b.value.ndim != 2:
-        raise ValueError(f"matmul expects 2-d operands, got {a.shape} @ {b.shape}")
-    return DiffNode(
-        a.value @ b.value,
-        (a, b),
-        lambda g: (g @ b.value.T, a.value.T @ g),
-        a.requires_grad or b.requires_grad,
-    )
 
 
 def gather_rows(a: DiffNode, idx) -> DiffNode:
@@ -193,26 +146,15 @@ def gather_rows(a: DiffNode, idx) -> DiffNode:
     return DiffNode(a.value[idx], (a,), backward, a.requires_grad)
 
 
-def rowsum(a: DiffNode) -> DiffNode:
-    """Sum each row of a 2-d array, returning a vector."""
-    return DiffNode(
-        a.value.sum(axis=1),
-        (a,),
-        lambda g: (np.repeat(g[:, None], a.value.shape[1], axis=1),),
-        a.requires_grad,
-    )
-
-
-def total_sum(a: DiffNode) -> DiffNode:
-    return DiffNode(a.value.sum(), (a,), lambda g: (np.full_like(a.value, float(g)),), a.requires_grad)
-
-
-def sigmoid(a: DiffNode) -> DiffNode:
-    # exp never overflows: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
-    x = a.value
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
-    return DiffNode(out, (a,), lambda g: (g * out * (1.0 - out),), a.requires_grad)
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function of an array; exp never overflows: 1/(1+e^-x) for
+    x >= 0, e^x/(1+e^x) below. Works in place on two temporaries the size of x."""
+    e = np.abs(x)
+    np.exp(np.negative(e, out=e), out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
 
 
 def attention_aggregate(

@@ -173,12 +173,11 @@ class EvalReport:
         return _csv_text(rows)
 
     def per_group_csv(self) -> str:
-        lines = ["bucket,n_students,n_interactions,acc,rmse"]
+        rows = [["bucket", "n_students", "n_interactions", "acc", "rmse"]]
         for g in self.per_group:
-            a = "" if not np.isfinite(g.acc) else repr(g.acc)
-            r = "" if not np.isfinite(g.rmse) else repr(g.rmse)
-            lines.append(f"{g.label},{g.n_students},{g.n_interactions},{a},{r}")
-        return "\n".join(lines)
+            metrics = ("" if not np.isfinite(x) else repr(x) for x in (g.acc, g.rmse))
+            rows.append([g.label, g.n_students, g.n_interactions, *metrics])
+        return _csv_text(rows)
 
 
 def infer(params, split: DirectedSplit) -> tuple[Diagnosis, dict]:

@@ -46,7 +46,6 @@ def infonce(
     z1: DiffNode,
     z2: DiffNode,
     tau: float,
-    subset: np.ndarray | None = None,
     include_positive: bool = False,
 ) -> DiffNode:
     """Mean contrastive loss between matching rows of two representations.
@@ -58,9 +57,6 @@ def infonce(
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if subset is not None:
-        z1 = dc.gather_rows(z1, subset)
-        z2 = dc.gather_rows(z2, subset)
     n = z1.value.shape[0]
     if z1.value.shape != z2.value.shape:
         raise ValueError("view representations must have matching shapes")
@@ -90,17 +86,11 @@ def ssl_loss(
     states1: NodeStates,
     states2: NodeStates,
     tau: float,
-    student_subset: np.ndarray | None = None,
-    exercise_subset: np.ndarray | None = None,
     include_positive: bool = False,
 ) -> tuple[DiffNode, DiffNode]:
     """Contrastive loss of the final-layer student rows and exercise rows."""
-    loss_s = infonce(
-        states1.final_students, states2.final_students, tau, student_subset, include_positive
-    )
-    loss_e = infonce(
-        states1.final_exercises, states2.final_exercises, tau, exercise_subset, include_positive
-    )
+    loss_s = infonce(states1.final_students, states2.final_students, tau, include_positive)
+    loss_e = infonce(states1.final_exercises, states2.final_exercises, tau, include_positive)
     return loss_s, loss_e
 
 

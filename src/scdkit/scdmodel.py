@@ -11,7 +11,8 @@ no surviving neighbors aggregates zero and keeps its residual. The final
 states map through sigmoid linear heads to per-concept mastery (students)
 and difficulty (exercises); predicted accuracy of a (student, exercise)
 pair averages sigmoid(predictor(mastery - difficulty)) over the exercise's
-concepts.
+concepts. Each head and the prediction are one tape node with a hand-written
+backward.
 
 Forward passes accept an optional View whose masks thin the interaction
 directions only; concept edges always participate at full density. A View of
@@ -247,15 +248,22 @@ def gcn_forward(
     return states
 
 
+def _sigmoid_head(x: dc.DiffNode, w: dc.DiffNode, b: dc.DiffNode) -> dc.DiffNode:
+    """sigmoid(x @ w + b) as one node."""
+    out = dc.sigmoid(x.value @ w.value + b.value)
+
+    def backward(g):
+        dz = g * out * (1.0 - out)
+        return dz @ w.value.T, x.value.T @ dz, dz.sum(axis=0)
+
+    return dc.DiffNode(out, (x, w, b), backward, any(p.requires_grad for p in (x, w, b)))
+
+
 def diagnose(states: NodeStates, nodes: dict[str, dc.DiffNode]) -> Diagnosis:
-    """Map final node states to (0,1) mastery and difficulty matrices."""
-    h_s = dc.sigmoid(
-        dc.add(dc.matmul(states.final_students, nodes["w_student_diag"]), nodes["b_student_diag"])
-    )
-    h_e = dc.sigmoid(
-        dc.add(
-            dc.matmul(states.final_exercises, nodes["w_exercise_diag"]), nodes["b_exercise_diag"]
-        )
+    """Map final node states to (0,1) mastery and difficulty matrices, one node each."""
+    h_s = _sigmoid_head(states.final_students, nodes["w_student_diag"], nodes["b_student_diag"])
+    h_e = _sigmoid_head(
+        states.final_exercises, nodes["w_exercise_diag"], nodes["b_exercise_diag"]
     )
     return Diagnosis(h_s, h_e)
 
@@ -267,7 +275,8 @@ def predict(
     students: np.ndarray,
     exercises: np.ndarray,
 ) -> dc.DiffNode:
-    """Predicted accuracy in (0,1) for each (student, exercise) pair.
+    """Predicted accuracy in (0,1) for each (student, exercise) pair, as one
+    node over the gathered mastery and difficulty rows and the predictor.
 
     sigmoid(predictor(mastery - difficulty)) averaged over the exercise's
     concepts; exercises without concepts are rejected.
@@ -281,9 +290,19 @@ def predict(
 
     h_s = dc.gather_rows(diag.h_student, students)
     h_e = dc.gather_rows(diag.h_exercise, exercises)
-    v = dc.sigmoid(dc.add(dc.matmul(dc.sub(h_s, h_e), nodes["w_predict"]), nodes["b_predict"]))
-    picked = dc.mul(v, dc.constant(q.dense_mask()[exercises]))
-    return dc.mul(dc.rowsum(picked), dc.constant(1.0 / counts))
+    w, b = nodes["w_predict"], nodes["b_predict"]
+    mask = q.dense_mask()[exercises]
+    inv = 1.0 / counts
+    v = dc.sigmoid((h_s.value - h_e.value) @ w.value + b.value)
+
+    def backward(g):
+        dz = (g * inv)[:, None] * mask * v * (1.0 - v)
+        d_diff = dz @ w.value.T
+        return d_diff, -d_diff, (h_s.value - h_e.value).T @ dz, dz.sum(axis=0)
+
+    parents = (h_s, h_e, w, b)
+    requires = any(p.requires_grad for p in parents)
+    return dc.DiffNode((v * mask).sum(axis=1) * inv, parents, backward, requires)
 
 
 @dataclass(eq=False)

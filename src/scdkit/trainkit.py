@@ -89,6 +89,13 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in ("learning_rate", "tau"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if self.dim is not None and self.dim < 1:
+            raise ValueError("dim must be >= 1 (or null for the concept count)")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0 (0 writes no epoch checkpoints)")
 
     def to_dict(self) -> dict:
         out = asdict(self)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scdkit import diffcore as dc
 from scdkit.corpus import QMatrix, ResponseSet
 from scdkit.relgraph import build_relation_graph, directed_split
 
@@ -21,6 +22,18 @@ def pytest_terminal_summary(terminalreporter):
     for name, outcome in _acceptance_results:
         verdict = "PASS" if outcome == "passed" else "FAIL"
         terminalreporter.write_line(f"{verdict}  {name}")
+
+
+def seeded_sum(node, g) -> dc.DiffNode:
+    """The scalar sum(g * node), as one node whose backward hands `node` the
+    gradient g (broadcast to its shape)."""
+    g = np.asarray(g, dtype=np.float64)
+    return dc.DiffNode(
+        (node.value * g).sum(),
+        (node,),
+        lambda s: (float(s) * np.broadcast_to(g, node.shape),),
+        node.requires_grad,
+    )
 
 
 def small_responses(scores=None) -> ResponseSet:

@@ -1,0 +1,55 @@
+"""The names and signatures that the benchmark in `perfbench/` rebinds and calls.
+
+`perfbench/tracing.py` wraps module attributes of `trainkit` and `evalkit` by
+name, and `perfbench/worker.py` calls `train_epoch` and `evaluate` with
+keyword arguments and builds a `LossBreakdown`. A renamed head or argument
+would otherwise show only in the slow benchmark smoke test.
+"""
+
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+from scdkit import evalkit, trainkit
+from scdkit.objectives import LossBreakdown
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    # tracing.py imports its sibling `specs` as a top-level module; the
+    # import leaves no bytecode cache in perfbench/
+    sys.path.insert(0, str(PERFBENCH))
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        sys.dont_write_bytecode = write_bytecode
+
+
+def test_every_rebound_name_resolves(tracing):
+    names = [(trainkit, name) for name in tracing.TRAINKIT_SPANS]
+    names += [(evalkit, name) for name in tracing.EVALKIT_SPANS]
+    names += [(trainkit, "adam_step"), (trainkit, "total_loss"), (trainkit, "train_epoch")]
+    names += [(evalkit, "evaluate")]
+    missing = [f"{m.__name__}.{name}" for m, name in names if not callable(getattr(m, name, None))]
+    assert missing == []
+
+
+def test_called_arguments_exist():
+    assert {"split", "train_set", "config", "epoch"} <= set(
+        inspect.signature(trainkit.train_epoch).parameters
+    )
+    assert {"split", "test_set"} <= set(inspect.signature(evalkit.evaluate).parameters)
+
+
+def test_loss_breakdown_builds_from_eight_positional_floats():
+    LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)

@@ -149,6 +149,17 @@ class TestTrain:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "pair", ["tau=0", "checkpoint_every=-1", "dim=0", "learning_rate=-1"]
+    )
+    def test_out_of_range_value_is_refused_before_any_output(
+        self, capsys, data_dir, tmp_path, pair
+    ):
+        out_dir = tmp_path / "run"
+        code, out, err = run(capsys, *train_args(data_dir, out_dir, "--override", pair))
+        assert code == 2
+        assert "error:" in err and out == ""
+        assert not out_dir.exists()
 
     def test_resume_mismatch_is_usage_error(self, capsys, data_dir, trained, tmp_path):
         code, _, err = run(
@@ -285,6 +296,16 @@ class TestViewgenAudit:
         )
         assert code == 2
         assert "error:" in err and out == ""
+
+    def test_negative_draws_is_usage_error(self, capsys, data_dir):
+        code, out, err = run(
+            capsys, "viewgen-audit",
+            "--responses", str(data_dir / "responses.csv"),
+            "--qmatrix", str(data_dir / "qmatrix.csv"),
+            "--draws", "-3",
+        )
+        assert code == 2
+        assert "--draws" in err and out == ""
 
 
 # ids as the loaders leave them: stripped and non-empty; commas, quotes,

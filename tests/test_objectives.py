@@ -7,7 +7,7 @@ import pytest
 from scdkit import diffcore as dc
 from scdkit.objectives import LossBreakdown, infonce, main_loss, ssl_loss, total_loss
 from scdkit.relgraph import directed_split
-from scdkit.scdmodel import gcn_forward, init_params
+from scdkit.scdmodel import NodeStates, gcn_forward, init_params
 from conftest import small_qmatrix, small_responses
 from scdkit.relgraph import build_relation_graph
 
@@ -111,7 +111,11 @@ class TestInfonce:
         rng = np.random.default_rng(7)
         z1, z2 = rng.normal(size=(10, 4)), rng.normal(size=(10, 4))
         subset = np.array([1, 4, 9])
-        got = infonce(dc.constant(z1), dc.constant(z2), 0.5, subset=subset).item()
+        # one two-copy union holding z1 then z2; copy_rows picks the subset of each
+        both = dc.constant(np.vstack([z1, z2]))
+        union = NodeStates([both], [both], [], copies=2)
+        picked = (union.copy_rows(j, subset, subset) for j in (0, 1))
+        got = infonce(*(p.final_students for p in picked), 0.5).item()
         want = brute_infonce(z1[subset], z2[subset], 0.5)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -154,8 +158,9 @@ class TestSslLoss:
         params = init_params(4, 5, 3, seed=0)
         s1 = gcn_forward(params, split)
         s2 = gcn_forward(params, split)
+        none = np.array([], dtype=np.intp)
         with pytest.raises(ValueError):
-            ssl_loss(s1, s2, 0.5, exercise_subset=np.array([], dtype=np.intp))
+            ssl_loss(s1.copy_rows(0, exercises=none), s2.copy_rows(0, exercises=none), 0.5)
 
 
 class TestTotalLoss:

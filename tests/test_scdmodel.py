@@ -14,6 +14,7 @@ from scdkit.relgraph import build_relation_graph, directed_split
 from scdkit.scdmodel import (
     ATTN_DIRECTIONS,
     Checkpoint,
+    NodeStates,
     diagnose,
     gcn_forward,
     init_params,
@@ -24,6 +25,7 @@ from scdkit.scdmodel import (
 )
 from scdkit.viewgen import View
 from scdkit import diffcore as dc
+from conftest import seeded_sum
 
 FIXTURE = Path(__file__).parent / "fixtures" / "checkpoint_fca24c9.npz"
 
@@ -252,9 +254,9 @@ class TestFinalRows:
         diag = diagnose(states, nodes)
         w_s = rng.normal(size=(len(students), diag.h_student.value.shape[1]))
         w_e = rng.normal(size=(len(exercises), diag.h_exercise.value.shape[1]))
-        picked_s = dc.mul(dc.gather_rows(diag.h_student, students), dc.constant(w_s))
-        picked_e = dc.mul(dc.gather_rows(diag.h_exercise, exercises), dc.constant(w_e))
-        return dc.add(dc.total_sum(picked_s), dc.total_sum(picked_e))
+        picked_s = seeded_sum(dc.gather_rows(diag.h_student, students), w_s)
+        picked_e = seeded_sum(dc.gather_rows(diag.h_exercise, exercises), w_e)
+        return dc.add(picked_s, picked_e)
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -397,6 +399,28 @@ class TestViewUnion:
 
 
 class TestDiagnosisAndPredict:
+    def test_heads_gradient_against_finite_difference(self):
+        # exercises carry 1 to 3 concepts; the batch repeats students and exercises
+        rng = np.random.default_rng(21)
+        m, n, k, d = 3, 4, 3, 2
+        q = QMatrix(
+            np.array([0, 1, 1, 2, 2, 2, 3]), np.array([2, 0, 1, 0, 1, 2, 1]), n, k, ("a", "b", "c")
+        )
+        students = np.array([0, 2, 2, 1, 0, 2])
+        exercises = np.array([2, 0, 2, 3, 1, 2])
+        seed_grad = rng.normal(size=len(students))
+        x = {"final_s": rng.normal(size=(m, d)), "final_e": rng.normal(size=(n, d))}
+        shapes = dict(w_student_diag=(d, k), w_exercise_diag=(d, k), w_predict=(k, k))
+        shapes.update(b_student_diag=(k,), b_exercise_diag=(k,), b_predict=(k,))
+        x.update({name: rng.normal(size=shape) for name, shape in shapes.items()})
+
+        def f(leaves):
+            states = NodeStates([leaves["final_s"]], [leaves["final_e"]], [])
+            diag = diagnose(states, leaves)
+            return seeded_sum(predict(diag, leaves, q, students, exercises), seed_grad)
+
+        assert dc.grad_check(f, x) < 1e-8
+
     def test_outputs_live_in_unit_interval(self, small_world):
         params = init_params(4, 5, 3, seed=4)
         diag, _ = infer(params, small_world["split"])
