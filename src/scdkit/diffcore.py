@@ -1,14 +1,14 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
 Covers exactly the operator set the diagnosis model and its losses need:
-same-shape add, scale, row gathers with scatter-add backward, row
-normalization, the fused graph-attention aggregate (`attention_aggregate`:
-per-edge logits, segment softmax and weighted neighbor sum in one node with
-a hand-written backward), and one squared L2 norm node over many arrays.
+row gathers with scatter-add backward, row normalization, the fused
+residual graph-attention aggregate (`attention_aggregate`: per-edge logits,
+segment softmax, weighted neighbor sum and the residual in one node with a
+hand-written backward), and one squared L2 norm node over many arrays.
 `sigmoid` is a plain array function. The model heads in `scdmodel` and the
-loss terms in `objectives` are single `DiffNode`s with their own backward
-rules. `grad_check` compares every backward rule against central finite
-differences.
+loss terms and their weighted total in `objectives` are single `DiffNode`s
+with their own backward rules. `grad_check` compares every backward rule
+against central finite differences.
 
 Scatter-adds (the aggregate and the `gather_rows` backward) run one feature
 column at a time: each column is one `np.bincount` over the row indices, so
@@ -120,19 +120,6 @@ def constant(value) -> DiffNode:
     return DiffNode(np.asarray(value, dtype=np.float64), requires_grad=False)
 
 
-def add(a: DiffNode, b: DiffNode) -> DiffNode:
-    """Elementwise sum of two same-shape nodes; both receive the gradient as is."""
-    if a.shape != b.shape:
-        raise ValueError(f"add expects operands of one shape, got {a.shape} and {b.shape}")
-    requires = a.requires_grad or b.requires_grad
-    return DiffNode(a.value + b.value, (a, b), lambda g: (g, g), requires)
-
-
-def scale(a: DiffNode, c: float) -> DiffNode:
-    c = float(c)
-    return DiffNode(a.value * c, (a,), lambda g: (g * c,), a.requires_grad)
-
-
 def gather_rows(a: DiffNode, idx) -> DiffNode:
     """Select rows `a[idx]` of a 2-d array; scatter-adds gradients back
     (repeats allowed)."""
@@ -158,27 +145,28 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def attention_aggregate(
-    tail_state: DiffNode, weight: DiffNode, heads, tails, n_heads: int
+    tail_state: DiffNode, weight: DiffNode, heads, tails, residual: DiffNode
 ) -> tuple[DiffNode, np.ndarray]:
-    """Attention-weighted sum of tail rows into head rows, as one node.
+    """Residual plus attention-weighted sum of tail rows into head rows, as one node.
 
     Edge e carries `tail_state[tails[e]]` into head `heads[e]` with logit
     `tail_state[tails[e]] @ weight`, where `weight` is (d, 1). Logits are
     softmax-normalized within each head's edges, max-subtracted. Row h of the
-    output is the weighted sum of its edges' tail rows (zero for a head
-    without edges). Returns the output node and the detached per-edge weights.
+    output is `residual[h]` plus the weighted sum of its edges' tail rows;
+    there are `len(residual.value)` heads. The residual's gradient is the
+    output's. Returns the output node and the detached per-edge weights.
 
     The sums run one feature column at a time over a transposed copy of the
     tail states, so no edge-by-feature array is ever built: every per-edge
     temporary is one column long. Each column is one `np.bincount`, which
-    adds a head's edges in edge order, so the output and the scatter term of
-    the tail gradient are bit-identical to `np.add.at`. Output and tail
-    gradient are transposed views (Fortran order).
+    adds a head's edges in edge order, so the weighted sum and the scatter
+    term of the tail gradient are bit-identical to `np.add.at`. The tail
+    gradient is a transposed view (Fortran order).
     """
     heads = np.asarray(heads, dtype=np.intp)
     tails = np.asarray(tails, dtype=np.intp)
     t_val, w = tail_state.value, weight.value
-    n_tails = len(t_val)
+    n_heads, n_tails = len(residual.value), len(t_val)
     logits = (t_val @ w)[tails, 0]
     seg_max = np.full(n_heads, -np.inf)
     np.maximum.at(seg_max, heads, logits)
@@ -200,10 +188,11 @@ def attention_aggregate(
         d_logit = alpha * (d_alpha - seg_dot[heads])
         d_lt = np.bincount(tails, weights=d_logit, minlength=n_tails)
         d_tail += np.outer(w, d_lt)
-        return d_tail.T, (t_val.T @ d_lt)[:, None]
+        return d_tail.T, (t_val.T @ d_lt)[:, None], g
 
-    requires = tail_state.requires_grad or weight.requires_grad
-    return DiffNode(out.T, (tail_state, weight), backward, requires), alpha
+    parents = (tail_state, weight, residual)
+    requires = any(p.requires_grad for p in parents)
+    return DiffNode(residual.value + out.T, parents, backward, requires), alpha
 
 
 def normalize_rows(a: DiffNode) -> DiffNode:

@@ -2,7 +2,8 @@
 between view pairs, and their weighted multi-task combination.
 
 Each loss term is one tape node with a hand-written backward: `main_loss`,
-`infonce` and the regularizer, `dc.l2_norm_sq` over every parameter.
+`infonce`, the regularizer (`dc.l2_norm_sq` over every parameter) and their
+weighted sum, `total_loss`.
 
 The contrastive term treats the two representations of one node under the
 two views as the positive pair and, by default, puts ONLY the other nodes'
@@ -129,7 +130,7 @@ def total_loss(
     lambda2: float,
     tau: float,
 ) -> tuple[DiffNode, LossBreakdown]:
-    """main + lambda1 * (ssl_s + ssl_e) + lambda2 * ||all params||^2.
+    """main + lambda1 * (ssl_s + ssl_e) + lambda2 * ||all params||^2 as one node.
 
     Returns the differentiable total and a float breakdown. Pass None for
     both contrastive parts to train supervised-only.
@@ -138,10 +139,14 @@ def total_loss(
         raise ValueError("either both or neither contrastive component must be given")
     reg = dc.l2_norm_sq(*param_nodes.values())
 
-    total = main
-    if ssl_student is not None:
-        total = dc.add(total, dc.scale(dc.add(ssl_student, ssl_exercise), lambda1))
-    total = dc.add(total, dc.scale(reg, lambda2))
+    if ssl_student is None:
+        parents, weights, value = (main, reg), (1.0, lambda2), main.value
+    else:
+        parents, weights = (main, ssl_student, ssl_exercise, reg), (1.0, lambda1, lambda1, lambda2)
+        value = main.value + (ssl_student.value + ssl_exercise.value) * lambda1
+    value = value + reg.value * lambda2
+    requires = any(p.requires_grad for p in parents)
+    total = DiffNode(value, parents, lambda g: tuple(g * c for c in weights), requires)
 
     breakdown = LossBreakdown(
         main=main.item(),

@@ -6,8 +6,9 @@ edge's attention logit is a linear map of the neighbor's state alone,
 softmax-normalized within the head's neighbor segment: the paper's GAT logit
 `[head, neighbor] @ w` adds the head's own term, the same on all its edges,
 which the softmax cancels exactly (no nonlinearity comes between them).
-Each aggregate is one fused `diffcore.attention_aggregate` node. A node with
-no surviving neighbors aggregates zero and keeps its residual. The final
+Each aggregate is one fused `diffcore.attention_aggregate` node that adds
+the residual; an exercise's c2e aggregate takes its s2e aggregate as the
+residual. A node with no surviving neighbors keeps its residual. The final
 states map through sigmoid linear heads to per-concept mastery (students)
 and difficulty (exercises); predicted accuracy of a (student, exercise)
 pair averages sigmoid(predictor(mastery - difficulty)) over the exercise's
@@ -138,40 +139,6 @@ def init_params(
     return ModelParams((name, drawn.get(name, np.zeros(shape))) for name, shape in shapes.items())
 
 
-def _aggregate(
-    tail_state: dc.DiffNode,
-    edges: tuple[np.ndarray, np.ndarray, int],
-    weight: dc.DiffNode,
-    keep_heads: np.ndarray | None,
-) -> tuple[dc.DiffNode, np.ndarray]:
-    """Attention-weighted neighbor sum into each head node over `edges =
-    (heads, tails, n_heads)`; returns (aggregate, detached attention weights).
-
-    `keep_heads` (a per-head bool array) drops the edges into the heads it
-    marks False; those heads aggregate zero. Each kept head sums the same
-    edges in the same order either way, so its row does not change.
-    """
-    heads, tails, n_heads = edges
-    if keep_heads is not None:
-        into_kept = keep_heads[heads]
-        heads, tails = heads[into_kept], tails[into_kept]
-    return dc.attention_aggregate(tail_state, weight, heads, tails, n_heads)
-
-
-def _last_layer_heads(split: DirectedSplit, rows, copies: int) -> dict[str, np.ndarray]:
-    """Per-direction head masks over `copies` copies for the final rows
-    `rows = (students, exercises)`: students for e2s, exercises for s2e and
-    c2e, no concepts."""
-    students, exercises = rows
-    keep_s = np.zeros(split.e2s.n_heads, dtype=bool)
-    keep_s[np.asarray(students, dtype=np.intp)] = True
-    keep_e = np.zeros(split.s2e.n_heads, dtype=bool)
-    keep_e[np.asarray(exercises, dtype=np.intp)] = True
-    no_concepts = np.zeros(split.e2c.n_heads, dtype=bool)
-    keep = zip(ATTN_DIRECTIONS, (keep_s, keep_e, keep_e, no_concepts))
-    return {d: np.tile(heads, copies) for d, heads in keep}
-
-
 def gcn_forward(
     params: ModelParams,
     split: DirectedSplit,
@@ -181,8 +148,9 @@ def gcn_forward(
 ) -> NodeStates:
     """Run the L-layer aggregation, optionally under a sparse view.
 
-    A `view` of k stacked mask rows runs one k-copy disjoint union (module
-    docstring); copy j's rows and attention equal row j's own forward, bitwise.
+    Each direction's edges are built once per call. A `view` of k stacked
+    mask rows runs one k-copy disjoint union (module docstring); copy j's
+    rows and attention equal row j's own forward, bitwise.
 
     Pass `nodes` (from ModelParams.wrap()) to share leaves across several
     forwards of one training step; omit it for standalone inference.
@@ -203,7 +171,7 @@ def gcn_forward(
     copies = 1 if view is None else len(np.atleast_2d(view.kept_e2s))
     masks = {} if view is None else {"e2s": view.kept_e2s, "s2e": view.kept_s2e}
     n_tails = {"e2s": len(e.value), "s2e": len(s.value), "c2e": len(c.value), "e2c": len(e.value)}
-    edges = {}  # (heads, tails, n_heads) per direction
+    edges = {}  # (heads, tails) per direction
     for d in ATTN_DIRECTIONS:
         adj = split.adjacency(d)
         heads, tails = adj.heads, adj.tails
@@ -212,7 +180,17 @@ def gcn_forward(
             tails = (tails + np.arange(copies)[:, None] * n_tails[d]).ravel()
         if d in masks:
             heads, tails = heads[masks[d].ravel()], tails[masks[d].ravel()]
-        edges[d] = heads, tails, copies * adj.n_heads
+        edges[d] = heads, tails
+    last_edges = edges
+    if rows is not None:  # only the edges into the read rows, in every copy
+        students, exercises = rows
+        last_edges = {}
+        for d, read in zip(ATTN_DIRECTIONS, (students, exercises, exercises, ())):
+            into_read = np.zeros(split.adjacency(d).n_heads, dtype=bool)
+            into_read[np.asarray(read, dtype=np.intp)] = True
+            heads, tails = edges[d]
+            into_read = np.tile(into_read, copies)[heads]
+            last_edges[d] = heads[into_read], tails[into_read]
     if copies > 1:
         s, e, c = (dc.gather_rows(x, np.tile(np.arange(len(x.value)), copies)) for x in (s, e, c))
     states = NodeStates(
@@ -222,21 +200,14 @@ def gcn_forward(
         attention={direction: [] for direction in ATTN_DIRECTIONS},
         copies=copies,
     )
-    keep = dict.fromkeys(ATTN_DIRECTIONS)
 
     for layer in range(params.n_layers):
         w = {d: nodes[f"attn{layer}_{d}"] for d in ATTN_DIRECTIONS}
-        if rows is not None and layer == params.n_layers - 1:
-            keep = _last_layer_heads(split, rows, copies)
-
-        agg_s, a_e2s = _aggregate(e, edges["e2s"], w["e2s"], keep["e2s"])
-        agg_e_stu, a_s2e = _aggregate(s, edges["s2e"], w["s2e"], keep["s2e"])
-        agg_e_con, a_c2e = _aggregate(c, edges["c2e"], w["c2e"], keep["c2e"])
-        agg_c, a_e2c = _aggregate(e, edges["e2c"], w["e2c"], keep["e2c"])
-
-        s_next = dc.add(agg_s, s)
-        e_next = dc.add(agg_e_con, dc.add(agg_e_stu, e))
-        c_next = dc.add(agg_c, c)
+        ed = last_edges if layer == params.n_layers - 1 else edges
+        s_next, a_e2s = dc.attention_aggregate(e, w["e2s"], *ed["e2s"], residual=s)
+        e_stu, a_s2e = dc.attention_aggregate(s, w["s2e"], *ed["s2e"], residual=e)
+        e_next, a_c2e = dc.attention_aggregate(c, w["c2e"], *ed["c2e"], residual=e_stu)
+        c_next, a_e2c = dc.attention_aggregate(e, w["e2c"], *ed["e2c"], residual=c)
 
         for direction, a in zip(ATTN_DIRECTIONS, (a_e2s, a_s2e, a_c2e, a_e2c)):
             states.attention[direction].append(a)

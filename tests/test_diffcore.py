@@ -15,12 +15,6 @@ def rand(shape, seed=0):
 
 
 class TestElementwise:
-    def test_add_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError, match="one shape"):
-            dc.add(dc.param(rand((3, 4))), dc.param(rand(4, seed=1)))
-        with pytest.raises(ValueError, match="one shape"):
-            dc.add(dc.param(rand((3, 1))), dc.param(rand((3, 4), seed=1)))
-
     def test_sigmoid_matches_closed_form_grad(self):
         # the heads' backward rules use s * (1 - s) as the derivative
         x = np.linspace(-30, 30, 61)
@@ -73,7 +67,7 @@ def edge_softmax(x, seg, n_seg):
         dc.param(np.array([[1.0]])),
         seg,
         np.arange(len(seg)),
-        n_seg,
+        residual=dc.constant(np.zeros((n_seg, 1))),
     )
     return alpha
 
@@ -117,18 +111,20 @@ class TestSoftmaxSegments:
                 dc.constant(np.array([[1.0]])),
                 seg,
                 np.arange(5),
-                2,
+                residual=dc.constant(np.zeros((2, 1))),
             )
             return seeded_sum(out, np.array([[1.0], [-2.0]]))
 
         assert dc.grad_check(f, {"x": rand((5, 1), seed=9)}) < 1e-8
 
 
-def add_at_aggregate(h, t, w, heads, tails, n_heads, g):
-    """The paper's aggregate, with logit [h[head], t[tail]] @ w for a (2d, 1)
-    weight w, over edge-by-feature arrays with `np.add.at` scatters: returns
-    the output and the head, tail and weight gradients for the output
-    gradient `g`."""
+def add_at_aggregate(h, t, w, heads, tails, g):
+    """The paper's residual aggregate h + sum, with logit [h[head], t[tail]] @ w
+    for a (2d, 1) weight w, over edge-by-feature arrays with `np.add.at`
+    scatters: returns the output and the tail and weight gradients for the
+    output gradient `g`, and the gradient of h through the logits alone (the
+    residual passes `g` on as it is)."""
+    n_heads = len(h)
     d_head = h.shape[1]
     w_head, w_tail = w[:d_head], w[d_head:]
     logits = (h @ w_head)[heads, 0] + (t @ w_tail)[tails, 0]
@@ -140,6 +136,7 @@ def add_at_aggregate(h, t, w, heads, tails, n_heads, g):
     alpha = e / denom[heads]
     out = np.zeros((n_heads, t.shape[1]))
     np.add.at(out, heads, alpha[:, None] * t[tails])
+    out = h + out
 
     g_edges = g[heads]
     d_alpha = (g_edges * t[tails]).sum(axis=1)
@@ -164,10 +161,11 @@ class TestAttentionAggregate:
         head_half=st.sampled_from(["zero", "random"]),
     )
     def test_matches_add_at_reference(self, seed, drop, head_half):
-        """The op, fed the tail half w[d:], against the reference with the
-        full weight w. With a zero head half the output is bit-identical.
-        With a random one it agrees to rounding, and the reference's head
-        and head-half gradients are rounding noise: the head half is inert."""
+        """The op, fed the tail half w[d:] and the head states as residual,
+        against the reference with the full weight w. With a zero head half
+        the output is bit-identical. With a random one it agrees to rounding,
+        and the reference's head-half and logit head gradients are rounding
+        noise: the head half is inert. The residual gets `g` exactly."""
         rng = np.random.default_rng(seed)
         n_heads, n_tails = int(rng.integers(1, 12)), int(rng.integers(1, 10))
         d, n_edges = int(rng.integers(1, 6)), int(rng.integers(0, 50))
@@ -182,12 +180,10 @@ class TestAttentionAggregate:
         if head_half == "zero":
             w[:d] = 0.0
 
-        leaves = dc.param(t), dc.param(w[d:])
-        out, _ = dc.attention_aggregate(*leaves, heads, tails, n_heads)
+        leaves = dc.param(t), dc.param(w[d:]), dc.param(h)
+        out, _ = dc.attention_aggregate(*leaves[:2], heads, tails, residual=leaves[2])
         seeded_sum(out, g).backward()
-        ref_out, ref_d_head, ref_d_tail, ref_d_w = add_at_aggregate(
-            h, t, w, heads, tails, n_heads, g
-        )
+        ref_out, ref_d_head, ref_d_tail, ref_d_w = add_at_aggregate(h, t, w, heads, tails, g)
 
         def close(got, ref):
             # the inert terms are zero up to rounding, so scale by max(1, |ref|)
@@ -200,6 +196,7 @@ class TestAttentionAggregate:
         assert close(out.value, ref_out)
         assert close(leaves[0].grad, ref_d_tail)
         assert close(leaves[1].grad, ref_d_w[d:])
+        assert leaves[2].grad.tobytes() == g.tobytes()
         assert close(ref_d_head, 0.0) and close(ref_d_w[:d], 0.0)
 
     def test_stacked_layers_on_fortran_ordered_inputs(self):
@@ -212,8 +209,8 @@ class TestAttentionAggregate:
 
         def f(leaves):
             s, w = leaves["s"], leaves["w"]
-            s1, _ = dc.attention_aggregate(s, w, heads, tails, n)
-            s2, _ = dc.attention_aggregate(dc.add(s1, s), w, tails, heads, n)
+            s1, _ = dc.attention_aggregate(s, w, heads, tails, residual=s)
+            s2, _ = dc.attention_aggregate(s1, w, tails, heads, residual=s1)
             return seeded_sum(s2, seed_grad)
 
         x = {"s": np.asfortranarray(rand((n, d), seed=1)),
@@ -227,11 +224,12 @@ class TestAttentionAggregate:
         heads = np.sort(rng.integers(0, n_heads, size=n_edges))
         tails = rng.integers(0, n_tails, size=n_edges)
         leaves = dc.param(rng.normal(size=(n_tails, d))), dc.param(rng.normal(size=(d, 1)))
+        residual = dc.param(rng.normal(size=(n_heads, d)))
         seed_grad = rng.normal(size=(n_heads, d))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out, _ = dc.attention_aggregate(*leaves, heads, tails, n_heads)
+            out, _ = dc.attention_aggregate(*leaves, heads, tails, residual)
             seeded_sum(out, seed_grad).backward()
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
@@ -248,11 +246,12 @@ class TestAttentionAggregate:
 
         def f(leaves):
             out, _ = dc.attention_aggregate(
-                leaves["t"], leaves["w"], heads[kept], tails[kept], n_heads
+                leaves["t"], leaves["w"], heads[kept], tails[kept], leaves["r"]
             )
             return seeded_sum(out, seed_grad)
 
         x = {"t": rand((n_tails, d), seed=2), "w": rand((d, 1), seed=3)}
+        x["r"] = rand((n_heads, d), seed=4)
         assert dc.grad_check(f, x) < 1e-8
 
 
@@ -274,7 +273,7 @@ class TestCosineMachinery:
         c = dc.constant(np.array([5.0, 1.0]))
         out = dc.l2_norm_sq(a, c, b)
         assert out.item() == 14.0 + 26.0 + 4.0
-        dc.scale(out, 3.0).backward()
+        seeded_sum(out, 3.0).backward()
         npt.assert_array_equal(a.grad, 6.0 * a.value)
         npt.assert_array_equal(b.grad, [-12.0])
         assert c.grad is None
@@ -285,17 +284,21 @@ class TestCosineMachinery:
 class TestGraphMechanics:
     def test_diamond_reuse_accumulates_once_per_path(self):
         x = dc.param(np.array(3.0))
-        y = dc.add(dc.l2_norm_sq(x), x)  # x^2 + x -> grad 2x + 1
+        y = dc.l2_norm_sq(x, seeded_sum(x, 5.0))  # x^2 + 25x^2 -> grad 2x + 50x
         y.backward()
-        assert float(y.value) == 12.0
-        assert float(x.grad) == 7.0
+        assert float(y.value) == 234.0
+        assert float(x.grad) == 156.0
 
     def test_shared_gradient_views_are_not_added_into(self):
-        # add() hands one gradient array to both parents; x receives a second
-        # contribution later, which must not leak into s's (and y's) gradient
+        # a rule may hand one gradient array to several parents; x receives a
+        # second contribution later, which must not leak into s's (and y's)
+        # gradient
+        def plus(a, b):
+            return dc.DiffNode(a.value + b.value, (a, b), lambda g: (g, g))
+
         x, y = dc.param(np.ones(3)), dc.param(np.ones(3))
-        s = dc.add(x, y)
-        seeded_sum(dc.add(s, x), 1.0).backward()
+        s = plus(x, y)
+        seeded_sum(plus(s, x), 1.0).backward()
         npt.assert_array_equal(x.grad, np.full(3, 2.0))
         npt.assert_array_equal(y.grad, np.ones(3))
         assert s.grad is None
@@ -307,14 +310,14 @@ class TestGraphMechanics:
     def test_constants_get_no_grad(self):
         c = dc.constant([1.0, 2.0])
         p = dc.param([3.0, 4.0])
-        seeded_sum(dc.add(c, p), [5.0, 6.0]).backward()
+        dc.l2_norm_sq(c, p).backward()
         assert c.grad is None
-        npt.assert_array_equal(p.grad, [5.0, 6.0])
+        npt.assert_array_equal(p.grad, [6.0, 8.0])
 
     def test_deep_chain_does_not_recurse(self):
         node = dc.param(np.array(1.0))
         for _ in range(5000):
-            node = dc.scale(node, 1.0)
+            node = seeded_sum(node, 1.0)
         node.backward()  # would blow the stack with recursive toposort
 
 

@@ -250,13 +250,14 @@ class TestFinalRows:
     @staticmethod
     def rows_loss(states, nodes, students, exercises, rng):
         # reads the final states through the diagnosis heads, like the
-        # response loss, but only at the given rows
+        # response loss, but only at the given rows: the squares of two
+        # weighted sums
         diag = diagnose(states, nodes)
         w_s = rng.normal(size=(len(students), diag.h_student.value.shape[1]))
         w_e = rng.normal(size=(len(exercises), diag.h_exercise.value.shape[1]))
         picked_s = seeded_sum(dc.gather_rows(diag.h_student, students), w_s)
         picked_e = seeded_sum(dc.gather_rows(diag.h_exercise, exercises), w_e)
-        return dc.add(picked_s, picked_e)
+        return dc.l2_norm_sq(picked_s, picked_e)
 
     @settings(max_examples=120, deadline=None)
     @given(
