@@ -7,7 +7,8 @@ segment softmax, weighted neighbor sum and the residual in one node with a
 hand-written backward), and one squared L2 norm node over many arrays.
 `sigmoid` is a plain array function. The model heads in `scdmodel` and the
 loss terms and their weighted total in `objectives` are single `DiffNode`s
-with their own backward rules. `grad_check` compares every backward rule
+with their own backward rules. `backward` refuses a rule's gradient whose
+shape is not its parent's. `grad_check` compares every backward rule
 against central finite differences.
 
 Scatter-adds (the aggregate and the `gather_rows` backward) run one feature
@@ -63,7 +64,8 @@ class DiffNode:
         order, accumulating parent gradients additively. A first gradient is
         kept as received (rules may hand one array to several parents), so
         only sums allocated here are added into in place. Interior gradients
-        are dropped once their rule has run: only leaves keep `.grad`.
+        are dropped once their rule has run: only leaves keep `.grad`. A
+        gradient whose shape is not its parent's raises ValueError.
         """
         if self.value.ndim != 0:
             raise ValueError("backward() requires a scalar root")
@@ -78,6 +80,11 @@ class DiffNode:
             for parent, g in zip(node.parents, gs):
                 if g is None or not parent.requires_grad:
                     continue
+                if np.shape(g) != parent.value.shape:
+                    raise ValueError(
+                        f"backward rule gave a gradient of shape {np.shape(g)} "
+                        f"for a parent of shape {parent.value.shape}"
+                    )
                 if parent.grad is None:
                     parent.grad = g
                 elif id(parent) in owned:

@@ -23,6 +23,9 @@ from . import diffcore as dc
 from .diffcore import DiffNode
 from .scdmodel import NodeStates
 
+# above this many rows infonce's two n x n float64 arrays exceed 537 MB each
+INFONCE_MAX_ROWS = 8192
+
 
 def main_loss(y: DiffNode, labels: np.ndarray) -> DiffNode:
     """Summed cross entropy between predicted accuracies and 0/1 scores, as one node.
@@ -55,6 +58,7 @@ def infonce(
     where j ranges over the other nodes only unless `include_positive`.
     One node over the two `dc.normalize_rows` outputs computes the rest and
     keeps the n x n exponentials (diagonal zeroed unless `include_positive`).
+    More than INFONCE_MAX_ROWS rows are refused before anything n x n exists.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -63,6 +67,8 @@ def infonce(
         raise ValueError("view representations must have matching shapes")
     if n < 2:
         raise ValueError("contrastive loss needs at least 2 nodes to form negatives")
+    if n > INFONCE_MAX_ROWS:
+        raise ValueError(f"contrastive loss over n = {n} rows exceeds {INFONCE_MAX_ROWS} rows")
 
     n1, n2 = dc.normalize_rows(z1), dc.normalize_rows(z2)
     u1, u2 = n1.value, n2.value

@@ -31,15 +31,13 @@ import numpy as np
 
 from . import diffcore as dc
 from .corpus import QMatrix
-from .relgraph import DirectedSplit, RelationGraph
+from .relgraph import DIRECTIONS, DirectedSplit, RelationGraph
 from .viewgen import View
-
-ATTN_DIRECTIONS = ("e2s", "s2e", "c2e", "e2c")
 
 
 def param_names(n_layers: int) -> list[str]:
     """Every trainable array's name, in the order the regularizer sums them."""
-    attn = [f"attn{i}_{d}" for i in range(n_layers) for d in ATTN_DIRECTIONS]  # each (d, 1)
+    attn = [f"attn{i}_{d}" for i in range(n_layers) for d in DIRECTIONS]  # each (d, 1)
     heads = ["w_student_diag", "b_student_diag", "w_exercise_diag", "b_exercise_diag"]
     return ["student_emb", "exercise_emb", "concept_emb", *attn, *heads, "w_predict", "b_predict"]
 
@@ -60,7 +58,7 @@ class ModelParams(dict):
 
     @property
     def n_layers(self) -> int:
-        return sum(name.startswith("attn") for name in self) // len(ATTN_DIRECTIONS)
+        return sum(name.startswith("attn") for name in self) // len(DIRECTIONS)
 
     @property
     def dim(self) -> int:
@@ -172,7 +170,7 @@ def gcn_forward(
     masks = {} if view is None else {"e2s": view.kept_e2s, "s2e": view.kept_s2e}
     n_tails = {"e2s": len(e.value), "s2e": len(s.value), "c2e": len(c.value), "e2c": len(e.value)}
     edges = {}  # (heads, tails) per direction
-    for d in ATTN_DIRECTIONS:
+    for d in DIRECTIONS:
         adj = split.adjacency(d)
         heads, tails = adj.heads, adj.tails
         if copies > 1:  # copy j's node ids are offset by j copies
@@ -185,7 +183,7 @@ def gcn_forward(
     if rows is not None:  # only the edges into the read rows, in every copy
         students, exercises = rows
         last_edges = {}
-        for d, read in zip(ATTN_DIRECTIONS, (students, exercises, exercises, ())):
+        for d, read in zip(DIRECTIONS, (students, exercises, exercises, ())):
             into_read = np.zeros(split.adjacency(d).n_heads, dtype=bool)
             into_read[np.asarray(read, dtype=np.intp)] = True
             heads, tails = edges[d]
@@ -197,19 +195,19 @@ def gcn_forward(
         students=[s],
         exercises=[e],
         concepts=[c],
-        attention={direction: [] for direction in ATTN_DIRECTIONS},
+        attention={direction: [] for direction in DIRECTIONS},
         copies=copies,
     )
 
     for layer in range(params.n_layers):
-        w = {d: nodes[f"attn{layer}_{d}"] for d in ATTN_DIRECTIONS}
+        w = {d: nodes[f"attn{layer}_{d}"] for d in DIRECTIONS}
         ed = last_edges if layer == params.n_layers - 1 else edges
         s_next, a_e2s = dc.attention_aggregate(e, w["e2s"], *ed["e2s"], residual=s)
         e_stu, a_s2e = dc.attention_aggregate(s, w["s2e"], *ed["s2e"], residual=e)
         e_next, a_c2e = dc.attention_aggregate(c, w["c2e"], *ed["c2e"], residual=e_stu)
         c_next, a_e2c = dc.attention_aggregate(e, w["e2c"], *ed["e2c"], residual=c)
 
-        for direction, a in zip(ATTN_DIRECTIONS, (a_e2s, a_s2e, a_c2e, a_e2c)):
+        for direction, a in zip(DIRECTIONS, (a_e2s, a_s2e, a_c2e, a_e2c)):
             states.attention[direction].append(a)
         s, e, c = s_next, e_next, c_next
         states.students.append(s)

@@ -15,6 +15,7 @@ import csv
 import hashlib
 import json
 import logging
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -85,13 +86,29 @@ class TrainConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        ints = ["epochs", "batch_size", "n_layers", "master_seed", "min_interactions"]
+        ints += ["checkpoint_every"] if self.dim is None else ["checkpoint_every", "dim"]
+        for name in ints:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.epochs < 1 or self.batch_size < 1 or self.n_layers < 1:
+            raise ValueError("epochs, batch_size and n_layers must be >= 1")
+        if self.master_seed < 0 or self.min_interactions < 0:
+            raise ValueError("master_seed and min_interactions must be >= 0")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name in ("learning_rate", "tau"):
+        for name in ("learning_rate", "tau", "adam_eps"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("lambda1", "lambda2"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1)")
+        if not 0 < self.train_ratio < 1:
+            raise ValueError("train_ratio must lie in (0, 1)")
         if self.dim is not None and self.dim < 1:
             raise ValueError("dim must be >= 1 (or null for the concept count)")
         if self.checkpoint_every < 0:

@@ -15,8 +15,8 @@ from scdkit.cli import main as cli_main
 from scdkit.corpus import QMatrix, ResponseSet
 from scdkit.evalkit import accuracy, evaluate_checkpoint, rmse, student_table, tail_metrics
 from scdkit.objectives import infonce, main_loss, ssl_loss, total_loss
-from scdkit.relgraph import build_relation_graph, directed_split
-from scdkit.scdmodel import ATTN_DIRECTIONS, diagnose, gcn_forward, init_params, predict
+from scdkit.relgraph import DIRECTIONS, build_relation_graph, directed_split
+from scdkit.scdmodel import diagnose, gcn_forward, init_params, predict
 from scdkit.synth import make_synthetic, write_synthetic
 from scdkit.trainkit import TrainConfig, fit
 from scdkit.viewgen import (
@@ -119,7 +119,7 @@ def test_c02_attention_weights_sum_to_one_per_neighborhood():
         split, params = random_world(rng)
         view = generate_view(split, DropoutParams(), rng) if trial % 2 else None
         states = gcn_forward(params, split, view)
-        for direction in ATTN_DIRECTIONS:
+        for direction in DIRECTIONS:
             adj = split.adjacency(direction)
             mask = None  # concept edges are never masked
             if view is not None:

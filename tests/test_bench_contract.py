@@ -2,8 +2,10 @@
 
 `perfbench/tracing.py` wraps module attributes of `trainkit` and `evalkit` by
 name, and `perfbench/worker.py` calls `train_epoch` and `evaluate` with
-keyword arguments and builds a `LossBreakdown`. A renamed head or argument
-would otherwise show only in the slow benchmark smoke test.
+keyword arguments and builds a `LossBreakdown`. The tracer also reads
+`gcn_forward`'s first three arguments, `ModelParams.n_layers`, the four
+adjacencies and the masks of the views `generate_view_pair` draws. A renamed
+head or argument would otherwise show only in the slow benchmark smoke test.
 """
 
 import importlib.util
@@ -11,10 +13,15 @@ import inspect
 import sys
 from pathlib import Path
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from scdkit import evalkit, trainkit
+from scdkit import evalkit, relgraph, trainkit
 from scdkit.objectives import LossBreakdown
+from scdkit.scdmodel import ModelParams
+from scdkit.viewgen import DropoutParams
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -53,3 +60,26 @@ def test_called_arguments_exist():
 
 def test_loss_breakdown_builds_from_eight_positional_floats():
     LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+
+
+def test_gcn_forward_arguments_and_layer_count():
+    assert list(inspect.signature(trainkit.gcn_forward).parameters)[:3] == [
+        "params",
+        "split",
+        "view",
+    ]
+    assert isinstance(inspect.getattr_static(ModelParams, "n_layers"), property)
+
+
+def test_directions_name_the_split_fields():
+    fields = [f.name for f in dataclasses.fields(relgraph.DirectedSplit)]
+    assert sorted(relgraph.DIRECTIONS) == sorted(fields) and len(fields) == 4
+
+
+def test_view_pair_carries_both_masks(small_world):
+    split = small_world["split"]
+    views = trainkit.generate_view_pair(split, DropoutParams(), np.random.default_rng(0))
+    assert len(views) == 2
+    for view in views:
+        assert view.kept_e2s.shape == (split.e2s.n_edges,)
+        assert view.kept_s2e.shape == (split.s2e.n_edges,)

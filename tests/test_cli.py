@@ -150,7 +150,13 @@ class TestTrain:
         assert "error:" in err
 
     @pytest.mark.parametrize(
-        "pair", ["tau=0", "checkpoint_every=-1", "dim=0", "learning_rate=-1"]
+        "pair",
+        [
+            "tau=0", "checkpoint_every=-1", "dim=0", "learning_rate=-1",
+            "beta1=1.0", "beta2=1.5", "beta1=-0.1", "adam_eps=0", "lambda1=-1", "lambda2=-1",
+            "train_ratio=1.0", "train_ratio=0", "n_layers=0", "min_interactions=-1",
+            "master_seed=-1", "batch_size=1.5", "epochs=2.5", "epochs=true", "dim=2.0",
+        ],
     )
     def test_out_of_range_value_is_refused_before_any_output(
         self, capsys, data_dir, tmp_path, pair

@@ -303,6 +303,13 @@ class TestGraphMechanics:
         npt.assert_array_equal(y.grad, np.ones(3))
         assert s.grad is None
 
+    def test_wrongly_shaped_gradient_is_refused(self):
+        # a bias rule that forgot to sum over rows: (5, 3) for a (3,) leaf
+        b = dc.param(np.zeros(3))
+        node = dc.DiffNode(np.array(0.0), (b,), lambda g: (np.ones((5, 3)),))
+        with pytest.raises(ValueError, match=r"shape \(5, 3\) for a parent of shape \(3,\)"):
+            node.backward()
+
     def test_backward_needs_scalar(self):
         with pytest.raises(ValueError):
             dc.param([1.0, 2.0]).backward()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -71,6 +72,19 @@ class TestMainLoss:
 
 
 class TestInfonce:
+    def test_refuses_more_than_8192_rows_before_any_n_by_n_array(self):
+        n = 8193
+        rng = np.random.default_rng(0)
+        z1, z2 = dc.param(rng.normal(size=(n, 2))), dc.param(rng.normal(size=(n, 2)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"n = {n} rows"):
+                infonce(z1, z2, tau=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8  # one n x n float64 array
+
     def test_orthonormal_identical_views_give_minus_one(self):
         z = dc.constant(np.eye(2))
         assert infonce(z, dc.constant(np.eye(2)), tau=1.0).item() == pytest.approx(

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from scdkit.corpus import QMatrix, ResponseSet
 from scdkit.evalkit import infer
-from scdkit.relgraph import build_relation_graph, directed_split
+from scdkit.relgraph import DIRECTIONS, build_relation_graph, directed_split
 from scdkit.scdmodel import (
-    ATTN_DIRECTIONS,
     Checkpoint,
     NodeStates,
     diagnose,
@@ -82,7 +81,7 @@ def numpy_layer(split, params, layer, view=None):
         return agg, alpha
 
     s, e, c = params["student_emb"], params["exercise_emb"], params["concept_emb"]
-    w = {d: params[f"attn{layer}_{d}"] for d in ATTN_DIRECTIONS}
+    w = {d: params[f"attn{layer}_{d}"] for d in DIRECTIONS}
     mask_e2s = view.kept_e2s if view is not None else None
     mask_s2e = view.kept_s2e if view is not None else None
     agg_s, a_e2s = aggregate(s, e, split.e2s, w["e2s"], mask_e2s)
@@ -170,7 +169,7 @@ class TestForward:
         dim = int(rng.integers(1, 4))
         params = init_params(*counts, dim=dim, n_layers=1, seed=seed)
         full = dict(params)
-        for d in ATTN_DIRECTIONS:
+        for d in DIRECTIONS:
             # the init bound; 3000 drives attention logits to the order of +-1000
             bound = logit_scale / np.sqrt(2 * dim)
             full[f"attn0_{d}"] = rng.uniform(-bound, bound, (2 * dim, 1))
@@ -364,7 +363,7 @@ class TestViewUnion:
                         got_rows = got[j * size : (j + 1) * size]
                     assert got_rows.tobytes() == want.tobytes(), (kind, layer, j)
 
-        for direction in ATTN_DIRECTIONS:
+        for direction in DIRECTIONS:
             adj = split.adjacency(direction)
             for layer in range(n_layers):
                 alpha = union.attention[direction][layer]
