@@ -21,7 +21,7 @@ from .corpus import dataset_stats, filter_min_interactions, load_qmatrix, load_r
 from .evalkit import align_responses, case_study, evaluate_checkpoint
 from .relgraph import build_relation_graph, directed_split
 from .scdmodel import load_checkpoint
-from .trainkit import ResumeMismatch, TrainConfig, fit
+from .trainkit import RunRefused, TrainConfig, fit
 from .viewgen import DropoutParams, retention_table
 
 # config keys that name inputs rather than hyperparameters
@@ -215,7 +215,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (UsageError, ResumeMismatch) as err:  # a refused --resume is a usage error
+    except (UsageError, RunRefused) as err:  # a run refused before it starts is a usage error
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # noqa: BLE001 - boundary of the process

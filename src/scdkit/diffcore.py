@@ -1,15 +1,18 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
 Covers exactly the operator set the diagnosis model and its losses need:
-row gathers with scatter-add backward, row normalization, the fused
-residual graph-attention aggregate (`attention_aggregate`: per-edge logits,
-segment softmax, weighted neighbor sum and the residual in one node with a
-hand-written backward), and one squared L2 norm node over many arrays.
-`sigmoid` is a plain array function. The model heads in `scdmodel` and the
-loss terms and their weighted total in `objectives` are single `DiffNode`s
-with their own backward rules. `backward` refuses a rule's gradient whose
-shape is not its parent's. `grad_check` compares every backward rule
-against central finite differences.
+row gathers with scatter-add backward, row tiling with a block-sum
+backward, row normalization, the fused residual graph-attention aggregate
+(`attention_aggregate`: per-edge logits, segment softmax, weighted neighbor
+sum and the residual in one node with a hand-written backward), and one
+squared L2 norm node over many arrays. `sigmoid` is a plain array function.
+The model heads in `scdmodel` and the loss terms and their weighted total in
+`objectives` are single `DiffNode`s with their own backward rules.
+`backward` refuses a rule's gradient whose shape is not its parent's.
+
+A graph backpropagates once; each rule is dropped once it has run, so the
+arrays its closure holds are freed during the walk rather than after it,
+and a second `backward` on the same graph raises.
 
 Scatter-adds (the aggregate and the `gather_rows` backward) run one feature
 column at a time: each column is one `np.bincount` over the row indices, so
@@ -35,7 +38,8 @@ class DiffNode:
     `grad` is a same-shape, read-only array filled in by `backward` (it may
     share memory with other gradients); interior nodes do not keep theirs.
     Non-leaf nodes carry their parents and a backward rule returning one
-    gradient (or None) per parent.
+    gradient (or None) per parent; `backward` sets the rule to None once it
+    has run.
     """
 
     __slots__ = ("value", "grad", "parents", "backward_fn", "requires_grad")
@@ -63,20 +67,24 @@ class DiffNode:
         Visits each reachable node exactly once, in reverse topological
         order, accumulating parent gradients additively. A first gradient is
         kept as received (rules may hand one array to several parents), so
-        only sums allocated here are added into in place. Interior gradients
-        are dropped once their rule has run: only leaves keep `.grad`. A
-        gradient whose shape is not its parent's raises ValueError.
+        only sums allocated here are added into in place. A graph
+        backpropagates once; each rule is dropped once it has run, together
+        with the node's gradient, so only leaves keep `.grad`. A graph whose
+        rules are already gone, or a gradient whose shape is not its
+        parent's, raises ValueError.
         """
         if self.value.ndim != 0:
             raise ValueError("backward() requires a scalar root")
         order = _toposort(self)
+        if any(n.parents and n.requires_grad and n.backward_fn is None for n in order):
+            raise ValueError("backward() already ran on this graph; its rules are gone")
         self.grad = np.ones_like(self.value)
         owned: set[int] = set()
         for node in reversed(order):
             if node.backward_fn is None or not node.requires_grad or node.grad is None:
                 continue
             gs = node.backward_fn(node.grad)
-            node.grad = None
+            node.grad = node.backward_fn = None
             for parent, g in zip(node.parents, gs):
                 if g is None or not parent.requires_grad:
                     continue
@@ -140,6 +148,19 @@ def gather_rows(a: DiffNode, idx) -> DiffNode:
     return DiffNode(a.value[idx], (a,), backward, a.requires_grad)
 
 
+def tile_rows(a: DiffNode, k: int) -> DiffNode:
+    """The rows of a 2-d array stacked k times, `a[np.tile(arange(n), k)]`;
+    the gradient is the sum of the k row blocks, equal to the gather's
+    scatter-add up to the sign of zero."""
+    n, d = a.value.shape
+    return DiffNode(
+        np.tile(a.value, (k, 1)),
+        (a,),
+        lambda g: (g.reshape(k, n, d).sum(axis=0),),
+        a.requires_grad,
+    )
+
+
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function of an array; exp never overflows: 1/(1+e^-x) for
     x >= 0, e^x/(1+e^x) below. Works in place on two temporaries the size of x."""
@@ -167,8 +188,9 @@ def attention_aggregate(
     tail states, so no edge-by-feature array is ever built: every per-edge
     temporary is one column long. Each column is one `np.bincount`, which
     adds a head's edges in edge order, so the weighted sum and the scatter
-    term of the tail gradient are bit-identical to `np.add.at`. The tail
-    gradient is a transposed view (Fortran order).
+    term of the tail gradient are bit-identical to `np.add.at`. The node
+    keeps no transposed copy: the backward rebuilds it from the tail
+    states. The tail gradient is a transposed view (Fortran order).
     """
     heads = np.asarray(heads, dtype=np.intp)
     tails = np.asarray(tails, dtype=np.intp)
@@ -179,12 +201,15 @@ def attention_aggregate(
     np.maximum.at(seg_max, heads, logits)
     e = np.exp(logits - seg_max[heads])
     alpha = e / np.bincount(heads, weights=e, minlength=n_heads)[heads]
-    t_cols = np.ascontiguousarray(t_val.T)
     out = np.array(
-        [np.bincount(heads, weights=alpha * col[tails], minlength=n_heads) for col in t_cols]
+        [
+            np.bincount(heads, weights=alpha * col[tails], minlength=n_heads)
+            for col in np.ascontiguousarray(t_val.T)
+        ]
     )
 
     def backward(g):
+        t_cols = np.ascontiguousarray(t_val.T)
         d_alpha = np.zeros(len(heads))
         d_tail = np.empty_like(t_cols)
         for c, g_col in enumerate(np.ascontiguousarray(g.T)):
@@ -224,39 +249,6 @@ def l2_norm_sq(*nodes: DiffNode) -> DiffNode:
         lambda g: tuple(2.0 * float(g) * a.value for a in nodes),
         any(a.requires_grad for a in nodes),
     )
-
-
-def grad_check(f, x: dict[str, np.ndarray], eps: float = 1e-5) -> float:
-    """Max relative error between analytic gradients of `f` and central differences.
-
-    `f` maps a dict of leaf DiffNodes (same keys as `x`) to a scalar DiffNode.
-    Error per coordinate is |analytic - numeric| / max(1, |numeric|).
-    """
-    if not 1e-7 <= eps <= 1e-3:
-        raise ValueError("eps out of the supported [1e-7, 1e-3] range")
-    leaves = {k: param(v) for k, v in x.items()}
-    out = f(leaves)
-    if not np.isfinite(out.value):
-        raise ValueError("non-finite function value at x")
-    out.backward()
-    analytic = {k: np.array(leaves[k].grad, copy=True) for k in x}
-
-    worst = 0.0
-    for key, base in x.items():
-        # perturb by index: reshape(-1) of a non-C-ordered array is a copy
-        for i in np.ndindex(base.shape):
-            orig = base[i]
-            base[i] = orig + eps
-            f_plus = float(f({k: constant(v) for k, v in x.items()}).value)
-            base[i] = orig - eps
-            f_minus = float(f({k: constant(v) for k, v in x.items()}).value)
-            base[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise ValueError("non-finite function value during perturbation")
-            a = analytic[key][i]
-            worst = max(worst, abs(a - numeric) / max(1.0, abs(numeric)))
-    return worst
 
 
 def init_array(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:

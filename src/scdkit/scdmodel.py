@@ -190,7 +190,7 @@ def gcn_forward(
             into_read = np.tile(into_read, copies)[heads]
             last_edges[d] = heads[into_read], tails[into_read]
     if copies > 1:
-        s, e, c = (dc.gather_rows(x, np.tile(np.arange(len(x.value)), copies)) for x in (s, e, c))
+        s, e, c = (dc.tile_rows(x, copies) for x in (s, e, c))
     states = NodeStates(
         students=[s],
         exercises=[e],

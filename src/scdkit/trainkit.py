@@ -5,6 +5,8 @@ Each epoch draws one fresh view pair of the interaction subgraph (importance
 stacked into one two-row View, and walks shuffled mini-batches. Per batch the
 supervised loss runs on the ORIGINAL graph, the contrastive loss on both views
 (one forward over their two-copy disjoint union), and one Adam step follows.
+Each step runs in its own call (`_train_step`), so at most one step's graph
+is alive at a time: the previous step's is gone before the next forward.
 Every random stream is derived from (master_seed, epoch, stream), so runs are
 bit-reproducible and resumable in single-thread double precision.
 """
@@ -30,7 +32,7 @@ from .corpus import (
     split_train_test,
 )
 from .corpus import QMatrix
-from .objectives import LossBreakdown, main_loss, ssl_loss, total_loss
+from .objectives import INFONCE_MAX_ROWS, LossBreakdown, main_loss, ssl_loss, total_loss
 from .relgraph import DirectedSplit, RelationGraph, build_relation_graph, directed_split
 from .scdmodel import (
     Checkpoint,
@@ -197,6 +199,58 @@ def _ssl_subsets(
     return s_sub, e_sub
 
 
+def _train_step(
+    params: ModelParams,
+    split: DirectedSplit,
+    q: QMatrix,
+    train_set: ResponseSet,
+    config: TrainConfig,
+    views: View | None,
+    batch: np.ndarray,
+    opt: AdamState,
+) -> LossBreakdown:
+    """One optimizer step on the records `batch`; returns its float breakdown.
+
+    The step's whole graph lives in this frame's locals, so none of it is
+    reachable once the step returns. The model and loss functions are looked
+    up as module globals on every call.
+    """
+    b_students = train_set.students[batch]
+    b_exercises = train_set.exercises[batch]
+
+    # the final rows this step's losses read; the contrastive subsets hold
+    # the batch's nodes, and None (full population) means every row
+    rows = (b_students, b_exercises)
+    if views is not None:
+        s_sub, e_sub = _ssl_subsets(
+            b_students, b_exercises, config, train_set.n_students, train_set.n_exercises
+        )
+        rows = None if s_sub is None else (s_sub, e_sub)
+
+    nodes = params.wrap()
+    states = gcn_forward(params, split, nodes=nodes, rows=rows)
+    diag = diagnose(states, nodes)
+    y = predict(diag, nodes, q, b_students, b_exercises)
+    l_main = main_loss(y, train_set.scores[batch])
+
+    l_ssl_s = l_ssl_e = None
+    if views is not None:
+        union = gcn_forward(params, split, view=views, nodes=nodes, rows=rows)
+        states1, states2 = (union.copy_rows(j, s_sub, e_sub) for j in (0, 1))
+        l_ssl_s, l_ssl_e = ssl_loss(
+            states1, states2, config.tau, include_positive=config.include_positive
+        )
+
+    total, breakdown = total_loss(
+        l_main, l_ssl_s, l_ssl_e, nodes, config.lambda1, config.lambda2, config.tau
+    )
+    total.backward()
+    grads = {name: node.grad for name, node in nodes.items()}
+    opt.step += 1
+    adam_step(params, grads, opt, config)
+    return breakdown
+
+
 def train_epoch(
     params: ModelParams,
     split: DirectedSplit,
@@ -216,40 +270,7 @@ def train_epoch(
     n_batches = 0
     for start in range(0, len(order), config.batch_size):
         batch = order[start : start + config.batch_size]
-        b_students = train_set.students[batch]
-        b_exercises = train_set.exercises[batch]
-
-        # the final rows this step's losses read; the contrastive subsets hold
-        # the batch's nodes, and None (full population) means every row
-        rows = (b_students, b_exercises)
-        if views is not None:
-            s_sub, e_sub = _ssl_subsets(
-                b_students, b_exercises, config, train_set.n_students, train_set.n_exercises
-            )
-            rows = None if s_sub is None else (s_sub, e_sub)
-
-        nodes = params.wrap()
-        states = gcn_forward(params, split, nodes=nodes, rows=rows)
-        diag = diagnose(states, nodes)
-        y = predict(diag, nodes, q, b_students, b_exercises)
-        l_main = main_loss(y, train_set.scores[batch])
-
-        l_ssl_s = l_ssl_e = None
-        if views is not None:
-            union = gcn_forward(params, split, view=views, nodes=nodes, rows=rows)
-            states1, states2 = (union.copy_rows(j, s_sub, e_sub) for j in (0, 1))
-            l_ssl_s, l_ssl_e = ssl_loss(
-                states1, states2, config.tau, include_positive=config.include_positive
-            )
-
-        total, breakdown = total_loss(
-            l_main, l_ssl_s, l_ssl_e, nodes, config.lambda1, config.lambda2, config.tau
-        )
-        total.backward()
-        grads = {name: node.grad for name, node in nodes.items()}
-        opt.step += 1
-        adam_step(params, grads, opt, config)
-
+        breakdown = _train_step(params, split, q, train_set, config, views, batch, opt)
         sums += (breakdown.main, breakdown.ssl_student, breakdown.ssl_exercise, breakdown.reg)
         n_batches += 1
 
@@ -266,7 +287,11 @@ def train_epoch(
     )
 
 
-class ResumeMismatch(ValueError):
+class RunRefused(ValueError):
+    """A run that `fit` refuses before it writes any file."""
+
+
+class ResumeMismatch(RunRefused):
     """A checkpoint that does not belong to the run asked to continue it."""
 
 
@@ -380,7 +405,9 @@ def fit(
     `resume_from` continues a checkpoint of this run; one from other data or train
     records, model structure, mode, seed, dropout or split settings, or one
     without optimizer state, raises ResumeMismatch before any file is written.
-    A resumed train_log.csv holds only the epochs it trains.
+    A resumed train_log.csv holds only the epochs it trains. A contrastive
+    run with `ssl_full_population` over more than INFONCE_MAX_ROWS students
+    or exercises raises RunRefused, also before any file is written.
     """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -395,6 +422,13 @@ def fit(
     if len(train_set) == 0:
         raise ValueError("train split is empty")
     graph = build_relation_graph(train_set, q)
+    if config.ssl_full_population and config.mode != "supervised-only":
+        population = max(graph.n_students, graph.n_exercises)
+        if population > INFONCE_MAX_ROWS:
+            raise RunRefused(
+                f"ssl_full_population contrasts all {population} students or exercises "
+                f"at once; the contrastive loss takes at most {INFONCE_MAX_ROWS}"
+            )
     split = directed_split(graph)
 
     start_epoch = 0

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,39 @@ def seeded_sum(node, g) -> dc.DiffNode:
     )
 
 
+def grad_check(f, x: dict[str, np.ndarray], eps: float = 1e-5) -> float:
+    """Max relative error between analytic gradients of `f` and central differences.
+
+    `f` maps a dict of leaf DiffNodes (same keys as `x`) to a scalar DiffNode.
+    Error per coordinate is |analytic - numeric| / max(1, |numeric|).
+    """
+    if not 1e-7 <= eps <= 1e-3:
+        raise ValueError("eps out of the supported [1e-7, 1e-3] range")
+    leaves = {k: dc.param(v) for k, v in x.items()}
+    out = f(leaves)
+    if not np.isfinite(out.value):
+        raise ValueError("non-finite function value at x")
+    out.backward()
+    analytic = {k: np.array(leaves[k].grad, copy=True) for k in x}
+
+    worst = 0.0
+    for key, base in x.items():
+        # perturb by index: reshape(-1) of a non-C-ordered array is a copy
+        for i in np.ndindex(base.shape):
+            orig = base[i]
+            base[i] = orig + eps
+            f_plus = float(f({k: dc.constant(v) for k, v in x.items()}).value)
+            base[i] = orig - eps
+            f_minus = float(f({k: dc.constant(v) for k, v in x.items()}).value)
+            base[i] = orig
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+                raise ValueError("non-finite function value during perturbation")
+            a = analytic[key][i]
+            worst = max(worst, abs(a - numeric) / max(1.0, abs(numeric)))
+    return worst
+
+
 def small_responses(scores=None) -> ResponseSet:
     """4 students x 5 exercises, 10 records, every node touched."""
     students = np.array([0, 0, 0, 1, 1, 1, 2, 2, 3, 3], dtype=np.intp)
@@ -62,6 +97,18 @@ def small_qmatrix() -> QMatrix:
         3,
         ("c0", "c1", "c2"),
     )
+
+
+def write_many_students(directory, n_students: int) -> tuple[Path, Path]:
+    """Responses and Q-matrix CSVs in which each of `n_students` students
+    answers the same two exercises, one concept each."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    responses, qmatrix = directory / "responses.csv", directory / "qmatrix.csv"
+    lines = (f"s{i},e{j},{(i + j) % 2}\n" for i in range(n_students) for j in (0, 1))
+    responses.write_text("student,exercise,score\n" + "".join(lines))
+    qmatrix.write_text("exercise,concept\ne0,c0\ne1,c1\n")
+    return responses, qmatrix
 
 
 @pytest.fixture

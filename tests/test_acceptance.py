@@ -29,7 +29,7 @@ from scdkit.viewgen import (
     retention_prob,
     retention_table,
 )
-from conftest import small_qmatrix, small_responses
+from conftest import grad_check, small_qmatrix, small_responses
 
 
 def tiny_world():
@@ -63,7 +63,7 @@ def test_c01_full_objective_gradients_match_finite_differences():
         return full_objective(leaves, params, split, q, train, views, 0.1, 1e-4, 0.5)
 
     start = time.perf_counter()
-    worst = dc.grad_check(f, params, eps=1e-5)
+    worst = grad_check(f, params, eps=1e-5)
     elapsed = time.perf_counter() - start
     assert worst < 1e-4, f"max relative gradient error {worst}"
     assert elapsed < 10.0, f"gradient check took {elapsed:.1f}s"

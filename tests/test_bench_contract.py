@@ -76,6 +76,27 @@ def test_directions_name_the_split_fields():
     assert sorted(relgraph.DIRECTIONS) == sorted(fields) and len(fields) == 4
 
 
+def test_rebound_step_functions_are_called_on_every_step(small_world, monkeypatch):
+    # the step clock reads adam_step and total_loss, the tracer gcn_forward;
+    # a step that reached them other than through the module globals would
+    # go unseen
+    calls = {"adam_step": 0, "total_loss": 0, "gcn_forward": 0}
+    for name in calls:
+        def counted(*args, _orig=getattr(trainkit, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(trainkit, name, counted)
+    train = small_world["train"]
+    params = trainkit.init_params(4, 5, 3, seed=0)
+    config = trainkit.TrainConfig(epochs=1, batch_size=4)  # 10 records: 3 steps
+    trainkit.train_epoch(
+        params, small_world["split"], small_world["q"], train, config, 1,
+        trainkit.AdamState.fresh(params),
+    )
+    assert calls == {"adam_step": 3, "total_loss": 3, "gcn_forward": 6}
+
+
 def test_view_pair_carries_both_masks(small_world):
     split = small_world["split"]
     views = trainkit.generate_view_pair(split, DropoutParams(), np.random.default_rng(0))

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_many_students
 from scdkit.cli import main
+from scdkit.objectives import INFONCE_MAX_ROWS
 from scdkit.synth import make_synthetic, write_synthetic
 
 
@@ -166,6 +168,17 @@ class TestTrain:
         assert code == 2
         assert "error:" in err and out == ""
         assert not out_dir.exists()
+
+    def test_oversized_full_population_contrast_is_refused_before_any_output(
+        self, capsys, tmp_path
+    ):
+        write_many_students(tmp_path / "data", INFONCE_MAX_ROWS + 1)
+        out_dir = tmp_path / "run"
+        overrides = ("--override", "min_interactions=0", "--override", "ssl_full_population=true")
+        code, out, err = run(capsys, *train_args(tmp_path / "data", out_dir, *overrides))
+        assert code == 2
+        assert "ssl_full_population" in err and out == ""
+        assert not any(out_dir.iterdir())
 
     def test_resume_mismatch_is_usage_error(self, capsys, data_dir, trained, tmp_path):
         code, _, err = run(

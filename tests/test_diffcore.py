@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scdkit import diffcore as dc
-from conftest import seeded_sum
+from conftest import grad_check, seeded_sum
 
 
 def rand(shape, seed=0):
@@ -57,6 +57,20 @@ class TestShapeOps:
         expected[0] = 2.0
         expected[2] = 1.0
         npt.assert_array_equal(a.grad, expected)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_tile_rows_equals_the_tiling_gather(self, k):
+        a, ref = dc.param(rand((4, 3))), dc.param(rand((4, 3)))
+        g = rand((4 * k, 3), seed=1)
+        g[0] = -0.0  # the block sum keeps a -0.0 that bincount's 0.0 start drops
+        tiled = dc.tile_rows(a, k)
+        gathered = dc.gather_rows(ref, np.tile(np.arange(4), k))
+        assert tiled.value.tobytes() == gathered.value.tobytes()
+        seeded_sum(tiled, g).backward()
+        seeded_sum(gathered, g).backward()
+        assert np.array_equal(a.grad, ref.grad)
+        assert grad_check(lambda leaves: seeded_sum(dc.tile_rows(leaves["a"], k), g),
+                          {"a": rand((4, 3))}) < 1e-8
 
 
 def edge_softmax(x, seg, n_seg):
@@ -115,7 +129,7 @@ class TestSoftmaxSegments:
             )
             return seeded_sum(out, np.array([[1.0], [-2.0]]))
 
-        assert dc.grad_check(f, {"x": rand((5, 1), seed=9)}) < 1e-8
+        assert grad_check(f, {"x": rand((5, 1), seed=9)}) < 1e-8
 
 
 def add_at_aggregate(h, t, w, heads, tails, g):
@@ -216,7 +230,7 @@ class TestAttentionAggregate:
         x = {"s": np.asfortranarray(rand((n, d), seed=1)),
              "w": np.asfortranarray(rand((d, 1), seed=2))}
         assert not x["s"].flags.c_contiguous
-        assert dc.grad_check(f, x) < 1e-8
+        assert grad_check(f, x) < 1e-8
 
     def test_no_edge_by_feature_temporaries(self):
         rng = np.random.default_rng(0)
@@ -236,6 +250,24 @@ class TestAttentionAggregate:
             tracemalloc.stop()
         assert peak < n_edges * d * 8  # one edge-by-feature float64 array
 
+    def test_node_keeps_no_transposed_tail_copy(self):
+        # many tails and few heads and edges: a kept copy of the tail states
+        # would outweigh everything else the node holds
+        rng = np.random.default_rng(1)
+        n_heads, n_tails, d, n_edges = 50, 5000, 32, 2000
+        heads = rng.integers(0, n_heads, size=n_edges)
+        tails = rng.integers(0, n_tails, size=n_edges)
+        leaves = dc.param(rng.normal(size=(n_tails, d))), dc.param(rng.normal(size=(d, 1)))
+        residual = dc.param(rng.normal(size=(n_heads, d)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            node, _ = dc.attention_aggregate(*leaves, heads, tails, residual)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held < n_tails * d * 8 // 2, f"{held} B held after the forward"
+
     def test_gradient_on_random_masked_graph(self):
         rng = np.random.default_rng(4)
         n_heads, n_tails, d = 6, 5, 3
@@ -252,7 +284,7 @@ class TestAttentionAggregate:
 
         x = {"t": rand((n_tails, d), seed=2), "w": rand((d, 1), seed=3)}
         x["r"] = rand((n_heads, d), seed=4)
-        assert dc.grad_check(f, x) < 1e-8
+        assert grad_check(f, x) < 1e-8
 
 
 class TestCosineMachinery:
@@ -265,7 +297,7 @@ class TestCosineMachinery:
         def f(leaves):
             return seeded_sum(dc.normalize_rows(leaves["a"]), rand((4, 3), seed=2))
 
-        assert dc.grad_check(f, {"a": rand((4, 3)) + 0.5}) < 1e-8
+        assert grad_check(f, {"a": rand((4, 3)) + 0.5}) < 1e-8
 
     def test_l2_norm_sq(self):
         a = dc.param(np.array([[1.0, 2.0], [3.0, 0.0]]))
@@ -310,6 +342,20 @@ class TestGraphMechanics:
         with pytest.raises(ValueError, match=r"shape \(5, 3\) for a parent of shape \(3,\)"):
             node.backward()
 
+    def test_each_rule_is_dropped_and_a_second_walk_refused(self):
+        x = dc.param(rand((3, 2)))
+        y = dc.normalize_rows(x)
+        loss = seeded_sum(y, rand((3, 2), seed=1))
+        loss.backward()
+        first = x.grad.copy()
+        assert y.backward_fn is None and loss.backward_fn is None and y.grad is None
+        with pytest.raises(ValueError, match="already ran"):
+            loss.backward()
+        # a new root over the spent graph would only reach x through y's rule
+        with pytest.raises(ValueError, match="already ran"):
+            seeded_sum(y, 1.0).backward()
+        npt.assert_array_equal(x.grad, first)
+
     def test_backward_needs_scalar(self):
         with pytest.raises(ValueError):
             dc.param([1.0, 2.0]).backward()
@@ -331,7 +377,7 @@ class TestGraphMechanics:
 class TestGradCheck:
     def test_eps_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            dc.grad_check(lambda leaves: seeded_sum(leaves["x"], 1.0), {"x": rand(2)}, eps=0.5)
+            grad_check(lambda leaves: seeded_sum(leaves["x"], 1.0), {"x": rand(2)}, eps=0.5)
 
 
 def test_init_array_bounds():

@@ -9,7 +9,7 @@ from scdkit import diffcore as dc
 from scdkit.objectives import LossBreakdown, infonce, main_loss, ssl_loss, total_loss
 from scdkit.relgraph import directed_split
 from scdkit.scdmodel import NodeStates, gcn_forward, init_params
-from conftest import small_qmatrix, small_responses
+from conftest import grad_check, small_qmatrix, small_responses
 from scdkit.relgraph import build_relation_graph
 
 
@@ -148,7 +148,7 @@ class TestInfonce:
         def f(leaves):
             return infonce(leaves["z1"], leaves["z2"], tau=0.7, include_positive=include_positive)
 
-        assert dc.grad_check(f, x) < 1e-7
+        assert grad_check(f, x) < 1e-7
 
 
 class TestSslLoss:

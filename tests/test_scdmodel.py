@@ -24,7 +24,7 @@ from scdkit.scdmodel import (
 )
 from scdkit.viewgen import View
 from scdkit import diffcore as dc
-from conftest import seeded_sum
+from conftest import grad_check, seeded_sum
 
 FIXTURE = Path(__file__).parent / "fixtures" / "checkpoint_fca24c9.npz"
 
@@ -419,7 +419,7 @@ class TestDiagnosisAndPredict:
             diag = diagnose(states, leaves)
             return seeded_sum(predict(diag, leaves, q, students, exercises), seed_grad)
 
-        assert dc.grad_check(f, x) < 1e-8
+        assert grad_check(f, x) < 1e-8
 
     def test_outputs_live_in_unit_interval(self, small_world):
         params = init_params(4, 5, 3, seed=4)

@@ -1,14 +1,15 @@
 import csv
 import dataclasses
+import tracemalloc
+import weakref
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from scdkit import diffcore as dc
-from scdkit.corpus import load_responses
+from scdkit.corpus import load_qmatrix, load_responses
 from scdkit.evalkit import evaluate_checkpoint
-from scdkit.objectives import main_loss, ssl_loss, total_loss
+from scdkit.objectives import INFONCE_MAX_ROWS, main_loss, ssl_loss, total_loss
 from scdkit.scdmodel import (
     diagnose,
     gcn_forward,
@@ -22,6 +23,7 @@ from scdkit import trainkit
 from scdkit.trainkit import (
     AdamState,
     ResumeMismatch,
+    RunRefused,
     TrainConfig,
     TrainingDiverged,
     adam_step,
@@ -31,7 +33,7 @@ from scdkit.trainkit import (
     _rng,
 )
 from scdkit.viewgen import DropoutParams
-from conftest import small_qmatrix, small_responses
+from conftest import grad_check, small_qmatrix, small_responses, write_many_students
 from scdkit.relgraph import build_relation_graph, directed_split
 
 
@@ -211,6 +213,73 @@ class TestTrainEpochRows:
                 assert any(len(set(rows[0])) < 4 for rows in seen_rows)
 
 
+class TestStepGraphLifetime:
+    """At most one step's graph is alive: the previous step's is gone before
+    the next step's first forward."""
+
+    @pytest.mark.parametrize("mode", ["scd", "supervised-only"])
+    def test_previous_step_graph_is_dead_when_the_next_step_starts(self, monkeypatch, mode):
+        train, q = small_responses(), small_qmatrix()
+        split = directed_split(build_relation_graph(train, q))
+        params = init_params(4, 5, 3, seed=0)
+        alive = []  # weak references to the values of the last step's graph
+        checks = []
+
+        def count_previous_alive():
+            checks.append(sum(ref() is not None for ref in alive))
+
+        def checked_forward(*args, **kwargs):
+            count_previous_alive()
+            return gcn_forward(*args, **kwargs)
+
+        def recording_total_loss(*args, **kwargs):
+            count_previous_alive()
+            out = total_loss(*args, **kwargs)
+            alive.clear()
+            stack, seen = [out[0]], set()
+            while stack:  # every node of the step's graph, through its parents
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    alive.append(weakref.ref(node.value))
+                    stack.extend(node.parents)
+            return out
+
+        monkeypatch.setattr(trainkit, "gcn_forward", checked_forward)
+        monkeypatch.setattr(trainkit, "total_loss", recording_total_loss)
+        cfg = TrainConfig(epochs=1, mode=mode, batch_size=4)
+        train_epoch(params, split, q, train, cfg, 1, AdamState.fresh(params))
+        per_step = 3 if mode == "scd" else 2  # forwards plus the total
+        assert len(checks) == 3 * per_step and len(alive) > 20
+        assert checks == [0] * len(checks)
+
+    def test_epoch_peak_memory_does_not_grow_with_steps(self, tmp_path):
+        # a graph large against the per-epoch state and the batch, so that
+        # holding two steps' graphs at once reads about 1.5x one step's
+        rp, qp = write_synthetic(tmp_path, make_synthetic(400, 40, 8, seed=0))
+        rs = load_responses(rp)
+        q = load_qmatrix(qp, rs)
+        split = directed_split(build_relation_graph(rs, q))
+        cfg = TrainConfig(epochs=1, batch_size=64)
+
+        def epoch_peak(n_batches):
+            keep = np.arange(len(rs)) < n_batches * cfg.batch_size
+            train = rs.replace_records(keep)
+            params = init_params(rs.n_students, rs.n_exercises, q.n_concepts, seed=0)
+            opt = AdamState.fresh(params)
+            tracemalloc.start()
+            try:
+                train_epoch(params, split, q, train, cfg, 1, opt)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert opt.step == n_batches
+            return peak
+
+        one, three = epoch_peak(1), epoch_peak(3)
+        assert three <= 1.25 * one, f"3-batch peak {three} B, 1-batch peak {one} B"
+
+
 class TestUnionObjective:
     def test_gradients_through_view_union_match_finite_differences(self):
         """The objective of one mini-batch as train_epoch builds it: the
@@ -236,7 +305,7 @@ class TestUnionObjective:
             main = main_loss(y, train.scores[batch])
             return total_loss(main, loss_s, loss_e, leaves, 1.0, 1e-4, 0.5)[0]
 
-        worst = dc.grad_check(objective, params, eps=1e-5)
+        worst = grad_check(objective, params, eps=1e-5)
         assert worst < 1e-4, f"max relative gradient error {worst}"
 
 
@@ -438,6 +507,33 @@ class TestFit:
         with pytest.raises(ValueError, match="missing.*w_predict"):
             fit(self.config(epochs=2), rp, qp, tmp_path / "tail", resume_from=edited)
         assert not any((tmp_path / "tail").iterdir())
+
+    def test_full_population_contrast_over_the_row_limit_refused_before_output(
+        self, tmp_path
+    ):
+        rp, qp = write_many_students(tmp_path / "data", INFONCE_MAX_ROWS + 1)
+        cfg = self.config(epochs=1, min_interactions=0, ssl_full_population=True)
+        with pytest.raises(RunRefused, match=f"all {INFONCE_MAX_ROWS + 1} students"):
+            fit(cfg, rp, qp, tmp_path / "run")
+        assert not any((tmp_path / "run").iterdir())
+
+    def test_full_population_supervised_only_over_the_row_limit_trains(
+        self, monkeypatch, tmp_path
+    ):
+        rp, qp = write_many_students(tmp_path / "data", INFONCE_MAX_ROWS + 1)
+        cfg = self.config(
+            epochs=1, min_interactions=0, ssl_full_population=True, mode="supervised-only"
+        )
+
+        class Reached(Exception):
+            pass
+
+        def first_epoch(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(trainkit, "train_epoch", first_epoch)
+        with pytest.raises(Reached):
+            fit(cfg, rp, qp, tmp_path / "run")
 
     def test_periodic_checkpoints(self, small_files, tmp_path):
         rp, qp = small_files
