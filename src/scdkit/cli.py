@@ -22,7 +22,7 @@ from .evalkit import align_responses, case_study, evaluate_checkpoint
 from .relgraph import build_relation_graph, directed_split
 from .scdmodel import load_checkpoint
 from .trainkit import RunRefused, TrainConfig, fit
-from .viewgen import DropoutParams, retention_table
+from .viewgen import retention_table
 
 # config keys that name inputs rather than hyperparameters
 _PATH_KEYS = ("responses", "qmatrix", "output_dir")
@@ -72,7 +72,16 @@ def _require(paths: dict, *keys: str) -> None:
         raise UsageError(f"missing required input(s): {', '.join(missing)} (flag or config)")
 
 
+def _train_config(raw: dict) -> TrainConfig:
+    try:
+        return TrainConfig.from_dict(raw)
+    except (TypeError, ValueError) as err:  # bad key or value is the caller's fault
+        raise UsageError(str(err)) from None
+
+
 def cmd_stats(args) -> int:
+    if args.min_interactions < 0:
+        raise UsageError("--min-interactions must be >= 0")
     rs = load_responses(args.responses)
     if args.min_interactions > 0:
         rs = filter_min_interactions(rs, args.min_interactions)
@@ -84,10 +93,7 @@ def cmd_stats(args) -> int:
 def cmd_train(args) -> int:
     raw, paths = _load_config(args)
     _require(paths, "responses", "qmatrix", "output_dir")
-    try:
-        config = TrainConfig.from_dict(raw)
-    except (TypeError, ValueError) as err:  # bad key or value is the caller's fault
-        raise UsageError(str(err)) from None
+    config = _train_config(raw)
     result = fit(
         config,
         paths["responses"],
@@ -119,18 +125,14 @@ def cmd_viewgen_audit(args) -> int:
         raise UsageError("--draws must be >= 0")
     raw, paths = _load_config(args)
     _require(paths, "responses", "qmatrix")
-    try:
-        dropout = DropoutParams.from_dict(raw)
-        min_interactions = int(raw.get("min_interactions", 0))
-    except (TypeError, ValueError) as err:  # bad value is the caller's fault
-        raise UsageError(str(err)) from None
+    config = _train_config(raw)
     rs = load_responses(paths["responses"])
-    if min_interactions > 0:
-        rs = filter_min_interactions(rs, min_interactions)
+    if config.min_interactions > 0:
+        rs = filter_min_interactions(rs, config.min_interactions)
     q = load_qmatrix(paths["qmatrix"], rs)
     split = directed_split(build_relation_graph(rs, q))
     rng = np.random.default_rng(args.seed)
-    rows = retention_table(split, dropout, args.draws, rng)
+    rows = retention_table(split, config.dropout, args.draws, rng)
     print("degree,importance,retention_p,empirical")
     for row in rows:
         print(

@@ -8,7 +8,9 @@ sum and the residual in one node with a hand-written backward), and one
 squared L2 norm node over many arrays. `sigmoid` is a plain array function.
 The model heads in `scdmodel` and the loss terms and their weighted total in
 `objectives` are single `DiffNode`s with their own backward rules.
-`backward` refuses a rule's gradient whose shape is not its parent's.
+Every leaf is a trainable `param`, and every node reachable from a
+backward root receives a gradient: a backward rule returns one array per
+parent, and `backward` refuses one whose shape is not its parent's.
 
 A graph backpropagates once; each rule is dropped once it has run, so the
 arrays its closure holds are freed during the walk rather than after it,
@@ -20,8 +22,7 @@ no index-by-feature array is built and each bucket is summed in row order,
 bit-identical to `np.add.at`. Such ops may return transposed (Fortran-order)
 arrays.
 
-A computation graph is confined to one thread. Leaves are created with
-`param` (trainable, receives grads) or `constant`.
+A computation graph is confined to one thread.
 """
 
 from __future__ import annotations
@@ -34,26 +35,20 @@ EPS_GUARD = 1e-12
 class DiffNode:
     """One node of the computation graph.
 
-    `value` is a float64 ndarray (0-d for scalars). On a trainable leaf,
-    `grad` is a same-shape, read-only array filled in by `backward` (it may
-    share memory with other gradients); interior nodes do not keep theirs.
-    Non-leaf nodes carry their parents and a backward rule returning one
-    gradient (or None) per parent; `backward` sets the rule to None once it
-    has run.
+    `value` is a float64 ndarray (0-d for scalars). On a leaf, `grad` is a
+    same-shape, read-only array filled in by `backward` (it may share memory
+    with other gradients); interior nodes do not keep theirs. Non-leaf nodes
+    carry their parents and a backward rule returning one gradient per
+    parent; `backward` sets the rule to None once it has run.
     """
 
-    __slots__ = ("value", "grad", "parents", "backward_fn", "requires_grad")
+    __slots__ = ("value", "grad", "parents", "backward_fn")
 
-    def __init__(self, value, parents=(), backward_fn=None, requires_grad=True):
+    def __init__(self, value, parents=(), backward_fn=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self.parents = tuple(parents)
         self.backward_fn = backward_fn
-        self.requires_grad = requires_grad
-
-    @property
-    def shape(self):
-        return self.value.shape
 
     def __repr__(self):
         return f"DiffNode(shape={self.value.shape}, leaf={not self.parents})"
@@ -70,24 +65,23 @@ class DiffNode:
         only sums allocated here are added into in place. A graph
         backpropagates once; each rule is dropped once it has run, together
         with the node's gradient, so only leaves keep `.grad`. A graph whose
-        rules are already gone, or a gradient whose shape is not its
-        parent's, raises ValueError.
+        rules are already gone, a rule that does not return one gradient per
+        parent, or a gradient whose shape is not its parent's, raises
+        ValueError.
         """
         if self.value.ndim != 0:
             raise ValueError("backward() requires a scalar root")
         order = _toposort(self)
-        if any(n.parents and n.requires_grad and n.backward_fn is None for n in order):
+        if any(n.parents and n.backward_fn is None for n in order):
             raise ValueError("backward() already ran on this graph; its rules are gone")
         self.grad = np.ones_like(self.value)
         owned: set[int] = set()
         for node in reversed(order):
-            if node.backward_fn is None or not node.requires_grad or node.grad is None:
+            if node.backward_fn is None:
                 continue
             gs = node.backward_fn(node.grad)
             node.grad = node.backward_fn = None
-            for parent, g in zip(node.parents, gs):
-                if g is None or not parent.requires_grad:
-                    continue
+            for parent, g in zip(node.parents, gs, strict=True):
                 if np.shape(g) != parent.value.shape:
                     raise ValueError(
                         f"backward rule gave a gradient of shape {np.shape(g)} "
@@ -100,9 +94,6 @@ class DiffNode:
                 else:
                     parent.grad = parent.grad + g
                     owned.add(id(parent))
-        for node in order:
-            if node.requires_grad and not node.parents and node.grad is None:
-                node.grad = np.zeros_like(node.value)
 
 
 def _toposort(root: DiffNode) -> list[DiffNode]:
@@ -127,12 +118,7 @@ def _toposort(root: DiffNode) -> list[DiffNode]:
 
 def param(value) -> DiffNode:
     """Trainable leaf; grads accumulate here."""
-    return DiffNode(np.array(value, dtype=np.float64), requires_grad=True)
-
-
-def constant(value) -> DiffNode:
-    """Non-trainable leaf (data, masks, labels)."""
-    return DiffNode(np.asarray(value, dtype=np.float64), requires_grad=False)
+    return DiffNode(np.array(value, dtype=np.float64))
 
 
 def gather_rows(a: DiffNode, idx) -> DiffNode:
@@ -145,7 +131,7 @@ def gather_rows(a: DiffNode, idx) -> DiffNode:
         cols = [np.bincount(idx, weights=col, minlength=n) for col in g.T]
         return (np.array(cols).T,)
 
-    return DiffNode(a.value[idx], (a,), backward, a.requires_grad)
+    return DiffNode(a.value[idx], (a,), backward)
 
 
 def tile_rows(a: DiffNode, k: int) -> DiffNode:
@@ -153,12 +139,7 @@ def tile_rows(a: DiffNode, k: int) -> DiffNode:
     the gradient is the sum of the k row blocks, equal to the gather's
     scatter-add up to the sign of zero."""
     n, d = a.value.shape
-    return DiffNode(
-        np.tile(a.value, (k, 1)),
-        (a,),
-        lambda g: (g.reshape(k, n, d).sum(axis=0),),
-        a.requires_grad,
-    )
+    return DiffNode(np.tile(a.value, (k, 1)), (a,), lambda g: (g.reshape(k, n, d).sum(axis=0),))
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -222,9 +203,7 @@ def attention_aggregate(
         d_tail += np.outer(w, d_lt)
         return d_tail.T, (t_val.T @ d_lt)[:, None], g
 
-    parents = (tail_state, weight, residual)
-    requires = any(p.requires_grad for p in parents)
-    return DiffNode(residual.value + out.T, parents, backward, requires), alpha
+    return DiffNode(residual.value + out.T, (tail_state, weight, residual), backward), alpha
 
 
 def normalize_rows(a: DiffNode) -> DiffNode:
@@ -238,7 +217,7 @@ def normalize_rows(a: DiffNode) -> DiffNode:
         live = (norms > EPS_GUARD).astype(np.float64)
         return (g / safe[:, None] - a.value * (live * dot / safe**3)[:, None],)
 
-    return DiffNode(out, (a,), backward, a.requires_grad)
+    return DiffNode(out, (a,), backward)
 
 
 def l2_norm_sq(*nodes: DiffNode) -> DiffNode:
@@ -247,7 +226,6 @@ def l2_norm_sq(*nodes: DiffNode) -> DiffNode:
         sum((np.sum(a.value**2) for a in nodes), 0.0),
         nodes,
         lambda g: tuple(2.0 * float(g) * a.value for a in nodes),
-        any(a.requires_grad for a in nodes),
     )
 
 

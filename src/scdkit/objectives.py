@@ -43,7 +43,7 @@ def main_loss(y: DiffNode, labels: np.ndarray) -> DiffNode:
         d_y = g * (1.0 - labels) / (1.0 - y_c) - g * labels / y_c
         return (np.where(y_c == y.value, d_y, 0.0),)
 
-    return DiffNode(value, (y,), backward, y.requires_grad)
+    return DiffNode(value, (y,), backward)
 
 
 def infonce(
@@ -86,7 +86,7 @@ def infonce(
         g_pos = -g_row * inv_tau
         return d_sims @ u2 + g_pos * u2, (u1.T @ d_sims).T + g_pos * u1
 
-    return DiffNode(value, (n1, n2), backward, n1.requires_grad or n2.requires_grad)
+    return DiffNode(value, (n1, n2), backward)
 
 
 def ssl_loss(
@@ -151,8 +151,7 @@ def total_loss(
         parents, weights = (main, ssl_student, ssl_exercise, reg), (1.0, lambda1, lambda1, lambda2)
         value = main.value + (ssl_student.value + ssl_exercise.value) * lambda1
     value = value + reg.value * lambda2
-    requires = any(p.requires_grad for p in parents)
-    total = DiffNode(value, parents, lambda g: tuple(g * c for c in weights), requires)
+    total = DiffNode(value, parents, lambda g: tuple(g * c for c in weights))
 
     breakdown = LossBreakdown(
         main=main.item(),

@@ -123,6 +123,8 @@ def init_params(
     if min(n_students, n_exercises, n_concepts) < 1 or n_layers < 1:
         raise ValueError("all counts and the layer count must be >= 1")
     d = n_concepts if dim is None else dim
+    if d < 1:
+        raise ValueError(f"dim must be >= 1, got {d}")
     shapes = param_shapes(n_students, n_exercises, n_concepts, d, n_layers)
     rng = np.random.default_rng(seed)
     # the draw order (attention, embeddings, weights) is not the name order;
@@ -225,7 +227,7 @@ def _sigmoid_head(x: dc.DiffNode, w: dc.DiffNode, b: dc.DiffNode) -> dc.DiffNode
         dz = g * out * (1.0 - out)
         return dz @ w.value.T, x.value.T @ dz, dz.sum(axis=0)
 
-    return dc.DiffNode(out, (x, w, b), backward, any(p.requires_grad for p in (x, w, b)))
+    return dc.DiffNode(out, (x, w, b), backward)
 
 
 def diagnose(states: NodeStates, nodes: dict[str, dc.DiffNode]) -> Diagnosis:
@@ -269,9 +271,7 @@ def predict(
         d_diff = dz @ w.value.T
         return d_diff, -d_diff, (h_s.value - h_e.value).T @ dz, dz.sum(axis=0)
 
-    parents = (h_s, h_e, w, b)
-    requires = any(p.requires_grad for p in parents)
-    return dc.DiffNode((v * mask).sum(axis=1) * inv, parents, backward, requires)
+    return dc.DiffNode((v * mask).sum(axis=1) * inv, (h_s, h_e, w, b), backward)
 
 
 @dataclass(eq=False)

@@ -159,7 +159,7 @@ def adam_step(
     c2 = 1.0 - b2**state.step
     for name, p in params.items():
         g = grads[name]
-        if g is None or not np.all(np.isfinite(g)):
+        if not np.all(np.isfinite(g)):
             raise TrainingDiverged(f"non-finite gradient for parameter {name!r}")
         state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
         state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g

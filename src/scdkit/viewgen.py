@@ -30,9 +30,9 @@ class DropoutParams:
     p_min: float = 0.3
 
     def __post_init__(self):
-        if self.k <= 0:
+        if not self.k > 0:
             raise ValueError("k must be positive")
-        if self.theta <= 0:
+        if not self.theta > 0:
             raise ValueError("theta must be positive")
         if not 0.0 < self.p_min <= 1.0:
             raise ValueError("p_min must lie in (0, 1]")

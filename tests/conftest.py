@@ -33,8 +33,7 @@ def seeded_sum(node, g) -> dc.DiffNode:
     return dc.DiffNode(
         (node.value * g).sum(),
         (node,),
-        lambda s: (float(s) * np.broadcast_to(g, node.shape),),
-        node.requires_grad,
+        lambda s: (float(s) * np.broadcast_to(g, node.value.shape),),
     )
 
 
@@ -59,9 +58,9 @@ def grad_check(f, x: dict[str, np.ndarray], eps: float = 1e-5) -> float:
         for i in np.ndindex(base.shape):
             orig = base[i]
             base[i] = orig + eps
-            f_plus = float(f({k: dc.constant(v) for k, v in x.items()}).value)
+            f_plus = float(f({k: dc.param(v) for k, v in x.items()}).value)
             base[i] = orig - eps
-            f_minus = float(f({k: dc.constant(v) for k, v in x.items()}).value)
+            f_minus = float(f({k: dc.param(v) for k, v in x.items()}).value)
             base[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * eps)
             if not (np.isfinite(f_plus) and np.isfinite(f_minus)):

@@ -2,7 +2,8 @@
 
 `perfbench/tracing.py` wraps module attributes of `trainkit` and `evalkit` by
 name, and `perfbench/worker.py` calls `train_epoch` and `evaluate` with
-keyword arguments and builds a `LossBreakdown`. The tracer also reads
+keyword arguments, builds a `LossBreakdown` and checks the step losses and
+every row of the `EvalReport`. The tracer also reads
 `gcn_forward`'s first three arguments, `ModelParams.n_layers`, the four
 adjacencies and the masks of the views `generate_view_pair` draws. A renamed
 head or argument would otherwise show only in the slow benchmark smoke test.
@@ -26,20 +27,29 @@ from scdkit.viewgen import DropoutParams
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def tracing():
-    # tracing.py imports its sibling `specs` as a top-level module; the
-    # import leaves no bytecode cache in perfbench/
+def load_perfbench(name: str):
+    # the benchmark's modules import their siblings (`specs`, `tracing`) as
+    # top-level modules; the import leaves no bytecode cache in perfbench/
     sys.path.insert(0, str(PERFBENCH))
     write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
-        spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         return module
     finally:
         sys.path.remove(str(PERFBENCH))
         sys.dont_write_bytecode = write_bytecode
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return load_perfbench("tracing")
+
+
+@pytest.fixture(scope="module")
+def worker():
+    return load_perfbench("worker")
 
 
 def test_every_rebound_name_resolves(tracing):
@@ -95,6 +105,30 @@ def test_rebound_step_functions_are_called_on_every_step(small_world, monkeypatc
         trainkit.AdamState.fresh(params),
     )
     assert calls == {"adam_step": 3, "total_loss": 3, "gcn_forward": 6}
+
+
+def test_benchmark_output_checks_pass_on_a_trained_small_world(worker, small_world, monkeypatch):
+    # the worker's checks read every step's total and every per-student and
+    # per-group row of the report; a reshaped EvalReport would fail every run
+    losses = []
+
+    def recorded(*args, _orig=trainkit.total_loss, **kwargs):
+        out = _orig(*args, **kwargs)
+        losses.append(out[1].total)
+        return out
+
+    monkeypatch.setattr(trainkit, "total_loss", recorded)
+    train, split, q = small_world["train"], small_world["split"], small_world["q"]
+    params = trainkit.init_params(4, 5, 3, seed=0)
+    config = trainkit.TrainConfig(epochs=1, batch_size=4)
+    trainkit.train_epoch(params, split, q, train, config, 1, trainkit.AdamState.fresh(params))
+    assert len(losses) == 3
+    worker.check_losses(losses)
+    report = evalkit.evaluate(
+        params=params, split=split, q=q, test_set=train, train_counts=train.student_counts()
+    )
+    assert worker.check_report(report) == (report.acc, report.rmse, report.acc50, report.rmse50)
+    assert len(report.per_student) == 4
 
 
 def test_view_pair_carries_both_masks(small_world):

@@ -81,6 +81,16 @@ class TestStats:
         assert code == 0
         assert json.loads(filtered)["n_students"] < json.loads(raw)["n_students"]
 
+    def test_negative_min_interactions_is_usage_error(self, capsys, data_dir):
+        code, out, err = run(
+            capsys, "stats",
+            "--responses", str(data_dir / "responses.csv"),
+            "--qmatrix", str(data_dir / "qmatrix.csv"),
+            "--min-interactions", "-1",
+        )
+        assert code == 2
+        assert "--min-interactions" in err and out == ""
+
 
 def train_args(data_dir, out_dir, *extra):
     return (
@@ -158,6 +168,7 @@ class TestTrain:
             "beta1=1.0", "beta2=1.5", "beta1=-0.1", "adam_eps=0", "lambda1=-1", "lambda2=-1",
             "train_ratio=1.0", "train_ratio=0", "n_layers=0", "min_interactions=-1",
             "master_seed=-1", "batch_size=1.5", "epochs=2.5", "epochs=true", "dim=2.0",
+            "k=NaN", "theta=NaN",
         ],
     )
     def test_out_of_range_value_is_refused_before_any_output(
@@ -305,7 +316,13 @@ class TestViewgenAudit:
         _, second, _ = run(capsys, *argv)
         assert first == second
 
-    @pytest.mark.parametrize("pair", ["k=0", "theta=-1", "p_min=x", "min_interactions=x"])
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            "k=0", "theta=-1", "p_min=x", "min_interactions=x", "k=NaN", "theta=NaN",
+            "min_interactions=true", "min_interactions=2.7", "thetaa=5",
+        ],
+    )
     def test_bad_config_value_is_usage_error(self, capsys, data_dir, pair):
         code, out, err = run(
             capsys, "viewgen-audit",

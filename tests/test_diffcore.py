@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scdkit import diffcore as dc
+from scdkit.objectives import infonce, main_loss, total_loss
 from conftest import grad_check, seeded_sum
 
 
@@ -81,7 +82,7 @@ def edge_softmax(x, seg, n_seg):
         dc.param(np.array([[1.0]])),
         seg,
         np.arange(len(seg)),
-        residual=dc.constant(np.zeros((n_seg, 1))),
+        residual=dc.param(np.zeros((n_seg, 1))),
     )
     return alpha
 
@@ -122,10 +123,10 @@ class TestSoftmaxSegments:
         def f(leaves):
             out, _ = dc.attention_aggregate(
                 leaves["x"],
-                dc.constant(np.array([[1.0]])),
+                dc.param(np.array([[1.0]])),
                 seg,
                 np.arange(5),
-                residual=dc.constant(np.zeros((2, 1))),
+                residual=dc.param(np.zeros((2, 1))),
             )
             return seeded_sum(out, np.array([[1.0], [-2.0]]))
 
@@ -204,7 +205,7 @@ class TestAttentionAggregate:
             err = np.max(np.abs(got - ref), initial=0.0)
             return err <= 1e-12 * max(1.0, np.max(np.abs(ref), initial=0.0))
 
-        assert out.shape == ref_out.shape
+        assert out.value.shape == ref_out.shape
         if head_half == "zero":
             assert np.ascontiguousarray(out.value).tobytes() == ref_out.tobytes()
         assert close(out.value, ref_out)
@@ -302,15 +303,14 @@ class TestCosineMachinery:
     def test_l2_norm_sq(self):
         a = dc.param(np.array([[1.0, 2.0], [3.0, 0.0]]))
         b = dc.param(np.array([-2.0]))
-        c = dc.constant(np.array([5.0, 1.0]))
+        c = dc.param(np.array([5.0, 1.0]))
         out = dc.l2_norm_sq(a, c, b)
         assert out.item() == 14.0 + 26.0 + 4.0
         seeded_sum(out, 3.0).backward()
         npt.assert_array_equal(a.grad, 6.0 * a.value)
         npt.assert_array_equal(b.grad, [-12.0])
-        assert c.grad is None
-        empty = dc.l2_norm_sq()
-        assert empty.item() == 0.0 and not empty.requires_grad
+        npt.assert_array_equal(c.grad, [30.0, 6.0])
+        assert dc.l2_norm_sq().item() == 0.0
 
 
 class TestGraphMechanics:
@@ -360,12 +360,33 @@ class TestGraphMechanics:
         with pytest.raises(ValueError):
             dc.param([1.0, 2.0]).backward()
 
-    def test_constants_get_no_grad(self):
-        c = dc.constant([1.0, 2.0])
-        p = dc.param([3.0, 4.0])
-        dc.l2_norm_sq(c, p).backward()
-        assert c.grad is None
-        npt.assert_array_equal(p.grad, [6.0, 8.0])
+    def test_every_reachable_leaf_gets_a_gradient_of_its_shape(self):
+        # with lambda1 = lambda2 = 0 the contrastive rows and the
+        # regularized-only parameters are reached only through zero weights
+        y = dc.param([0.3, 0.8])
+        z1, z2 = dc.param(rand((3, 2))), dc.param(rand((3, 2), seed=1))
+        params = {"w": dc.param(rand((4, 2))), "b": dc.param(np.zeros(2)), "s": dc.param(2.0)}
+        ssl_s, ssl_e = infonce(z1, z2, 0.5), infonce(z2, z1, 0.5)
+        total, _ = total_loss(main_loss(y, np.array([0, 1])), ssl_s, ssl_e, params, 0.0, 0.0, 0.5)
+        total.backward()
+        leaves, stack = [], [total]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.parents)
+            if not node.parents:
+                leaves.append(node)
+        assert {id(p) for p in (y, z1, z2, *params.values())} == {id(n) for n in leaves}
+        for leaf in leaves:
+            assert leaf.grad is not None and leaf.grad.shape == leaf.value.shape
+        for leaf in (z1, z2, *params.values()):
+            npt.assert_array_equal(leaf.grad, 0.0)
+        assert np.all(y.grad != 0.0)
+
+    def test_rule_must_return_one_gradient_per_parent(self):
+        a, b = dc.param(np.ones(2)), dc.param(np.ones(2))
+        node = dc.DiffNode(np.array(0.0), (a, b), lambda g: (np.zeros(2),))
+        with pytest.raises(ValueError):
+            node.backward()
 
     def test_deep_chain_does_not_recurse(self):
         node = dc.param(np.array(1.0))

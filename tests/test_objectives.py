@@ -34,20 +34,20 @@ def brute_infonce(z1, z2, tau, include_positive=False):
 
 class TestMainLoss:
     def test_hand_values(self):
-        assert main_loss(dc.constant([1.0]), np.array([1])).item() == pytest.approx(0.0, abs=1e-9)
-        assert main_loss(dc.constant([0.5]), np.array([1])).item() == pytest.approx(
+        assert main_loss(dc.param([1.0]), np.array([1])).item() == pytest.approx(0.0, abs=1e-9)
+        assert main_loss(dc.param([0.5]), np.array([1])).item() == pytest.approx(
             0.6931471805599453, rel=1e-12
         )
-        got = main_loss(dc.constant([0.9, 0.2]), np.array([1, 0])).item()
+        got = main_loss(dc.param([0.9, 0.2]), np.array([1, 0])).item()
         assert got == pytest.approx(0.328504066972036, rel=1e-12)
 
     def test_summed_not_averaged(self):
-        one = main_loss(dc.constant([0.5]), np.array([1])).item()
-        four = main_loss(dc.constant([0.5] * 4), np.array([1, 1, 1, 1])).item()
+        one = main_loss(dc.param([0.5]), np.array([1])).item()
+        four = main_loss(dc.param([0.5] * 4), np.array([1, 1, 1, 1])).item()
         assert four == pytest.approx(4 * one, rel=1e-12)
 
     def test_clamp_keeps_extremes_finite(self):
-        out = main_loss(dc.constant([0.0, 1.0]), np.array([1, 0])).item()
+        out = main_loss(dc.param([0.0, 1.0]), np.array([1, 0])).item()
         assert np.isfinite(out)
 
     def test_gradient_formula(self):
@@ -68,7 +68,7 @@ class TestMainLoss:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            main_loss(dc.constant([0.5, 0.5]), np.array([1]))
+            main_loss(dc.param([0.5, 0.5]), np.array([1]))
 
 
 class TestInfonce:
@@ -86,27 +86,27 @@ class TestInfonce:
         assert peak < n * n * 8  # one n x n float64 array
 
     def test_orthonormal_identical_views_give_minus_one(self):
-        z = dc.constant(np.eye(2))
-        assert infonce(z, dc.constant(np.eye(2)), tau=1.0).item() == pytest.approx(
+        z = dc.param(np.eye(2))
+        assert infonce(z, dc.param(np.eye(2)), tau=1.0).item() == pytest.approx(
             -1.0, abs=1e-12
         )
 
     def test_collapsed_second_view_gives_zero(self):
-        z1 = dc.constant(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        z2 = dc.constant(np.array([[1.0, 0.0], [1.0, 0.0]]))
+        z1 = dc.param(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        z2 = dc.param(np.array([[1.0, 0.0], [1.0, 0.0]]))
         assert infonce(z1, z2, tau=1.0).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(2)
         z1, z2 = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
-        a = infonce(dc.constant(z1), dc.constant(z2), tau=0.5).item()
-        b = infonce(dc.constant(z1 * 800.0), dc.constant(z2 * 0.001), tau=0.5).item()
+        a = infonce(dc.param(z1), dc.param(z2), tau=0.5).item()
+        b = infonce(dc.param(z1 * 800.0), dc.param(z2 * 0.001), tau=0.5).item()
         assert b == pytest.approx(a, rel=1e-12)
 
     def test_high_temperature_limit_is_log_n_minus_one(self):
         rng = np.random.default_rng(4)
         z1, z2 = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
-        val = infonce(dc.constant(z1), dc.constant(z2), tau=1e9).item()
+        val = infonce(dc.param(z1), dc.param(z2), tau=1e9).item()
         assert val == pytest.approx(math.log(2), abs=1e-6)
 
     @pytest.mark.parametrize("include_positive", [False, True])
@@ -116,7 +116,7 @@ class TestInfonce:
         z1 = rng.normal(size=(50, 8))
         z2 = rng.normal(size=(50, 8))
         got = infonce(
-            dc.constant(z1), dc.constant(z2), tau=0.5, include_positive=include_positive
+            dc.param(z1), dc.param(z2), tau=0.5, include_positive=include_positive
         ).item()
         want = brute_infonce(z1, z2, 0.5, include_positive)
         assert got == pytest.approx(want, abs=1e-10)
@@ -126,7 +126,7 @@ class TestInfonce:
         z1, z2 = rng.normal(size=(10, 4)), rng.normal(size=(10, 4))
         subset = np.array([1, 4, 9])
         # one two-copy union holding z1 then z2; copy_rows picks the subset of each
-        both = dc.constant(np.vstack([z1, z2]))
+        both = dc.param(np.vstack([z1, z2]))
         union = NodeStates([both], [both], [], copies=2)
         picked = (union.copy_rows(j, subset, subset) for j in (0, 1))
         got = infonce(*(p.final_students for p in picked), 0.5).item()
@@ -134,11 +134,11 @@ class TestInfonce:
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_degenerate_inputs_rejected(self):
-        z = dc.constant(np.ones((1, 3)))
+        z = dc.param(np.ones((1, 3)))
         with pytest.raises(ValueError, match="at least 2"):
             infonce(z, z, 0.5)
         with pytest.raises(ValueError, match="tau"):
-            infonce(dc.constant(np.ones((3, 2))), dc.constant(np.ones((3, 2))), 0.0)
+            infonce(dc.param(np.ones((3, 2))), dc.param(np.ones((3, 2))), 0.0)
 
     @pytest.mark.parametrize("include_positive", [False, True])
     def test_gradient_against_finite_difference(self, include_positive):
@@ -180,9 +180,9 @@ class TestSslLoss:
 class TestTotalLoss:
     def test_arithmetic_composition(self):
         total, breakdown = total_loss(
-            dc.constant(np.array(1.0)),
-            dc.constant(np.array(1.5)),
-            dc.constant(np.array(0.5)),
+            dc.param(np.array(1.0)),
+            dc.param(np.array(1.5)),
+            dc.param(np.array(0.5)),
             {},
             lambda1=0.1,
             lambda2=0.0,
@@ -197,7 +197,7 @@ class TestTotalLoss:
             "b": dc.param(np.array([[2.0]])),
         }
         total, breakdown = total_loss(
-            dc.constant(np.array(0.0)), None, None, params, 0.1, 0.5, 0.5
+            dc.param(np.array(0.0)), None, None, params, 0.1, 0.5, 0.5
         )
         assert breakdown.reg == pytest.approx(9.0)
         assert total.item() == pytest.approx(4.5)
@@ -205,9 +205,9 @@ class TestTotalLoss:
 
     def test_breakdown_invariant(self):
         _, b = total_loss(
-            dc.constant(np.array(2.0)),
-            dc.constant(np.array(0.25)),
-            dc.constant(np.array(0.75)),
+            dc.param(np.array(2.0)),
+            dc.param(np.array(0.25)),
+            dc.param(np.array(0.75)),
             {"p": dc.param(np.array([3.0]))},
             lambda1=0.3,
             lambda2=0.01,
@@ -217,11 +217,11 @@ class TestTotalLoss:
 
     def test_non_finite_rejected(self):
         with pytest.raises(FloatingPointError):
-            total_loss(dc.constant(np.array(np.inf)), None, None, {}, 0.1, 0.1, 0.5)
+            total_loss(dc.param(np.array(np.inf)), None, None, {}, 0.1, 0.1, 0.5)
 
     def test_one_sided_ssl_rejected(self):
         with pytest.raises(ValueError):
-            total_loss(dc.constant(np.array(1.0)), dc.constant(np.array(1.0)), None, {}, 0.1, 0.1, 0.5)
+            total_loss(dc.param(np.array(1.0)), dc.param(np.array(1.0)), None, {}, 0.1, 0.1, 0.5)
 
     def test_csv_row_full_precision(self):
         b = LossBreakdown(

@@ -151,6 +151,8 @@ class TestInit:
             init_params(0, 2, 2)
         with pytest.raises(ValueError):
             init_params(2, 2, 2, n_layers=0)
+        with pytest.raises(ValueError, match="dim"):
+            init_params(2, 2, 2, dim=0)
 
 
 class TestForward:
@@ -435,13 +437,13 @@ class TestDiagnosisAndPredict:
         mastery = np.array([[2.0, -1.0]])
         difficulty = np.array([[0.5, 0.5], [-1.0, 1.0]])
         nodes = {
-            "w_predict": dc.constant(np.eye(2)),
-            "b_predict": dc.constant(np.zeros(2)),
+            "w_predict": dc.param(np.eye(2)),
+            "b_predict": dc.param(np.zeros(2)),
         }
 
         class Diag:
-            h_student = dc.constant(mastery)
-            h_exercise = dc.constant(difficulty)
+            h_student = dc.param(mastery)
+            h_exercise = dc.param(difficulty)
 
         def sig(x):
             return 1.0 / (1.0 + np.exp(-x))
@@ -452,11 +454,11 @@ class TestDiagnosisAndPredict:
 
     def test_conceptless_exercise_rejected(self):
         q = QMatrix(np.array([0]), np.array([0]), 2, 1, ("c0",))  # e1 uncovered
-        nodes = {"w_predict": dc.constant(np.eye(1)), "b_predict": dc.constant(np.zeros(1))}
+        nodes = {"w_predict": dc.param(np.eye(1)), "b_predict": dc.param(np.zeros(1))}
 
         class Diag:
-            h_student = dc.constant(np.zeros((1, 1)))
-            h_exercise = dc.constant(np.zeros((2, 1)))
+            h_student = dc.param(np.zeros((1, 1)))
+            h_exercise = dc.param(np.zeros((2, 1)))
 
         with pytest.raises(ValueError, match="no concepts"):
             predict(Diag, nodes, q, np.array([0]), np.array([1]))
