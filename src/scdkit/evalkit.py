@@ -6,6 +6,11 @@ Per-student metrics are computed on test records; what makes a student
 TRAIN interaction count (ties broken by student id). acc50/rmse50 are
 unweighted means of per-student values over the first floor(M'/2) ranked
 students, where M' counts students with at least one test record.
+
+The report is columnar: `student_table` sums records per student with
+`bincount` and builds its rows in one pass (plain Python numbers in every
+cell); `tail_metrics` and `group_report` read the rows into columns once and
+rank or bucket them as arrays, with no Python loop over students.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +53,7 @@ def _csv_text(rows) -> str:
     return buf.getvalue().removesuffix("\n")
 
 
-@dataclass(frozen=True)
-class StudentRow:
+class StudentRow(NamedTuple):
     student: int
     n_train: int
     acc: float
@@ -76,13 +81,13 @@ def student_table(
     preds, labels = _check_pair(preds, labels)
     if len(students) != len(preds):
         raise ValueError("students column length mismatch")
-    ids, inverse, counts = np.unique(students, return_inverse=True, return_counts=True)
-    hits = np.bincount(inverse, weights=(preds >= 0.5) == labels, minlength=len(ids))
-    sq_err = np.bincount(inverse, weights=(preds - labels) ** 2, minlength=len(ids))
-    return [
-        StudentRow(student=int(s), n_train=int(train_counts[s]), acc=float(a), rmse=float(r))
-        for s, a, r in zip(ids, hits / counts, np.sqrt(sq_err / counts))
-    ]
+    counts = np.bincount(students)
+    ids = np.flatnonzero(counts)
+    counts = counts[ids]
+    hits = np.bincount(students, weights=(preds >= 0.5) == labels)[ids]
+    sq_err = np.bincount(students, weights=(preds - labels) ** 2)[ids]
+    cols = (ids, np.asarray(train_counts)[ids], hits / counts, np.sqrt(sq_err / counts))
+    return list(map(StudentRow, *(c.tolist() for c in cols)))
 
 
 def tail_metrics(rows: list[StudentRow]) -> tuple[float, float]:
@@ -92,14 +97,9 @@ def tail_metrics(rows: list[StudentRow]) -> tuple[float, float]:
     """
     if len(rows) < 2:
         raise ValueError("need at least 2 students with test records")
-    ids = np.array([r.student for r in rows])
-    counts = np.array([r.n_train for r in rows])
-    order = np.lexsort((ids, counts))
-    half = order[: len(rows) // 2]
-    return (
-        float(np.mean([rows[i].acc for i in half])),
-        float(np.mean([rows[i].rmse for i in half])),
-    )
+    ids, counts, acc, rmse_ = (np.array(c) for c in zip(*rows))
+    half = np.lexsort((ids, counts))[: len(rows) // 2]
+    return float(np.mean(acc[half])), float(np.mean(rmse_[half]))
 
 
 def group_report(
@@ -109,24 +109,15 @@ def group_report(
     if not rows or bucket_width < 1 or n_buckets < 1:
         raise ValueError("need a nonempty table and positive bucket geometry")
     out = []
-    counts = np.array([r.n_train for r in rows])
+    _, counts, acc, rmse_ = (np.array(c) for c in zip(*rows))
     idx = np.minimum(counts // bucket_width, n_buckets - 1)
     for b in range(n_buckets):
         lo = b * bucket_width
         label = f"{lo}+" if b == n_buckets - 1 else f"{lo}-{lo + bucket_width}"
-        members = [r for r, i in zip(rows, idx) if i == b]
-        if members:
-            out.append(
-                GroupRow(
-                    label,
-                    len(members),
-                    int(sum(r.n_train for r in members)),
-                    float(np.mean([r.acc for r in members])),
-                    float(np.mean([r.rmse for r in members])),
-                )
-            )
-        else:
-            out.append(GroupRow(label, 0, 0, float("nan"), float("nan")))
+        members = idx == b  # in row order, so each mean sums as a row loop would
+        n = int(np.count_nonzero(members))
+        means = (float(np.mean(c[members])) if n else float("nan") for c in (acc, rmse_))
+        out.append(GroupRow(label, n, int(counts[members].sum()), *means))
     return out
 
 

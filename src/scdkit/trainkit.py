@@ -45,7 +45,7 @@ from .scdmodel import (
     save_checkpoint,
 )
 from .viewgen import DropoutParams, View, generate_random_view, generate_view_pair
-from .viewgen import matched_uniform_p
+from .viewgen import matched_uniform_p, require_finite
 
 log = logging.getLogger(__name__)
 
@@ -100,6 +100,8 @@ class TrainConfig:
             raise ValueError("master_seed and min_interactions must be >= 0")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        require_finite(self, ("learning_rate", "beta1", "beta2", "adam_eps", "tau"))
+        require_finite(self, ("lambda1", "lambda2", "train_ratio"))
         for name in ("learning_rate", "tau", "adam_eps"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")

@@ -14,11 +14,21 @@ of edges in expectation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .relgraph import DirectedSplit
+
+
+def require_finite(obj, names) -> None:
+    """Refuse a bool, a non-number or a non-finite value in each named field."""
+    for name in names:
+        value = getattr(obj, name)
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (real and math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -30,6 +40,7 @@ class DropoutParams:
     p_min: float = 0.3
 
     def __post_init__(self):
+        require_finite(self, ("k", "theta", "p_min"))
         if not self.k > 0:
             raise ValueError("k must be positive")
         if not self.theta > 0:

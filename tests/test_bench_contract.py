@@ -107,6 +107,25 @@ def test_rebound_step_functions_are_called_on_every_step(small_world, monkeypatc
     assert calls == {"adam_step": 3, "total_loss": 3, "gcn_forward": 6}
 
 
+def test_rebound_scoring_functions_are_called_once_per_evaluate(small_world, monkeypatch):
+    # the tracer reads evalkit.student_table_ms, scdmodel.forward_ms and the
+    # report's self time from these four; a scoring call that reached them
+    # other than through evalkit's module globals would zero those figures
+    calls = {"gcn_forward": 0, "diagnose": 0, "predict": 0, "student_table": 0}
+    for name in calls:
+        def counted(*args, _orig=getattr(evalkit, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(evalkit, name, counted)
+    train = small_world["train"]
+    evalkit.evaluate(
+        params=trainkit.init_params(4, 5, 3, seed=0), split=small_world["split"],
+        q=small_world["q"], test_set=train, train_counts=train.student_counts(),
+    )
+    assert calls == {"gcn_forward": 1, "diagnose": 1, "predict": 1, "student_table": 1}
+
+
 def test_benchmark_output_checks_pass_on_a_trained_small_world(worker, small_world, monkeypatch):
     # the worker's checks read every step's total and every per-student and
     # per-group row of the report; a reshaped EvalReport would fail every run

@@ -169,6 +169,9 @@ class TestTrain:
             "train_ratio=1.0", "train_ratio=0", "n_layers=0", "min_interactions=-1",
             "master_seed=-1", "batch_size=1.5", "epochs=2.5", "epochs=true", "dim=2.0",
             "k=NaN", "theta=NaN",
+            "tau=Infinity", "k=Infinity", "theta=Infinity", "adam_eps=Infinity",
+            "learning_rate=Infinity", "lambda1=Infinity", "lambda2=Infinity",
+            "tau=true", "k=true", "p_min=true", "lambda2=false",
         ],
     )
     def test_out_of_range_value_is_refused_before_any_output(
@@ -321,6 +324,7 @@ class TestViewgenAudit:
         [
             "k=0", "theta=-1", "p_min=x", "min_interactions=x", "k=NaN", "theta=NaN",
             "min_interactions=true", "min_interactions=2.7", "thetaa=5",
+            "k=Infinity", "theta=Infinity", "k=true",
         ],
     )
     def test_bad_config_value_is_usage_error(self, capsys, data_dir, pair):

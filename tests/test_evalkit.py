@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -178,6 +179,107 @@ class TestStudentTable:
         assert [row[0] for row in parsed[1:]] == ["zed", "amy", "x,y", 'q"t']
         assert all(len(row) == 4 for row in parsed)
         assert report.per_group_csv().splitlines()[2].endswith(",0,,")
+
+
+# The row-by-row report the columnar one replaced, kept as its reference.
+def loop_student_table(students, preds, labels, train_counts):
+    students = np.asarray(students, dtype=np.intp)
+    preds = np.asarray(preds, dtype=np.float64)
+    ids, inverse, counts = np.unique(students, return_inverse=True, return_counts=True)
+    hits = np.bincount(inverse, weights=(preds >= 0.5) == labels, minlength=len(ids))
+    sq_err = np.bincount(inverse, weights=(preds - labels) ** 2, minlength=len(ids))
+    return [
+        (int(s), int(train_counts[s]), float(a), float(r))
+        for s, a, r in zip(ids, hits / counts, np.sqrt(sq_err / counts))
+    ]
+
+
+def loop_tail_metrics(rows):
+    ids = np.array([r[0] for r in rows])
+    counts = np.array([r[1] for r in rows])
+    half = np.lexsort((ids, counts))[: len(rows) // 2]
+    return float(np.mean([rows[i][2] for i in half])), float(np.mean([rows[i][3] for i in half]))
+
+
+def loop_group_report(rows, bucket_width=5, n_buckets=9):
+    out = []
+    idx = np.minimum(np.array([r[1] for r in rows]) // bucket_width, n_buckets - 1)
+    for b in range(n_buckets):
+        lo = b * bucket_width
+        label = f"{lo}+" if b == n_buckets - 1 else f"{lo}-{lo + bucket_width}"
+        members = [r for r, i in zip(rows, idx) if i == b]
+        if members:
+            out.append((
+                label, len(members), int(sum(r[1] for r in members)),
+                float(np.mean([r[2] for r in members])), float(np.mean([r[3] for r in members])),
+            ))
+        else:
+            out.append((label, 0, 0, float("nan"), float("nan")))
+    return out
+
+
+def same_cells(got, want):
+    """Equal with ==, NaN matching NaN, and of the same Python type."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w), (g, w)
+        assert g == w or (g != g and w != w), (g, w)
+
+
+# train-count draws: tied counts, empty buckets, one bucket, everyone in 40+
+COUNT_SHAPES = {
+    "spread": lambda rng, n: rng.integers(0, 60, size=n),
+    "tied": lambda rng, n: rng.choice([3, 3, 12], size=n),
+    "gapped": lambda rng, n: rng.choice([0, 27, 28], size=n),
+    "one bucket": lambda rng, n: rng.integers(5, 10, size=n),
+    "all 40+": lambda rng, n: rng.integers(40, 500, size=n),
+}
+
+
+class TestColumnarReport:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(sorted(COUNT_SHAPES)))
+    def test_equals_the_row_loop_bit_for_bit(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        n_students = int(rng.integers(1, 120))
+        n_records = int(rng.integers(1, 600))
+        students = rng.integers(0, n_students, size=n_records)
+        preds = rng.random(n_records)
+        preds[rng.random(n_records) < 0.1] = 0.5  # the inclusive threshold
+        labels = rng.integers(0, 2, size=n_records)
+        counts = COUNT_SHAPES[shape](rng, n_students)
+
+        rows = student_table(students, preds, labels, counts)
+        want = loop_student_table(students, preds, labels, counts)
+        assert len(rows) == len(want)
+        for row, ref in zip(rows, want):
+            same_cells(row, ref)
+        for width, n_buckets in ((5, 9), (1000, 1), (3, 4)):
+            groups = group_report(rows, width, n_buckets)
+            for g, ref in zip(groups, loop_group_report(want, width, n_buckets), strict=True):
+                same_cells(dataclasses.astuple(g), ref)
+        if len(rows) >= 2:
+            same_cells(tail_metrics(rows), loop_tail_metrics(want))
+
+    def test_cells_are_plain_python_numbers(self):
+        rng = np.random.default_rng(5)
+        students = rng.integers(0, 40, size=300)
+        preds = rng.random(300)
+        labels = rng.integers(0, 2, size=300)
+        counts = rng.integers(0, 60, size=40).astype(np.int32)
+        rows = student_table(students, preds, labels, counts)
+        for row in rows:
+            assert isinstance(row, StudentRow)
+            assert [type(v) for v in row] == [int, int, float, float]
+        report = EvalReport(
+            acc=0.5, rmse=0.5, acc50=0.5, rmse50=0.5, per_group=group_report(rows),
+            per_student=rows, student_keys=tuple(f"s{i}" for i in range(40)),
+        )
+        lines = list(csv.reader(report.per_student_csv().splitlines()))
+        assert len(lines) == len(rows) + 1
+        for (_, n_train, acc, rmse_), row in zip(lines[1:], rows):
+            assert int(n_train) == row.n_train
+            assert float(acc) == row.acc and float(rmse_) == row.rmse
 
 
 def make_checkpoint(tmp_path, seed=0):
