@@ -51,7 +51,7 @@ def _load_config(args) -> tuple[dict, dict]:
     (hyperparameter dict, path dict)."""
     raw: dict = {}
     if getattr(args, "config", None):
-        raw = json.loads(Path(args.config).read_text())
+        raw = json.loads(Path(args.config).read_text(encoding="utf-8-sig"))
         if not isinstance(raw, dict):
             raise UsageError("config file must hold a JSON object")
     for key, value in getattr(args, "override", None) or []:
@@ -114,9 +114,12 @@ def cmd_eval(args) -> int:
     if args.output_dir:
         out = Path(args.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(report.to_json() + "\n")
-        (out / "per_student.csv").write_text(report.per_student_csv() + "\n")
-        (out / "per_group.csv").write_text(report.per_group_csv() + "\n")
+        for name, text in (
+            ("report.json", report.to_json()),
+            ("per_student.csv", report.per_student_csv()),
+            ("per_group.csv", report.per_group_csv()),
+        ):
+            (out / name).write_text(text + "\n", encoding="utf-8")
     return 0
 
 
@@ -149,7 +152,7 @@ def _id_list(raw: str) -> list[str]:
 
 
 def cmd_diagnose(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
+    ckpt = load_checkpoint(args.checkpoint, optimizer=False)
     test_set = None
     if args.test:
         test_set = align_responses(

@@ -4,6 +4,13 @@ Raw student/exercise/concept keys are arbitrary strings; loaders remap them
 to dense 0-based indices in first-appearance order and keep the two-way
 mapping for reporting. All functions are pure: they return new objects and
 never mutate their inputs.
+
+Both CSV loaders share one reader. It opens a file as utf-8-sig and pulls
+`csv.reader` rows CHUNK_ROWS at a time, so memory holds one chunk of rows
+plus the integer columns built so far. Each chunk is converted column-wise:
+new keys get ids per chunk, each distinct score string is parsed once, and
+duplicate pairs are dropped at the end with one `np.unique`. Errors name the
+1-based line of the earliest bad row, as a row-at-a-time reader would.
 """
 
 from __future__ import annotations
@@ -12,10 +19,13 @@ import csv
 import logging
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import compress, islice, repeat
 
 import numpy as np
 
 log = logging.getLogger(__name__)
+
+CHUNK_ROWS = 256  # rows per chunk; larger chunks load a little faster but raise peak RSS
 
 
 class ResponseFormatError(ValueError):
@@ -127,6 +137,71 @@ def _is_header(row: list[str], expected: tuple[str, ...]) -> bool:
     return tuple(c.strip().lower() for c in row) == expected
 
 
+def _well_formed(chunk: list, lines, n_fields: int):
+    """The rows of `chunk` that hold `n_fields` fields, with their line
+    numbers, up to the first other row that is not blank; and that row's
+    (line number, field count), or None."""
+    keep, bad = [], None
+    for i, row in enumerate(chunk):
+        if len(row) == n_fields:
+            keep.append(i)
+        elif row and (len(row) > 1 or row[0].strip()):
+            bad = (lines[i], len(row))
+            break
+    return [chunk[i] for i in keep], [lines[i] for i in keep], bad
+
+
+def _read_rows(path, header: tuple[str, ...]):
+    """Yield the rows of a CSV file that hold len(header) fields, in chunks
+    read CHUNK_ROWS file rows at a time, each chunk with its rows' 1-based
+    line numbers.
+
+    The file is read as utf-8-sig: a byte-order mark at its start is dropped.
+    Blank and whitespace-only rows are skipped but counted, and a line-1 row
+    equal to `header` (stripped, in any case) is skipped. A row with another
+    field count raises ResponseFormatError and a csv.Error propagates, each
+    only after the rows before it have been yielded, so that a caller that
+    checks those rows first reports the earliest bad line.
+    """
+    n_fields = len(header)
+    line = 1
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        while True:
+            chunk, failure = [], None
+            try:
+                chunk.extend(islice(reader, CHUNK_ROWS))  # keeps the rows read before an error
+            except csv.Error as err:
+                failure = err
+            first, line = line, line + len(chunk)
+            lines = range(first, line)
+            at_end = len(chunk) < CHUNK_ROWS
+            if first == 1 and chunk and _is_header(chunk[0], header):
+                del chunk[0]
+                lines = lines[1:]
+            bad = None
+            if list(map(len, chunk)).count(n_fields) < len(chunk):
+                chunk, lines, bad = _well_formed(chunk, lines, n_fields)
+            if chunk:
+                yield chunk, lines
+            if bad is not None:
+                raise ResponseFormatError(
+                    f"line {bad[0]}: expected {n_fields} columns {','.join(header)}, got {bad[1]}"
+                )
+            if failure is not None:
+                raise failure
+            if at_end:
+                return
+
+
+def _dense_ids(keys: list[str], index: dict[str, int]) -> np.ndarray:
+    """Dense ids of `keys`, adding unseen keys to `index` in first-appearance
+    order."""
+    for key in dict.fromkeys(keys):
+        index.setdefault(key, len(index))
+    return np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
+
+
 def load_responses(path) -> ResponseSet:
     """Read `student,exercise,score` CSV (header optional) into a ResponseSet.
 
@@ -135,36 +210,30 @@ def load_responses(path) -> ResponseSet:
     """
     student_index: dict[str, int] = {}
     exercise_index: dict[str, int] = {}
-    seen_pairs: set[tuple[int, int]] = set()
+    score_of: dict[str, int] = {}  # raw score string -> 0 or 1
     students, exercises, scores = [], [], []
 
-    with open(path, newline="") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if line_no == 1 and _is_header(row, ("student", "exercise", "score")):
-                continue
-            if len(row) != 3:
-                raise ResponseFormatError(
-                    f"line {line_no}: expected 3 columns student,exercise,score, got {len(row)}"
-                )
-            s_key, e_key = row[0].strip(), row[1].strip()
-            score = _parse_score(row[2].strip(), line_no)
-            s = student_index.setdefault(s_key, len(student_index))
-            e = exercise_index.setdefault(e_key, len(exercise_index))
-            if (s, e) in seen_pairs:
-                continue
-            seen_pairs.add((s, e))
-            students.append(s)
-            exercises.append(e)
-            scores.append(score)
+    for rows, lines in _read_rows(path, ("student", "exercise", "score")):
+        s_col, e_col, t_col = zip(*rows)
+        for raw in dict.fromkeys(t_col):  # the first bad score is the earliest
+            if raw not in score_of:
+                score_of[raw] = _parse_score(raw.strip(), lines[t_col.index(raw)])
+        students.append(_dense_ids(list(map(str.strip, s_col)), student_index))
+        exercises.append(_dense_ids(list(map(str.strip, e_col)), exercise_index))
+        scores.append(np.fromiter(map(score_of.__getitem__, t_col), np.int64, len(t_col)))
 
     if not students:
         raise ResponseFormatError(f"{path}: no response records found")
+    students, exercises = np.concatenate(students), np.concatenate(exercises)
+    scores = np.concatenate(scores)
+    _, first = np.unique(students * len(exercise_index) + exercises, return_index=True)
+    if len(first) < len(students):
+        keep = np.sort(first)
+        students, exercises, scores = students[keep], exercises[keep], scores[keep]
     return ResponseSet(
-        np.array(students, dtype=np.intp),
-        np.array(exercises, dtype=np.intp),
-        np.array(scores, dtype=np.int64),
+        students,
+        exercises,
+        scores,
         len(student_index),
         len(exercise_index),
         tuple(student_index),
@@ -181,46 +250,35 @@ def load_qmatrix(path, rs: ResponseSet) -> QMatrix:
     """
     exercise_index = {key: i for i, key in enumerate(rs.exercise_keys)}
     concept_index: dict[str, int] = {}
-    seen: set[tuple[int, int]] = set()
     ex, co = [], []
 
-    with open(path, newline="") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if line_no == 1 and _is_header(row, ("exercise", "concept")):
-                continue
-            if len(row) != 2:
-                raise ResponseFormatError(
-                    f"line {line_no}: expected 2 columns exercise,concept, got {len(row)}"
-                )
-            e_key, c_key = row[0].strip(), row[1].strip()
-            if e_key not in exercise_index:
-                continue
-            e = exercise_index[e_key]
-            c = concept_index.setdefault(c_key, len(concept_index))
-            if (e, c) in seen:
-                continue
-            seen.add((e, c))
-            ex.append(e)
-            co.append(c)
+    for rows, _ in _read_rows(path, ("exercise", "concept")):
+        e_col, c_col = zip(*rows)
+        e = np.fromiter(
+            map(exercise_index.get, map(str.strip, e_col), repeat(-1)), np.intp, len(e_col)
+        )
+        known = e >= 0
+        ex.append(e[known])
+        co.append(_dense_ids(list(compress(map(str.strip, c_col), known)), concept_index))
 
-    if not ex:
+    if not any(map(len, ex)):
         raise ResponseFormatError(f"{path}: no usable exercise-concept rows")
+    ex, co = np.concatenate(ex), np.concatenate(co)
     covered = np.zeros(rs.n_exercises, dtype=bool)
-    covered[np.array(ex)] = True
+    covered[ex] = True
     if not covered.all():
         missing = [rs.exercise_keys[i] for i in np.flatnonzero(~covered)[:5]]
         raise ValueError(
             f"{int((~covered).sum())} exercises have no concept in the Q-matrix "
             f"(first missing: {missing})"
         )
-    order = np.lexsort((co, ex))
+    n_concepts = len(concept_index)
+    pairs = np.unique(ex * n_concepts + co)  # deduplicated, sorted by (ex, co)
     return QMatrix(
-        np.array(ex, dtype=np.intp)[order],
-        np.array(co, dtype=np.intp)[order],
+        pairs // n_concepts,
+        pairs % n_concepts,
         rs.n_exercises,
-        len(concept_index),
+        n_concepts,
         tuple(concept_index),
     )
 

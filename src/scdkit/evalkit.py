@@ -229,7 +229,7 @@ def evaluate_checkpoint(checkpoint_path, test_path) -> EvalReport:
     Train interaction counts are recovered as exercise->student indegrees
     (train records are deduplicated, so edges equal records).
     """
-    ckpt = load_checkpoint(checkpoint_path)
+    ckpt = load_checkpoint(checkpoint_path, optimizer=False)
     split = directed_split(ckpt.graph())
     q = ckpt.qmatrix()
     test_set = align_responses(

@@ -364,13 +364,16 @@ def _named_arrays(data, path, prefix: str, shapes: dict, what: str) -> dict:
     return arrays
 
 
-def load_checkpoint(path) -> Checkpoint:
+def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
+    """Read a checkpoint written by save_checkpoint. With `optimizer=False`
+    no Adam moment is read, stored or not, and adam_m and adam_v are None:
+    scoring needs only the parameters, graph and key maps."""
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         shapes = param_shapes(*meta["counts"], meta["dim"], meta["n_layers"])
         params = ModelParams(_named_arrays(data, path, "p__", shapes, "parameter"))
         adam_m = adam_v = None
-        if meta["has_adam"]:
+        if optimizer and meta["has_adam"]:
             adam_m = _named_arrays(data, path, "m__", shapes, "Adam first-moment")
             adam_v = _named_arrays(data, path, "v__", shapes, "Adam second-moment")
         return Checkpoint(

@@ -86,10 +86,10 @@ def write_synthetic(directory, data: SyntheticData) -> tuple[Path, Path]:
     directory.mkdir(parents=True, exist_ok=True)
     responses_path = directory / "responses.csv"
     qmatrix_path = directory / "qmatrix.csv"
-    with open(responses_path, "w") as fh:
+    with open(responses_path, "w", encoding="utf-8") as fh:
         fh.write("student,exercise,score\n")
         fh.writelines(f"{s},{e},{t}\n" for s, e, t in data.responses)
-    with open(qmatrix_path, "w") as fh:
+    with open(qmatrix_path, "w", encoding="utf-8") as fh:
         fh.write("exercise,concept\n")
         fh.writelines(f"{e},{c}\n" for e, c in data.qmatrix)
     return responses_path, qmatrix_path

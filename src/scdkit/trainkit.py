@@ -356,7 +356,7 @@ class FitResult:
 
 
 def _write_responses_csv(path: Path, rs: ResponseSet) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("student", "exercise", "score"))
         rows = zip(rs.students.tolist(), rs.exercises.tolist(), rs.scores.tolist())
@@ -465,16 +465,19 @@ def fit(
                 "concepts": list(q.concept_keys),
             },
             indent=1,
-        )
+        ),
+        encoding="utf-8",
     )
-    (output_dir / "stats.json").write_text(json.dumps(dataset_stats(rs, q).to_dict(), indent=1))
+    (output_dir / "stats.json").write_text(
+        json.dumps(dataset_stats(rs, q).to_dict(), indent=1), encoding="utf-8"
+    )
 
     ckpt_path = output_dir / "checkpoint.npz"
     log_path = output_dir / "train_log.csv"
     log_rows: list[str] = []
     last_good, last_good_opt = _snapshot(params, opt)
 
-    with open(log_path, "w") as log_file:
+    with open(log_path, "w", encoding="utf-8") as log_file:
         log_file.write(LossBreakdown.CSV_HEADER + "\n")
         for epoch in range(start_epoch + 1, config.epochs + 1):
             try:

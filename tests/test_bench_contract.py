@@ -22,6 +22,7 @@ import pytest
 from scdkit import evalkit, relgraph, trainkit
 from scdkit.objectives import LossBreakdown
 from scdkit.scdmodel import ModelParams
+from scdkit.synth import make_synthetic, write_synthetic
 from scdkit.viewgen import DropoutParams
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -124,6 +125,48 @@ def test_rebound_scoring_functions_are_called_once_per_evaluate(small_world, mon
         q=small_world["q"], test_set=train, train_counts=train.student_counts(),
     )
     assert calls == {"gcn_forward": 1, "diagnose": 1, "predict": 1, "student_table": 1}
+
+
+class StopAtTraining(Exception):
+    pass
+
+
+def test_set_up_reaches_the_rebound_loaders(tmp_path, monkeypatch):
+    # the tracer reads corpus.load_ms, corpus.load_test_ms and
+    # scdmodel.load_checkpoint_ms from these names; a set-up that reached the
+    # loaders other than through the module globals would zero those figures
+    rp, qp = write_synthetic(tmp_path / "data", make_synthetic(30, 15, 5, seed=3))
+    config = trainkit.TrainConfig(epochs=1, min_interactions=1)
+    fitted = trainkit.fit(config, rp, qp, tmp_path / "run")
+    calls = []
+
+    def counted(module, name):
+        def wrapper(*args, _orig=getattr(module, name), **kwargs):
+            bound = inspect.signature(_orig).bind(*args, **kwargs)
+            calls.append((f"{module.__name__}.{name}", bound.arguments.get("optimizer")))
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    def stop(*args, **kwargs):
+        raise StopAtTraining
+
+    for module, name in ((trainkit, "load_responses"), (trainkit, "load_qmatrix")):
+        counted(module, name)
+    monkeypatch.setattr(trainkit, "train_epoch", stop)
+    with pytest.raises(StopAtTraining):
+        trainkit.fit(config, rp, qp, tmp_path / "again")
+    assert calls == [
+        ("scdkit.trainkit.load_responses", None), ("scdkit.trainkit.load_qmatrix", None)
+    ]
+
+    calls.clear()
+    for module, name in ((evalkit, "load_checkpoint"), (evalkit, "load_responses")):
+        counted(module, name)
+    evalkit.evaluate_checkpoint(fitted.checkpoint_path, fitted.test_path)
+    assert calls == [
+        ("scdkit.evalkit.load_checkpoint", False), ("scdkit.evalkit.load_responses", None)
+    ]
 
 
 def test_benchmark_output_checks_pass_on_a_trained_small_world(worker, small_world, monkeypatch):

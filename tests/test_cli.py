@@ -2,9 +2,13 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -285,6 +289,103 @@ class TestEvalAndDiagnose:
         )
         assert code == 1
         assert "unknown student" in err
+
+
+class TestScoringReadsNoOptimizerState:
+    @pytest.fixture(scope="class")
+    def bare(self, trained, tmp_path_factory):
+        """The trained checkpoint with every Adam moment array deleted."""
+        with np.load(trained / "checkpoint.npz") as data:
+            assert any(k.startswith(("m__", "v__")) for k in data.files)
+            arrays = {k: data[k] for k in data.files if not k.startswith(("m__", "v__"))}
+        path = tmp_path_factory.mktemp("bare") / "checkpoint.npz"
+        np.savez(path, **arrays)
+        return path
+
+    def test_eval_report_is_unchanged(self, capsys, trained, bare, tmp_path):
+        outputs = []
+        for ckpt in (trained / "checkpoint.npz", bare):
+            out_dir = tmp_path / ckpt.parent.name
+            code, out, err = run(
+                capsys, "eval", "--checkpoint", str(ckpt),
+                "--test", str(trained / "test.csv"), "--output-dir", str(out_dir),
+            )
+            assert code == 0, err
+            files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+            outputs.append((out, files))
+        assert outputs[0] == outputs[1]
+        assert set(outputs[0][1]) == {"report.json", "per_student.csv", "per_group.csv"}
+
+    def test_diagnose_output_is_unchanged(self, capsys, trained, bare):
+        mappings = json.loads((trained / "mappings.json").read_text())
+        outputs = []
+        for ckpt in (trained / "checkpoint.npz", bare):
+            code, out, err = run(
+                capsys, "diagnose", "--checkpoint", str(ckpt),
+                "--students", ",".join(mappings["students"][:3]),
+                "--exercises", ",".join(mappings["exercises"][:2]),
+                "--test", str(trained / "test.csv"),
+            )
+            assert code == 0, err
+            outputs.append(out)
+        assert outputs[0] == outputs[1] and "\n\n" in outputs[0]
+
+
+class TestEncodings:
+    def test_config_with_a_byte_order_mark(self, capsys, data_dir, tmp_path):
+        outputs = []
+        for name, mark in (("plain.json", ""), ("marked.json", "\ufeff")):
+            config = tmp_path / name
+            config.write_text(mark + json.dumps({"k": 2.0, "min_interactions": 1}), "utf-8")
+            code, out, err = run(
+                capsys, "viewgen-audit", "--config", str(config),
+                "--responses", str(data_dir / "responses.csv"),
+                "--qmatrix", str(data_dir / "qmatrix.csv"), "--draws", "5",
+            )
+            assert code == 0, err
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+    def test_eval_of_a_test_file_with_a_byte_order_mark(self, capsys, trained, tmp_path):
+        marked = tmp_path / "test.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + (trained / "test.csv").read_bytes())
+        reports = []
+        for test in (trained / "test.csv", marked):
+            code, out, err = run(
+                capsys, "eval", "--checkpoint", str(trained / "checkpoint.npz"),
+                "--test", str(test),
+            )
+            assert code == 0, err
+            reports.append(out)
+        assert reports[0] == reports[1]
+
+    def test_non_ascii_ids_under_an_ascii_locale(self, data_dir, tmp_path):
+        # inputs are read and outputs written as UTF-8 whatever the locale says
+        text = (data_dir / "responses.csv").read_text().replace("s1,", "s\u00e91,")
+        (tmp_path / "responses.csv").write_text(text, encoding="utf-8")
+        (tmp_path / "qmatrix.csv").write_text((data_dir / "qmatrix.csv").read_text())
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        argvs = [
+            train_args(tmp_path, tmp_path / "run", "--override", "epochs=1"),
+            (
+                "eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.npz"),
+                "--test", str(tmp_path / "run" / "test.csv"),
+                "--output-dir", str(tmp_path / "eval"),
+            ),
+        ]
+        for argv in argvs:
+            proc = subprocess.run(
+                [sys.executable, "-m", "scdkit.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+        run_dir = tmp_path / "run"
+        written = (run_dir / "train.csv").read_bytes() + (run_dir / "test.csv").read_bytes()
+        assert "s\u00e91,".encode("utf-8") in written
+        assert "s\u00e91" in json.loads((run_dir / "mappings.json").read_bytes())["students"]
+        per_student = (tmp_path / "eval" / "per_student.csv").read_bytes()
+        assert "s\u00e91,".encode("utf-8") in per_student
 
 
 class TestViewgenAudit:
