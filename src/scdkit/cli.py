@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -145,20 +147,29 @@ def cmd_viewgen_audit(args) -> int:
     return 0
 
 
-def _id_list(raw: str) -> list[str]:
+def _id_list(raw: str, flag: str) -> list[str]:
     """Ids from one CSV row, each stripped as the loaders strip them; empty
-    items are dropped."""
+    items are dropped. Python decodes argv with the locale's encoding, so the
+    row is decoded again from its bytes as UTF-8, the text the loaders read."""
+    try:
+        raw = os.fsencode(raw).decode("utf-8")
+    except UnicodeError:
+        raise UsageError(f"{flag} must be UTF-8 text") from None
     return [key for key in map(str.strip, next(csv.reader([raw]))) if key]
 
 
 def cmd_diagnose(args) -> int:
+    students = _id_list(args.students, "--students")
+    exercises = _id_list(args.exercises, "--exercises")
     ckpt = load_checkpoint(args.checkpoint, optimizer=False)
     test_set = None
     if args.test:
         test_set = align_responses(
             load_responses(args.test), ckpt.student_keys, ckpt.exercise_keys
         )
-    study = case_study(ckpt, _id_list(args.students), _id_list(args.exercises), test_set)
+    study = case_study(ckpt, students, exercises, test_set)
+    if isinstance(sys.stdout, io.TextIOWrapper):  # the tables name ids: UTF-8, as in the files
+        sys.stdout.reconfigure(encoding="utf-8")
     print(study.concept_csv())
     if study.scores:
         print()

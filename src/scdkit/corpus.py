@@ -159,9 +159,9 @@ def _read_rows(path, header: tuple[str, ...]):
     The file is read as utf-8-sig: a byte-order mark at its start is dropped.
     Blank and whitespace-only rows are skipped but counted, and a line-1 row
     equal to `header` (stripped, in any case) is skipped. A row with another
-    field count raises ResponseFormatError and a csv.Error propagates, each
-    only after the rows before it have been yielded, so that a caller that
-    checks those rows first reports the earliest bad line.
+    field count, or one the csv reader fails on, raises ResponseFormatError
+    naming its line, only after the rows before it have been yielded, so that
+    a caller that checks those rows first reports the earliest bad line.
     """
     n_fields = len(header)
     line = 1
@@ -189,7 +189,7 @@ def _read_rows(path, header: tuple[str, ...]):
                     f"line {bad[0]}: expected {n_fields} columns {','.join(header)}, got {bad[1]}"
                 )
             if failure is not None:
-                raise failure
+                raise ResponseFormatError(f"line {line}: {failure}") from failure
             if at_end:
                 return
 

@@ -12,9 +12,12 @@ Every leaf is a trainable `param`, and every node reachable from a
 backward root receives a gradient: a backward rule returns one array per
 parent, and `backward` refuses one whose shape is not its parent's.
 
-A graph backpropagates once; each rule is dropped once it has run, so the
-arrays its closure holds are freed during the walk rather than after it,
-and a second `backward` on the same graph raises.
+A graph backpropagates once. Each rule is dropped once it has run, and with
+it the value of its node: the walk runs in reverse topological order, so no
+later rule reads that value. The arrays a closure holds and the interior
+values are thus freed during the walk rather than after it; after
+`backward` only the root and the leaves keep their values, and a second
+`backward` on the same graph raises.
 
 Scatter-adds (the aggregate and the `gather_rows` backward) run one feature
 column at a time: each column is one `np.bincount` over the row indices, so
@@ -39,7 +42,9 @@ class DiffNode:
     same-shape, read-only array filled in by `backward` (it may share memory
     with other gradients); interior nodes do not keep theirs. Non-leaf nodes
     carry their parents and a backward rule returning one gradient per
-    parent; `backward` sets the rule to None once it has run.
+    parent; `backward` sets the rule to None once it has run, and the value
+    too, except on its root: after `backward` only the root and the leaves
+    keep their values.
     """
 
     __slots__ = ("value", "grad", "parents", "backward_fn")
@@ -51,7 +56,8 @@ class DiffNode:
         self.backward_fn = backward_fn
 
     def __repr__(self):
-        return f"DiffNode(shape={self.value.shape}, leaf={not self.parents})"
+        shape = "spent" if self.value is None else self.value.shape
+        return f"DiffNode(shape={shape}, leaf={not self.parents})"
 
     def item(self) -> float:
         return float(self.value)
@@ -64,7 +70,9 @@ class DiffNode:
         kept as received (rules may hand one array to several parents), so
         only sums allocated here are added into in place. A graph
         backpropagates once; each rule is dropped once it has run, together
-        with the node's gradient, so only leaves keep `.grad`. A graph whose
+        with the node's gradient and, below the root, its value: every
+        consumer's rule has run by then. So only leaves keep `.grad`, and
+        only the root and the leaves keep `.value`. A graph whose
         rules are already gone, a rule that does not return one gradient per
         parent, or a gradient whose shape is not its parent's, raises
         ValueError.
@@ -81,6 +89,8 @@ class DiffNode:
                 continue
             gs = node.backward_fn(node.grad)
             node.grad = node.backward_fn = None
+            if node is not self:
+                node.value = None
             for parent, g in zip(node.parents, gs, strict=True):
                 if np.shape(g) != parent.value.shape:
                     raise ValueError(

@@ -51,6 +51,9 @@ log = logging.getLogger(__name__)
 
 MODES = ("scd", "scd-random", "supervised-only")
 
+# the largest x whose exp(x) is a finite float64
+MAX_EXP_ARG = float(np.log(np.finfo(np.float64).max))
+
 # stream tags for seed derivation
 _STREAM_SPLIT = 0
 _STREAM_VIEWS = 1
@@ -105,6 +108,11 @@ class TrainConfig:
         for name in ("learning_rate", "tau", "adam_eps"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if 1.0 / self.tau > MAX_EXP_ARG:
+            raise ValueError(
+                f"tau must be >= {1.0 / MAX_EXP_ARG:.10g}: the contrastive loss takes "
+                f"exp(1/tau), which overflows above 1/tau = log(float max) = {MAX_EXP_ARG:.6f}"
+            )
         for name in ("lambda1", "lambda2"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")

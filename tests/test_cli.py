@@ -175,7 +175,7 @@ class TestTrain:
             "k=NaN", "theta=NaN",
             "tau=Infinity", "k=Infinity", "theta=Infinity", "adam_eps=Infinity",
             "learning_rate=Infinity", "lambda1=Infinity", "lambda2=Infinity",
-            "tau=true", "k=true", "p_min=true", "lambda2=false",
+            "tau=true", "k=true", "p_min=true", "lambda2=false", "tau=1e-3",
         ],
     )
     def test_out_of_range_value_is_refused_before_any_output(
@@ -197,6 +197,16 @@ class TestTrain:
         assert code == 2
         assert "ssl_full_population" in err and out == ""
         assert not any(out_dir.iterdir())
+
+    def test_oversized_field_names_its_line(self, capsys, data_dir, tmp_path):
+        huge = "0" * (csv.field_size_limit() + 1)
+        text = (data_dir / "responses.csv").read_text(encoding="utf-8")
+        (tmp_path / "responses.csv").write_text(f"{text}s1,e1,{huge}\n", encoding="utf-8")
+        (tmp_path / "qmatrix.csv").write_bytes((data_dir / "qmatrix.csv").read_bytes())
+        n_lines = text.count("\n") + 1
+        code, out, err = run(capsys, *train_args(tmp_path, tmp_path / "run"))
+        assert code == 1 and out == ""
+        assert f"error: line {n_lines}: field larger than field limit" in err
 
     def test_resume_mismatch_is_usage_error(self, capsys, data_dir, trained, tmp_path):
         code, _, err = run(
@@ -290,6 +300,15 @@ class TestEvalAndDiagnose:
         assert code == 1
         assert "unknown student" in err
 
+    def test_diagnose_ids_that_are_not_utf8_are_a_usage_error(self, capsys, trained):
+        code, out, err = run(
+            capsys, "diagnose",
+            "--checkpoint", str(trained / "checkpoint.npz"),
+            "--students", os.fsdecode(b"s\xff"), "--exercises", "e0",
+        )
+        assert code == 2 and out == ""
+        assert "--students must be UTF-8 text" in err
+
 
 class TestScoringReadsNoOptimizerState:
     @pytest.fixture(scope="class")
@@ -331,6 +350,13 @@ class TestScoringReadsNoOptimizerState:
         assert outputs[0] == outputs[1] and "\n\n" in outputs[0]
 
 
+def ascii_locale_env() -> dict:
+    """The environment of a subprocess whose locale, argv and stdio are ASCII."""
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    return env
+
+
 class TestEncodings:
     def test_config_with_a_byte_order_mark(self, capsys, data_dir, tmp_path):
         outputs = []
@@ -364,8 +390,7 @@ class TestEncodings:
         text = (data_dir / "responses.csv").read_text().replace("s1,", "s\u00e91,")
         (tmp_path / "responses.csv").write_text(text, encoding="utf-8")
         (tmp_path / "qmatrix.csv").write_text((data_dir / "qmatrix.csv").read_text())
-        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        env = ascii_locale_env()
         argvs = [
             train_args(tmp_path, tmp_path / "run", "--override", "epochs=1"),
             (
@@ -386,6 +411,27 @@ class TestEncodings:
         assert "s\u00e91" in json.loads((run_dir / "mappings.json").read_bytes())["students"]
         per_student = (tmp_path / "eval" / "per_student.csv").read_bytes()
         assert "s\u00e91,".encode("utf-8") in per_student
+
+    def test_diagnose_finds_a_non_ascii_id_under_an_ascii_locale(
+        self, capsys, data_dir, tmp_path
+    ):
+        # argv is decoded with the locale's codec; the ids are matched as UTF-8
+        text = (data_dir / "responses.csv").read_text().replace("s1,", "s\u00e91,")
+        (tmp_path / "responses.csv").write_text(text, encoding="utf-8")
+        (tmp_path / "qmatrix.csv").write_text((data_dir / "qmatrix.csv").read_text())
+        code, _, err = run(capsys, *train_args(tmp_path, tmp_path / "run"))
+        assert code == 0, err
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "scdkit.cli", "diagnose",
+                "--checkpoint", str(tmp_path / "run" / "checkpoint.npz"),
+                "--students", "s\u00e91", "--exercises", "e1",
+            ],
+            env=ascii_locale_env(), capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        header = "concept,mastery:s\u00e91,difficulty:e1\n".encode("utf-8")
+        assert proc.stdout.startswith(header)
 
 
 class TestViewgenAudit:
@@ -425,7 +471,7 @@ class TestViewgenAudit:
         [
             "k=0", "theta=-1", "p_min=x", "min_interactions=x", "k=NaN", "theta=NaN",
             "min_interactions=true", "min_interactions=2.7", "thetaa=5",
-            "k=Infinity", "theta=Infinity", "k=true",
+            "k=Infinity", "theta=Infinity", "k=true", "tau=1e-3",
         ],
     )
     def test_bad_config_value_is_usage_error(self, capsys, data_dir, pair):

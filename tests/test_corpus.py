@@ -314,8 +314,12 @@ class TestResponseLoaderContract:
         )
         p = write(tmp_path / "r2.csv", f"a,x,1\nb,y,3\nc,z,{huge}\n")
         assert format_error(load_responses, p) == "line 2: score must be 0 or 1, got '3'"
-        with pytest.raises(csv.Error, match="field larger than field limit"):
-            load_responses(write(tmp_path / "r3.csv", f"a,x,1\nb,y,0\nc,z,{huge}\n"))
+        limit = f"field larger than field limit ({csv.field_size_limit()})"
+        p = write(tmp_path / "r3.csv", f"a,x,1\nb,y,0\nc,z,{huge}\n")
+        assert format_error(load_responses, p) == f"line 3: {limit}"
+        # the line counts the header and the blank rows
+        p = write(tmp_path / "r4.csv", f"student,exercise,score\n\na,x,1\n \nc,z,{huge}\n")
+        assert format_error(load_responses, p) == f"line 5: {limit}"
 
     def test_no_records_after_blank_rows(self, tmp_path, chunk_rows):
         p = write(tmp_path / "r.csv", "student,exercise,score\n\n  \n")
@@ -341,6 +345,13 @@ class TestQMatrixLoaderContract:
     def test_error_text_and_line(self, tmp_path, chunk_rows, rs, text, message):
         p = write(tmp_path / "q.csv", text)
         assert format_error(load_qmatrix, p, rs) == message
+
+    def test_csv_error_names_its_line(self, tmp_path, chunk_rows, rs):
+        huge = "0" * (csv.field_size_limit() + 1)
+        p = write(tmp_path / "q.csv", f"exercise,concept\nx,alg\n\ny,{huge}\n")
+        assert format_error(load_qmatrix, p, rs) == (
+            f"line 4: field larger than field limit ({csv.field_size_limit()})"
+        )
 
     def test_header_off_line_one_is_an_unknown_exercise(self, tmp_path, chunk_rows, rs):
         q = load_qmatrix(write(tmp_path / "q.csv", "\nexercise,concept\nx,alg\ny,alg\n"), rs)

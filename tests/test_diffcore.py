@@ -197,6 +197,7 @@ class TestAttentionAggregate:
 
         leaves = dc.param(t), dc.param(w[d:]), dc.param(h)
         out, _ = dc.attention_aggregate(*leaves[:2], heads, tails, residual=leaves[2])
+        out_value = out.value.copy()  # backward frees the interior values
         seeded_sum(out, g).backward()
         ref_out, ref_d_head, ref_d_tail, ref_d_w = add_at_aggregate(h, t, w, heads, tails, g)
 
@@ -205,10 +206,10 @@ class TestAttentionAggregate:
             err = np.max(np.abs(got - ref), initial=0.0)
             return err <= 1e-12 * max(1.0, np.max(np.abs(ref), initial=0.0))
 
-        assert out.value.shape == ref_out.shape
+        assert out.value is None and out_value.shape == ref_out.shape
         if head_half == "zero":
-            assert np.ascontiguousarray(out.value).tobytes() == ref_out.tobytes()
-        assert close(out.value, ref_out)
+            assert np.ascontiguousarray(out_value).tobytes() == ref_out.tobytes()
+        assert close(out_value, ref_out)
         assert close(leaves[0].grad, ref_d_tail)
         assert close(leaves[1].grad, ref_d_w[d:])
         assert leaves[2].grad.tobytes() == g.tobytes()
@@ -349,11 +350,19 @@ class TestGraphMechanics:
         loss.backward()
         first = x.grad.copy()
         assert y.backward_fn is None and loss.backward_fn is None and y.grad is None
+        # the rules' values are gone too, but for the root's and the leaf's
+        assert y.value is None and loss.value is not None and x.value is not None
         with pytest.raises(ValueError, match="already ran"):
             loss.backward()
-        # a new root over the spent graph would only reach x through y's rule
+        # a new op cannot read the spent node's value
+        with pytest.raises(TypeError):
+            dc.normalize_rows(y)
+        with pytest.raises(TypeError):
+            seeded_sum(y, 1.0)
+        # and a new root over the spent graph would only reach x through y's rule
+        root = dc.DiffNode(np.array(0.0), (y,), lambda g: (np.zeros((3, 2)),))
         with pytest.raises(ValueError, match="already ran"):
-            seeded_sum(y, 1.0).backward()
+            root.backward()
         npt.assert_array_equal(x.grad, first)
 
     def test_backward_needs_scalar(self):

@@ -8,6 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from scdkit.corpus import load_qmatrix, load_responses
+from scdkit.diffcore import DiffNode
 from scdkit.evalkit import evaluate_checkpoint
 from scdkit.objectives import INFONCE_MAX_ROWS, main_loss, ssl_loss, total_loss
 from scdkit.scdmodel import (
@@ -61,6 +62,12 @@ class TestConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+
+    def test_tau_whose_contrast_overflows_is_refused(self):
+        smallest = 1.0 / trainkit.MAX_EXP_ARG
+        assert np.isfinite(np.exp(1.0 / TrainConfig(tau=smallest).tau))
+        with pytest.raises(ValueError, match=r"tau must be >= 0\.001408881876: .* 709\.78"):
+            TrainConfig(tau=np.nextafter(smallest, 0.0))
 
 
 class TestAdam:
@@ -278,6 +285,64 @@ class TestStepGraphLifetime:
 
         one, three = epoch_peak(1), epoch_peak(3)
         assert three <= 1.25 * one, f"3-batch peak {three} B, 1-batch peak {one} B"
+
+
+    def test_backward_keeps_only_the_root_and_leaf_values(self, monkeypatch):
+        train, q = small_responses(), small_qmatrix()
+        split = directed_split(build_relation_graph(train, q))
+        params = init_params(4, 5, 3, seed=0)
+        roots = []
+
+        def recording_total_loss(*args, **kwargs):
+            out = total_loss(*args, **kwargs)
+            roots.append(out[0])
+            return out
+
+        monkeypatch.setattr(trainkit, "total_loss", recording_total_loss)
+        cfg = TrainConfig(epochs=1, batch_size=4)
+        train_epoch(params, split, q, train, cfg, 1, AdamState.fresh(params))
+        assert len(roots) == 3
+        for root in roots:  # parents outlive the walk, so the graph is still there
+            interior, leaves, stack, seen = [], [], [root], set()
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    (interior if node.parents else leaves).append(node)
+                    stack.extend(node.parents)
+            assert root.value is not None and root.value.shape == ()
+            assert len(leaves) == len(params) and all(leaf.value is not None for leaf in leaves)
+            assert len(interior) > 20
+            assert all(node.value is None for node in interior if node is not root)
+
+    def test_backward_peak_memory_stays_under_its_bound(self, monkeypatch, tmp_path):
+        # one step on a 400x40x8 graph: holding every tape value until the
+        # walk ends peaks 0.32 MB above the memory held when backward starts,
+        # freeing each value as the walk passes it 0.16 MB
+        rp, qp = write_synthetic(tmp_path, make_synthetic(400, 40, 8, seed=0))
+        rs = load_responses(rp)
+        q = load_qmatrix(qp, rs)
+        split = directed_split(build_relation_graph(rs, q))
+        cfg = TrainConfig(epochs=1, batch_size=64)
+        train = rs.replace_records(np.arange(len(rs)) < cfg.batch_size)
+        params = init_params(rs.n_students, rs.n_exercises, q.n_concepts, seed=0)
+        peaks = []
+        walk = DiffNode.backward
+
+        def traced_backward(node):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            walk(node)
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+
+        monkeypatch.setattr(DiffNode, "backward", traced_backward)
+        tracemalloc.start()
+        try:
+            train_epoch(params, split, q, train, cfg, 1, AdamState.fresh(params))
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 1
+        assert peaks[0] < 230_000, f"backward peaked {peaks[0]} B above its start"
 
 
 class TestUnionObjective:
