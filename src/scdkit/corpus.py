@@ -10,7 +10,8 @@ Both CSV loaders share one reader. It opens a file as utf-8-sig and pulls
 plus the integer columns built so far. Each chunk is converted column-wise:
 new keys get ids per chunk, each distinct score string is parsed once, and
 duplicate pairs are dropped at the end with one `np.unique`. Errors name the
-1-based line of the earliest bad row, as a row-at-a-time reader would.
+1-based file line where the earliest bad row starts (a row spans lines when a
+quoted field holds a line break), as a row-at-a-time reader would.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import csv
 import logging
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import compress, islice, repeat
+from itertools import accumulate, compress, islice, repeat
 
 import numpy as np
 
@@ -151,32 +152,43 @@ def _well_formed(chunk: list, lines, n_fields: int):
     return [chunk[i] for i in keep], [lines[i] for i in keep], bad
 
 
+def _start_lines(rows: list, before: int) -> list[int]:
+    """The 1-based line each row starts on, and the line after the last row,
+    for rows read after line `before`. A row spans one line more than its
+    fields hold line breaks (LF, CR or CRLF, each inside a quoted field)."""
+    spans = (1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row) for row in rows)
+    return list(accumulate(spans, initial=before + 1))
+
+
 def _read_rows(path, header: tuple[str, ...]):
     """Yield the rows of a CSV file that hold len(header) fields, in chunks
-    read CHUNK_ROWS file rows at a time, each chunk with its rows' 1-based
-    line numbers.
+    read CHUNK_ROWS file rows at a time, each chunk with the 1-based line of
+    the file that each of its rows starts on.
 
     The file is read as utf-8-sig: a byte-order mark at its start is dropped.
-    Blank and whitespace-only rows are skipped but counted, and a line-1 row
+    Blank and whitespace-only rows are skipped but counted, and a row on line 1
     equal to `header` (stripped, in any case) is skipped. A row with another
     field count, or one the csv reader fails on, raises ResponseFormatError
     naming its line, only after the rows before it have been yielded, so that
     a caller that checks those rows first reports the earliest bad line.
     """
     n_fields = len(header)
-    line = 1
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         while True:
             chunk, failure = [], None
+            before = reader.line_num
             try:
                 chunk.extend(islice(reader, CHUNK_ROWS))  # keeps the rows read before an error
             except csv.Error as err:
                 failure = err
-            first, line = line, line + len(chunk)
-            lines = range(first, line)
+            if failure is None and reader.line_num - before == len(chunk):
+                starts = range(before + 1, reader.line_num + 2)  # one line per row
+            else:
+                starts = _start_lines(chunk, before)
+            lines, line = starts[:-1], starts[-1]
             at_end = len(chunk) < CHUNK_ROWS
-            if first == 1 and chunk and _is_header(chunk[0], header):
+            if before == 0 and chunk and _is_header(chunk[0], header):
                 del chunk[0]
                 lines = lines[1:]
             bad = None

@@ -8,9 +8,9 @@ unweighted means of per-student values over the first floor(M'/2) ranked
 students, where M' counts students with at least one test record.
 
 The report is columnar: `student_table` sums records per student with
-`bincount` and builds its rows in one pass (plain Python numbers in every
-cell); `tail_metrics` and `group_report` read the rows into columns once and
-rank or bucket them as arrays, with no Python loop over students.
+`bincount` into four columns, `tail_metrics` and `group_report` rank or bucket
+them as arrays, and `evaluate` turns them into rows of plain Python numbers
+once, for the report. No Python loop runs over students.
 """
 
 from __future__ import annotations
@@ -60,6 +60,19 @@ class StudentRow(NamedTuple):
     rmse: float
 
 
+class StudentColumns(NamedTuple):
+    """The per-student table as arrays, one entry per student, by ascending id."""
+
+    student: np.ndarray
+    n_train: np.ndarray
+    acc: np.ndarray
+    rmse: np.ndarray
+
+    def rows(self) -> list[StudentRow]:
+        """One StudentRow per student, every cell a plain Python number."""
+        return list(map(StudentRow, *(c.tolist() for c in self)))
+
+
 @dataclass(frozen=True)
 class GroupRow:
     label: str
@@ -71,7 +84,7 @@ class GroupRow:
 
 def student_table(
     students: np.ndarray, preds: np.ndarray, labels: np.ndarray, train_counts: np.ndarray
-) -> list[StudentRow]:
+) -> StudentColumns:
     """Per-student ACC/RMSE over test records, ascending by student id.
 
     `train_counts[i]` is student i's number of train interactions; students
@@ -86,30 +99,31 @@ def student_table(
     counts = counts[ids]
     hits = np.bincount(students, weights=(preds >= 0.5) == labels)[ids]
     sq_err = np.bincount(students, weights=(preds - labels) ** 2)[ids]
-    cols = (ids, np.asarray(train_counts)[ids], hits / counts, np.sqrt(sq_err / counts))
-    return list(map(StudentRow, *(c.tolist() for c in cols)))
+    return StudentColumns(
+        ids, np.asarray(train_counts)[ids], hits / counts, np.sqrt(sq_err / counts)
+    )
 
 
-def tail_metrics(rows: list[StudentRow]) -> tuple[float, float]:
+def tail_metrics(table: StudentColumns) -> tuple[float, float]:
     """Mean per-student ACC and RMSE over the least-observed half.
 
     Mean of per-student RMSE values, not RMSE over pooled records.
     """
-    if len(rows) < 2:
+    ids, counts, acc, rmse_ = table
+    if len(ids) < 2:
         raise ValueError("need at least 2 students with test records")
-    ids, counts, acc, rmse_ = (np.array(c) for c in zip(*rows))
-    half = np.lexsort((ids, counts))[: len(rows) // 2]
+    half = np.lexsort((ids, counts))[: len(ids) // 2]
     return float(np.mean(acc[half])), float(np.mean(rmse_[half]))
 
 
 def group_report(
-    rows: list[StudentRow], bucket_width: int = 5, n_buckets: int = 9
+    table: StudentColumns, bucket_width: int = 5, n_buckets: int = 9
 ) -> list[GroupRow]:
     """Bucket students by train interaction count: [0,w),[w,2w),...,[(n-1)w,inf)."""
-    if not rows or bucket_width < 1 or n_buckets < 1:
+    _, counts, acc, rmse_ = table
+    if not len(counts) or bucket_width < 1 or n_buckets < 1:
         raise ValueError("need a nonempty table and positive bucket geometry")
     out = []
-    _, counts, acc, rmse_ = (np.array(c) for c in zip(*rows))
     idx = np.minimum(counts // bucket_width, n_buckets - 1)
     for b in range(n_buckets):
         lo = b * bucket_width
@@ -184,15 +198,15 @@ def evaluate(params, split, q, test_set: ResponseSet, train_counts: np.ndarray) 
     diag, nodes = infer(params, split)
     preds = predict(diag, nodes, q, test_set.students, test_set.exercises).value
     labels = test_set.scores
-    rows = student_table(test_set.students, preds, labels, train_counts)
-    acc50, rmse50 = tail_metrics(rows)
+    table = student_table(test_set.students, preds, labels, train_counts)
+    acc50, rmse50 = tail_metrics(table)
     return EvalReport(
         acc=accuracy(preds, labels),
         rmse=rmse(preds, labels),
         acc50=acc50,
         rmse50=rmse50,
-        per_group=group_report(rows),
-        per_student=rows,
+        per_group=group_report(table),
+        per_student=table.rows(),
         student_keys=test_set.student_keys,
     )
 
@@ -230,7 +244,7 @@ def evaluate_checkpoint(checkpoint_path, test_path) -> EvalReport:
     (train records are deduplicated, so edges equal records).
     """
     ckpt = load_checkpoint(checkpoint_path, optimizer=False)
-    split = directed_split(ckpt.graph())
+    split = directed_split(ckpt.graph)
     q = ckpt.qmatrix()
     test_set = align_responses(
         load_responses(test_path), ckpt.student_keys, ckpt.exercise_keys
@@ -313,7 +327,7 @@ def case_study(
     per_exercise = {e: tuple(int(c) for c in q.concepts_of(e)) for e in exercises}
     concept_ids = sorted({c for cs in per_exercise.values() for c in cs})
 
-    diag, _ = infer(ckpt.params, directed_split(ckpt.graph()))
+    diag, _ = infer(ckpt.params, directed_split(ckpt.graph))
     h_s = diag.h_student.value
     h_e = diag.h_exercise.value
 

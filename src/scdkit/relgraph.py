@@ -3,13 +3,13 @@
 The interaction subgraph comes from train responses only (an edge means
 "answered", regardless of score); the exercise-concept subgraph mirrors the
 Q-matrix. Each logical edge is split into two directed edges so that every
-aggregation direction has its own adjacency, stored as compressed offsets
-plus a flat tail array, with neighbors sorted for reproducibility.
+aggregation direction has its own adjacency: a per-edge head array and tail
+array, sorted by head and then tail for reproducibility.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,31 +31,22 @@ class RelationGraph:
 
 @dataclass(frozen=True, eq=False)
 class Adjacency:
-    """One aggregation direction: edges flow tail -> head.
+    """One aggregation direction as an edge list: edge i flows tails[i] -> heads[i].
 
-    `offsets[h]:offsets[h+1]` indexes the tails feeding head h; `heads` is
-    the same grouping flattened per edge. Edge order is canonical (sorted by
-    head, then tail), which fixes RNG consumption and summation order.
+    Edges are sorted by head, then tail, which fixes RNG consumption and
+    summation order; heads run over 0..n_heads-1, and a head may have no edge.
     """
 
-    offsets: np.ndarray
+    heads: np.ndarray
     tails: np.ndarray
-    heads: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        heads = np.repeat(np.arange(len(self.offsets) - 1), np.diff(self.offsets))
-        object.__setattr__(self, "heads", heads)
+    n_heads: int
 
     @property
     def n_edges(self) -> int:
         return len(self.tails)
 
-    @property
-    def n_heads(self) -> int:
-        return len(self.offsets) - 1
-
     def indegrees(self) -> np.ndarray:
-        return np.diff(self.offsets)
+        return np.bincount(self.heads, minlength=self.n_heads)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,14 +69,9 @@ class DirectedSplit:
         return getattr(self, direction)
 
 
-def _dedup_sorted(pairs: np.ndarray) -> np.ndarray:
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    pairs = pairs[order]
-    if len(pairs) > 1:
-        keep = np.ones(len(pairs), dtype=bool)
-        keep[1:] = np.any(pairs[1:] != pairs[:-1], axis=1)
-        pairs = pairs[keep]
-    return pairs
+def _distinct_pairs(a: np.ndarray, b: np.ndarray, n_b: int) -> np.ndarray:
+    """The distinct (a, b) pairs as an (n, 2) array sorted by a, then b."""
+    return np.stack(np.divmod(np.unique(a * n_b + b), n_b), axis=1)
 
 
 def build_relation_graph(train: ResponseSet, q: QMatrix) -> RelationGraph:
@@ -106,17 +92,20 @@ def build_relation_graph(train: ResponseSet, q: QMatrix) -> RelationGraph:
     if len(uncovered):
         raise ValueError(f"{len(uncovered)} train exercises missing from the Q-matrix")
 
-    se = _dedup_sorted(np.stack([train.students, train.exercises], axis=1))
-    ec = _dedup_sorted(np.stack([q.exercises, q.concepts], axis=1))
+    se = _distinct_pairs(train.students, train.exercises, train.n_exercises)
+    ec = _distinct_pairs(q.exercises, q.concepts, q.n_concepts)
     return RelationGraph(se, ec, train.n_students, train.n_exercises, q.n_concepts)
 
 
-def _csr(heads: np.ndarray, tails: np.ndarray, n_heads: int) -> Adjacency:
-    order = np.lexsort((tails, heads))
-    heads, tails = heads[order], tails[order]
-    offsets = np.zeros(n_heads + 1, dtype=np.intp)
-    np.cumsum(np.bincount(heads, minlength=n_heads), out=offsets[1:])
-    return Adjacency(offsets, tails.astype(np.intp))
+def _by_head(heads: np.ndarray, tails: np.ndarray, n_heads: int) -> Adjacency:
+    """The edges tails[i] -> heads[i] sorted by head, then tail. They come from
+    a pair list sorted by its first column, then its second, so either column
+    ascends within each value of the other, and one stable sort by head
+    leaves the tails ascending within each head."""
+    order = np.argsort(heads, kind="stable")
+    return Adjacency(
+        heads[order].astype(np.intp, copy=False), tails[order].astype(np.intp, copy=False), n_heads
+    )
 
 
 def directed_split(g: RelationGraph) -> DirectedSplit:
@@ -124,8 +113,8 @@ def directed_split(g: RelationGraph) -> DirectedSplit:
     s, e = g.se_edges[:, 0], g.se_edges[:, 1]
     ex, c = g.ec_edges[:, 0], g.ec_edges[:, 1]
     return DirectedSplit(
-        e2s=_csr(s, e, g.n_students),
-        s2e=_csr(e, s, g.n_exercises),
-        c2e=_csr(ex, c, g.n_exercises),
-        e2c=_csr(c, ex, g.n_concepts),
+        e2s=_by_head(s, e, g.n_students),
+        s2e=_by_head(e, s, g.n_exercises),
+        c2e=_by_head(ex, c, g.n_exercises),
+        e2c=_by_head(c, ex, g.n_concepts),
     )

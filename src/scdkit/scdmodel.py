@@ -276,15 +276,12 @@ def predict(
 
 @dataclass(eq=False)
 class Checkpoint:
-    """A trained model plus everything needed to rebuild its graph and resume."""
+    """A trained model, the relation graph it was trained on, the key maps, and
+    what resuming needs."""
 
     params: ModelParams
     config: dict
-    se_edges: np.ndarray
-    ec_edges: np.ndarray
-    n_students: int
-    n_exercises: int
-    n_concepts: int
+    graph: RelationGraph
     student_keys: tuple[str, ...]
     exercise_keys: tuple[str, ...]
     concept_keys: tuple[str, ...]
@@ -294,19 +291,10 @@ class Checkpoint:
     adam_v: dict[str, np.ndarray] | None = None
     train_sha256: str | None = None  # fingerprint of the train records, for --resume
 
-    def graph(self) -> RelationGraph:
-        return RelationGraph(
-            self.se_edges, self.ec_edges, self.n_students, self.n_exercises, self.n_concepts
-        )
-
     def qmatrix(self) -> QMatrix:
-        return QMatrix(
-            self.ec_edges[:, 0].astype(np.intp),
-            self.ec_edges[:, 1].astype(np.intp),
-            self.n_exercises,
-            self.n_concepts,
-            self.concept_keys,
-        )
+        g = self.graph
+        exercises, concepts = (column.astype(np.intp) for column in g.ec_edges.T)
+        return QMatrix(exercises, concepts, g.n_exercises, g.n_concepts, self.concept_keys)
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
@@ -317,7 +305,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         raise ValueError("a checkpoint holds both adam_m and adam_v or neither")
     meta = {
         "config": ckpt.config,
-        "counts": [ckpt.n_students, ckpt.n_exercises, ckpt.n_concepts],
+        "counts": [ckpt.graph.n_students, ckpt.graph.n_exercises, ckpt.graph.n_concepts],
         "n_layers": ckpt.params.n_layers,
         "dim": ckpt.params.dim,
         "epoch": ckpt.epoch,
@@ -335,8 +323,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     np.savez(
         path,
         meta=np.array(json.dumps(meta)),
-        se_edges=ckpt.se_edges,
-        ec_edges=ckpt.ec_edges,
+        se_edges=ckpt.graph.se_edges,
+        ec_edges=ckpt.graph.ec_edges,
         **arrays,
     )
 
@@ -379,11 +367,7 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
         return Checkpoint(
             params=params,
             config=meta["config"],
-            se_edges=data["se_edges"],
-            ec_edges=data["ec_edges"],
-            n_students=meta["counts"][0],
-            n_exercises=meta["counts"][1],
-            n_concepts=meta["counts"][2],
+            graph=RelationGraph(data["se_edges"], data["ec_edges"], *meta["counts"]),
             student_keys=tuple(meta["student_keys"]),
             exercise_keys=tuple(meta["exercise_keys"]),
             concept_keys=tuple(meta["concept_keys"]),

@@ -328,7 +328,7 @@ def _check_resume(
     checks += [
         (
             "node counts",
-            (ckpt.n_students, ckpt.n_exercises, ckpt.n_concepts),
+            (ckpt.graph.n_students, ckpt.graph.n_exercises, ckpt.graph.n_concepts),
             (graph.n_students, graph.n_exercises, graph.n_concepts),
         ),
         ("n_layers", ckpt.params.n_layers, config.n_layers),
@@ -340,8 +340,8 @@ def _check_resume(
                 f"cannot resume: checkpoint has {what} {have!r}, this run {want!r}"
             )
     for what, have, want in (
-        ("student-exercise edges", ckpt.se_edges, graph.se_edges),
-        ("exercise-concept edges", ckpt.ec_edges, graph.ec_edges),
+        ("student-exercise edges", ckpt.graph.se_edges, graph.se_edges),
+        ("exercise-concept edges", ckpt.graph.ec_edges, graph.ec_edges),
     ):
         if not np.array_equal(have, want):
             raise ResumeMismatch(f"cannot resume: the checkpoint's {what} differ from this run's")
@@ -383,11 +383,7 @@ def _make_checkpoint(
     return Checkpoint(
         params=params,
         config=config.to_dict(),
-        se_edges=graph.se_edges,
-        ec_edges=graph.ec_edges,
-        n_students=graph.n_students,
-        n_exercises=graph.n_exercises,
-        n_concepts=graph.n_concepts,
+        graph=graph,
         student_keys=train_set.student_keys,
         exercise_keys=train_set.exercise_keys,
         concept_keys=q.concept_keys,

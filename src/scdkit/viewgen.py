@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .relgraph import DirectedSplit
+from .relgraph import Adjacency, DirectedSplit
 
 
 def require_finite(obj, names) -> None:
@@ -83,35 +83,38 @@ def retention_prob(t: float, p_min: float) -> float:
     return 1.0
 
 
-def _edge_probs(split: DirectedSplit, direction: str, p: DropoutParams) -> np.ndarray:
-    adj = split.adjacency(direction)
+def _edge_probs(adj: Adjacency, p: DropoutParams) -> np.ndarray:
     degrees = adj.indegrees()
-    probs_by_degree = {
-        int(d): retention_prob(edge_importance(int(d), p), p.p_min)
-        for d in np.unique(degrees[degrees > 0])
-    }
-    lookup = np.zeros(int(degrees.max()) + 1 if len(degrees) else 1)
-    for d, prob in probs_by_degree.items():
-        lookup[d] = prob
+    lookup = np.zeros(int(degrees.max(initial=0)) + 1)
+    for d in np.unique(degrees[degrees > 0]):
+        lookup[d] = retention_prob(edge_importance(int(d), p), p.p_min)
     return lookup[degrees[adj.heads]]
 
 
-def generate_view(split: DirectedSplit, p: DropoutParams, rng: np.random.Generator) -> View:
-    """One importance-based draw: each interaction edge kept i.i.d. Bernoulli.
+def _interaction_probs(split: DirectedSplit, p: DropoutParams) -> tuple[np.ndarray, np.ndarray]:
+    """Per-edge retention probabilities of the e2s and s2e edges."""
+    return _edge_probs(split.e2s, p), _edge_probs(split.s2e, p)
 
-    The RNG is consumed in canonical edge order, e2s first then s2e, one
-    uniform per edge, so identical seeds give identical views.
-    """
-    kept_e2s = rng.random(split.e2s.n_edges) < _edge_probs(split, "e2s", p)
-    kept_s2e = rng.random(split.s2e.n_edges) < _edge_probs(split, "s2e", p)
-    return View(kept_e2s, kept_s2e)
+
+def _draw(split: DirectedSplit, p_e2s, p_s2e, rng: np.random.Generator) -> View:
+    """Keep each interaction edge whose uniform falls under its probability (an
+    array per edge, or one number). The RNG is consumed in canonical edge
+    order, e2s first then s2e, one uniform per edge, so identical seeds give
+    identical views."""
+    return View(rng.random(split.e2s.n_edges) < p_e2s, rng.random(split.s2e.n_edges) < p_s2e)
+
+
+def generate_view(split: DirectedSplit, p: DropoutParams, rng: np.random.Generator) -> View:
+    """One importance-based draw: each interaction edge kept i.i.d. Bernoulli."""
+    return _draw(split, *_interaction_probs(split, p), rng)
 
 
 def generate_view_pair(
     split: DirectedSplit, p: DropoutParams, rng: np.random.Generator
 ) -> tuple[View, View]:
     """Two independent draws from the same generator stream."""
-    return generate_view(split, p, rng), generate_view(split, p, rng)
+    probs = _interaction_probs(split, p)
+    return _draw(split, *probs, rng), _draw(split, *probs, rng)
 
 
 def generate_random_view(
@@ -120,16 +123,14 @@ def generate_random_view(
     """Ablation variant: every directed edge kept i.i.d. with one probability."""
     if not 0.0 < p_uniform <= 1.0:
         raise ValueError("p_uniform must lie in (0, 1]")
-    kept_e2s = rng.random(split.e2s.n_edges) < p_uniform
-    kept_s2e = rng.random(split.s2e.n_edges) < p_uniform
-    return View(kept_e2s, kept_s2e)
+    return _draw(split, p_uniform, p_uniform, rng)
 
 
 def matched_uniform_p(split: DirectedSplit, p: DropoutParams) -> float:
     """Uniform retention probability whose expected kept-edge count matches
     the importance-based strategy (the mean retention probability over all
     directed interaction edges)."""
-    probs = np.concatenate([_edge_probs(split, "e2s", p), _edge_probs(split, "s2e", p)])
+    probs = np.concatenate(_interaction_probs(split, p))
     if len(probs) == 0:
         raise ValueError("split has no interaction edges")
     return float(probs.mean())
@@ -140,15 +141,14 @@ def retention_table(
 ) -> list[dict]:
     """Per-degree audit rows: importance, retention probability, and the
     empirical keep frequency over `draws` views (both directions pooled)."""
-    e2s_deg = split.e2s.indegrees()[split.e2s.heads]
-    s2e_deg = split.s2e.indegrees()[split.s2e.heads]
-    edge_deg = np.concatenate([e2s_deg, s2e_deg])
+    edge_deg = np.concatenate([adj.indegrees()[adj.heads] for adj in (split.e2s, split.s2e)])
     max_deg = int(edge_deg.max())
     totals = np.bincount(edge_deg, minlength=max_deg + 1)
 
+    probs = _interaction_probs(split, p)
     kept = np.zeros(max_deg + 1)
     for _ in range(draws):
-        view = generate_view(split, p, rng)
+        view = _draw(split, *probs, rng)
         mask = np.concatenate([view.kept_e2s, view.kept_s2e]).astype(np.float64)
         kept += np.bincount(edge_deg, weights=mask, minlength=max_deg + 1)
 

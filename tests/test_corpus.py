@@ -274,6 +274,15 @@ RESPONSE_ERRORS = [
      "line 8: score 'n' is not a number"),
     ("a,x,1\nb,x,0\na,y,1\nc,z,0\na,x,1\nd,w\nd,w,5\n",
      "line 6: expected 3 columns student,exercise,score, got 2"),
+    # a quoted field may hold a line break (LF, CRLF or CR): an error names the
+    # file line its row starts on
+    ('"a\nb",x,1\nc,y,7\n', "line 3: score must be 0 or 1, got '7'"),
+    ('a,"x\r\ny",1\r\nc,y\r\n', "line 3: expected 3 columns student,exercise,score, got 2"),
+    ('"a\rb",x,1\nc,y,7\n', "line 3: score must be 0 or 1, got '7'"),
+    ('a,x,1\n"b\n\nc",y,7\n', "line 2: score must be 0 or 1, got '7'"),
+    ('a,x,1\n"b\nc",y\n', "line 2: expected 3 columns student,exercise,score, got 2"),
+    ('student,exercise,score\n"a\n\nb",x,1\n\nc,"y\nz",0\nd,y,2\n',
+     "line 8: score must be 0 or 1, got '2'"),
 ]
 
 
@@ -320,6 +329,9 @@ class TestResponseLoaderContract:
         # the line counts the header and the blank rows
         p = write(tmp_path / "r4.csv", f"student,exercise,score\n\na,x,1\n \nc,z,{huge}\n")
         assert format_error(load_responses, p) == f"line 5: {limit}"
+        # and the lines a quoted line break adds
+        p = write(tmp_path / "r5.csv", f'"a\nb",x,1\nb,"y\r\nz",0\nc,z,{huge}\n')
+        assert format_error(load_responses, p) == f"line 5: {limit}"
 
     def test_no_records_after_blank_rows(self, tmp_path, chunk_rows):
         p = write(tmp_path / "r.csv", "student,exercise,score\n\n  \n")
@@ -333,6 +345,9 @@ QMATRIX_ERRORS = [
     ("x,alg\n\nghost,alg,3\n", "line 3: expected 2 columns exercise,concept, got 3"),
     ("exercise,concept\nx,alg\nexercise,concept,x\n",
      "line 3: expected 2 columns exercise,concept, got 3"),
+    ('exercise,concept\n"e\n1",c1\ne2,c2,x\n',
+     "line 4: expected 2 columns exercise,concept, got 3"),
+    ('"x\r\n",alg\n\n"y","a\rb\nc",x\n', "line 4: expected 2 columns exercise,concept, got 3"),
 ]
 
 
@@ -351,6 +366,10 @@ class TestQMatrixLoaderContract:
         p = write(tmp_path / "q.csv", f"exercise,concept\nx,alg\n\ny,{huge}\n")
         assert format_error(load_qmatrix, p, rs) == (
             f"line 4: field larger than field limit ({csv.field_size_limit()})"
+        )
+        p = write(tmp_path / "q2.csv", f'exercise,concept\n"x\ny",alg\n\ny,{huge}\n')
+        assert format_error(load_qmatrix, p, rs) == (
+            f"line 5: field larger than field limit ({csv.field_size_limit()})"
         )
 
     def test_header_off_line_one_is_an_unknown_exercise(self, tmp_path, chunk_rows, rs):
@@ -387,7 +406,9 @@ def rowwise_load_responses(path) -> ResponseSet:
     seen_pairs = set()
     students, exercises, scores = [], [], []
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
+        reader, next_line = csv.reader(fh), 1
+        for row in reader:
+            line_no, next_line = next_line, reader.line_num + 1  # the line the row starts on
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if line_no == 1 and corpus._is_header(row, ("student", "exercise", "score")):
@@ -424,7 +445,9 @@ def rowwise_load_qmatrix(path, rs: ResponseSet) -> QMatrix:
     exercise_index = {key: i for i, key in enumerate(rs.exercise_keys)}
     concept_index, seen, ex, co = {}, set(), [], []
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
+        reader, next_line = csv.reader(fh), 1
+        for row in reader:
+            line_no, next_line = next_line, reader.line_num + 1
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if line_no == 1 and corpus._is_header(row, ("exercise", "concept")):
@@ -509,12 +532,15 @@ def assert_same_as_rowwise(responses_path, qmatrix_path):
         )
 
 
+# "a\nb" and "x\r\ny" are written quoted and span two lines; "c\rd" is written
+# bare, so its CR ends the row
 ODD_FIELDS = [
     "a", "b", " a", "b ", "é", "ø,x", 'q"t', " c", "", " ", "0", "1", " 1.0",
     "0.0", "1e0", "2", "-0", "nan", "student", "exercise", "score", "concept",
+    "a\nb", "x\r\ny", "c\rd",
 ]
 SCORES = ["0", "1", " 1.0", "0.0", "1e0", "-0"]
-KEYS = ["a", "b", " a", "b ", "é", "ø,x", 'q"t', " c", ""]
+KEYS = ["a", "b", " a", "b ", "é", "ø,x", 'q"t', " c", "", "a\nb", "x\r\ny"]
 RESPONSE_ROW = st.one_of(
     st.tuples(st.sampled_from(KEYS), st.sampled_from(KEYS), st.sampled_from(SCORES)),
     st.lists(st.sampled_from(ODD_FIELDS), max_size=4),

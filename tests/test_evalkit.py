@@ -13,6 +13,7 @@ from scdkit.corpus import load_responses
 from scdkit.evalkit import (
     CaseStudy,
     EvalReport,
+    StudentColumns,
     StudentRow,
     accuracy,
     align_responses,
@@ -60,53 +61,49 @@ class TestPointMetrics:
         assert rmse(preds, labels) == pytest.approx(rmse(preds[perm], labels[perm]), rel=1e-12)
 
 
-def four_student_rows():
-    return [
-        StudentRow(student=0, n_train=2, acc=0.5, rmse=0.2),
-        StudentRow(student=1, n_train=3, acc=1.0, rmse=0.4),
-        StudentRow(student=2, n_train=10, acc=0.9, rmse=0.1),
-        StudentRow(student=3, n_train=20, acc=0.8, rmse=0.3),
-    ]
+def columns(student, n_train, acc, rmse):
+    return StudentColumns(*map(np.array, (student, n_train, acc, rmse)))
+
+
+def four_student_columns():
+    return columns(
+        student=[0, 1, 2, 3], n_train=[2, 3, 10, 20], acc=[0.5, 1.0, 0.9, 0.8],
+        rmse=[0.2, 0.4, 0.1, 0.3],
+    )
 
 
 class TestTailMetrics:
     def test_bottom_half_oracle(self):
-        acc50, rmse50 = tail_metrics(four_student_rows())
+        acc50, rmse50 = tail_metrics(four_student_columns())
         assert acc50 == pytest.approx(0.75, abs=1e-15)
         assert rmse50 == pytest.approx(0.3, abs=1e-15)  # mean of RMSEs, not pooled
 
     def test_identical_metrics_pass_through(self):
-        rows = [StudentRow(i, i + 1, 0.7, 0.25) for i in range(6)]
-        assert tail_metrics(rows) == (pytest.approx(0.7), pytest.approx(0.25))
+        table = columns(range(6), range(1, 7), [0.7] * 6, [0.25] * 6)
+        assert tail_metrics(table) == (pytest.approx(0.7), pytest.approx(0.25))
 
     def test_tie_break_by_student_id(self):
-        rows = [
-            StudentRow(student=5, n_train=4, acc=0.0, rmse=1.0),
-            StudentRow(student=1, n_train=4, acc=1.0, rmse=0.0),
-            StudentRow(student=3, n_train=4, acc=0.5, rmse=0.5),
-            StudentRow(student=2, n_train=9, acc=0.2, rmse=0.2),
-        ]
-        acc50, _ = tail_metrics(rows)  # ids 1 and 3 lead the tie group
+        table = columns(
+            student=[5, 1, 3, 2], n_train=[4, 4, 4, 9], acc=[0.0, 1.0, 0.5, 0.2],
+            rmse=[1.0, 0.0, 0.5, 0.2],
+        )
+        acc50, _ = tail_metrics(table)  # ids 1 and 3 lead the tie group
         assert acc50 == pytest.approx(0.75)
 
     def test_count_rescaling_invariance(self):
-        rows = four_student_rows()
-        scaled = [StudentRow(r.student, r.n_train * 7, r.acc, r.rmse) for r in rows]
-        assert tail_metrics(rows) == tail_metrics(scaled)
+        table = four_student_columns()
+        scaled = table._replace(n_train=table.n_train * 7)
+        assert tail_metrics(table) == tail_metrics(scaled)
 
     def test_single_student_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            tail_metrics(four_student_rows()[:1])
+            tail_metrics(StudentColumns(*(c[:1] for c in four_student_columns())))
 
 
 class TestGroupReport:
     def test_hand_bucketing(self):
-        rows = [
-            StudentRow(0, 3, 1.0, 0.1),
-            StudentRow(1, 7, 0.5, 0.2),
-            StudentRow(2, 100, 0.8, 0.3),
-        ]
-        groups = group_report(rows)
+        table = columns([0, 1, 2], [3, 7, 100], [1.0, 0.5, 0.8], [0.1, 0.2, 0.3])
+        groups = group_report(table)
         assert len(groups) == 9
         assert groups[0].label == "0-5" and groups[0].n_students == 1
         assert groups[1].label == "5-10" and groups[1].n_students == 1
@@ -116,16 +113,15 @@ class TestGroupReport:
         assert math.isnan(groups[2].acc)
 
     def test_huge_width_single_bucket(self):
-        rows = four_student_rows()
-        groups = group_report(rows, bucket_width=1000, n_buckets=1)
+        groups = group_report(four_student_columns(), bucket_width=1000, n_buckets=1)
         assert groups[0].n_students == 4
         assert groups[0].acc == pytest.approx(np.mean([0.5, 1.0, 0.9, 0.8]))
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
-            group_report([], 5, 9)
+            group_report(columns([], [], [], []), 5, 9)
         with pytest.raises(ValueError):
-            group_report(four_student_rows(), 0, 9)
+            group_report(four_student_columns(), 0, 9)
 
 
 class TestStudentTable:
@@ -134,7 +130,7 @@ class TestStudentTable:
         preds = np.array([0.9, 0.4, 0.2, 0.6])
         labels = np.array([1, 0, 0, 0])
         counts = np.array([5, 2])
-        rows = student_table(students, preds, labels, counts)
+        rows = student_table(students, preds, labels, counts).rows()
         assert [r.student for r in rows] == [0, 1]
         assert rows[0].n_train == 5 and rows[1].n_train == 2
         assert rows[0].acc == 1.0
@@ -151,7 +147,7 @@ class TestStudentTable:
         preds[rng.random(n_records) < 0.1] = 0.5  # the inclusive threshold
         labels = rng.integers(0, 2, size=n_records)
         counts = rng.integers(0, 50, size=n_students)
-        rows = student_table(students, preds, labels, counts)
+        rows = student_table(students, preds, labels, counts).rows()
         # reference: the per-student mask loop the table is computed without
         expected = []
         for s in np.unique(students):
@@ -162,11 +158,11 @@ class TestStudentTable:
         npt.assert_allclose([r.rmse for r in rows], [e[3] for e in expected], rtol=0, atol=1e-12)
 
     def test_report_emitters_parse(self):
-        rows = four_student_rows()
-        acc50, rmse50 = tail_metrics(rows)
+        table = four_student_columns()
+        acc50, rmse50 = tail_metrics(table)
         report = EvalReport(
             acc=0.8, rmse=0.3, acc50=acc50, rmse50=rmse50,
-            per_group=group_report(rows), per_student=rows,
+            per_group=group_report(table), per_student=table.rows(),
             student_keys=("zed", "amy", "x,y", 'q"t'),
         )
         blob = json.loads(report.to_json())
@@ -249,17 +245,18 @@ class TestColumnarReport:
         labels = rng.integers(0, 2, size=n_records)
         counts = COUNT_SHAPES[shape](rng, n_students)
 
-        rows = student_table(students, preds, labels, counts)
+        table = student_table(students, preds, labels, counts)
+        rows = table.rows()
         want = loop_student_table(students, preds, labels, counts)
         assert len(rows) == len(want)
         for row, ref in zip(rows, want):
             same_cells(row, ref)
         for width, n_buckets in ((5, 9), (1000, 1), (3, 4)):
-            groups = group_report(rows, width, n_buckets)
+            groups = group_report(table, width, n_buckets)
             for g, ref in zip(groups, loop_group_report(want, width, n_buckets), strict=True):
                 same_cells(dataclasses.astuple(g), ref)
         if len(rows) >= 2:
-            same_cells(tail_metrics(rows), loop_tail_metrics(want))
+            same_cells(tail_metrics(table), loop_tail_metrics(want))
 
     def test_cells_are_plain_python_numbers(self):
         rng = np.random.default_rng(5)
@@ -267,12 +264,13 @@ class TestColumnarReport:
         preds = rng.random(300)
         labels = rng.integers(0, 2, size=300)
         counts = rng.integers(0, 60, size=40).astype(np.int32)
-        rows = student_table(students, preds, labels, counts)
+        table = student_table(students, preds, labels, counts)
+        rows = table.rows()
         for row in rows:
             assert isinstance(row, StudentRow)
             assert [type(v) for v in row] == [int, int, float, float]
         report = EvalReport(
-            acc=0.5, rmse=0.5, acc50=0.5, rmse50=0.5, per_group=group_report(rows),
+            acc=0.5, rmse=0.5, acc50=0.5, rmse50=0.5, per_group=group_report(table),
             per_student=rows, student_keys=tuple(f"s{i}" for i in range(40)),
         )
         lines = list(csv.reader(report.per_student_csv().splitlines()))
@@ -290,11 +288,7 @@ def make_checkpoint(tmp_path, seed=0):
     ckpt = Checkpoint(
         params=params,
         config={},
-        se_edges=g.se_edges,
-        ec_edges=g.ec_edges,
-        n_students=4,
-        n_exercises=5,
-        n_concepts=3,
+        graph=g,
         student_keys=train.student_keys,
         exercise_keys=train.exercise_keys,
         concept_keys=q.concept_keys,

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scdkit.corpus import QMatrix, ResponseSet
 from scdkit.relgraph import build_relation_graph, directed_split
@@ -39,28 +41,48 @@ class TestBuild:
             build_relation_graph(rs, small_qmatrix())
 
 
+@st.composite
+def pair_lists(draw):
+    """Random unsorted (student, exercise) and (exercise, concept) lists with
+    duplicates, over node counts that may leave heads without edges; every
+    answered exercise gets a concept."""
+    m, n, k = (draw(st.integers(1, 6)) for _ in range(3))
+    se = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)), min_size=1,
+                       max_size=30))
+    ec = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, k - 1)), max_size=20))
+    ec += [(e, k - 1) for e in sorted({e for _, e in se} - {e for e, _ in ec})]
+    return se, ec, m, n, k
+
+
 class TestDirectedSplit:
-    def test_csr_oracle_tiny_graph(self):
-        # two students, two exercises: s0-{e0,e1}, s1-{e1}
-        rs = ResponseSet(
-            np.array([0, 0, 1], dtype=np.intp),
-            np.array([0, 1, 1], dtype=np.intp),
-            np.array([1, 0, 1], dtype=np.int64),
-            2,
-            2,
-            ("a", "b"),
-            ("x", "y"),
-        )
-        q = QMatrix(np.array([0, 1]), np.array([0, 0]), 2, 1, ("c",))
+    @settings(max_examples=100, deadline=None)
+    @given(pair_lists())
+    # the tiny graph: two students, two exercises, s0-{e0,e1}, s1-{e1}
+    @example(([(0, 0), (0, 1), (1, 1)], [(0, 0), (1, 0)], 2, 2, 1))
+    # unsorted, a duplicate, and the last head of every direction without edges
+    @example(([(1, 0), (0, 0), (1, 0)], [(0, 1), (0, 0)], 3, 2, 3))
+    def test_edge_list_oracle(self, graph):
+        se, ec, m, n, k = graph
+        students, exercises = (np.array(c, dtype=np.intp) for c in zip(*se))
+        rs = ResponseSet(students, exercises, np.ones(len(se), dtype=np.int64), m, n,
+                         tuple(f"s{i}" for i in range(m)), tuple(f"e{i}" for i in range(n)))
+        ex, co = (np.array(c, dtype=np.intp) for c in zip(*ec))
+        q = QMatrix(ex, co, n, k, tuple(f"c{i}" for i in range(k)))
         split = directed_split(build_relation_graph(rs, q))
-        npt.assert_array_equal(split.e2s.offsets, [0, 2, 3])
-        npt.assert_array_equal(split.e2s.tails, [0, 1, 1])
-        npt.assert_array_equal(split.e2s.heads, [0, 0, 1])
-        npt.assert_array_equal(split.s2e.offsets, [0, 1, 3])
-        npt.assert_array_equal(split.s2e.tails, [0, 0, 1])
-        npt.assert_array_equal(split.c2e.offsets, [0, 1, 2])
-        npt.assert_array_equal(split.e2c.offsets, [0, 2])
-        npt.assert_array_equal(split.e2c.tails, [0, 1])
+        expected = {
+            "e2s": (sorted(set(se)), m),
+            "s2e": (sorted({(e, s) for s, e in se}), n),
+            "c2e": (sorted(set(ec)), n),
+            "e2c": (sorted({(c, e) for e, c in ec}), k),
+        }
+        for direction, (pairs, n_heads) in expected.items():
+            adj = split.adjacency(direction)
+            assert adj.n_heads == n_heads and adj.n_edges == len(pairs)
+            for got, column in ((adj.heads, 0), (adj.tails, 1)):
+                assert got.dtype == np.intp
+                npt.assert_array_equal(got, np.array([pair[column] for pair in pairs], np.intp))
+            counts = [sum(h == head for h, _ in pairs) for head in range(n_heads)]
+            npt.assert_array_equal(adj.indegrees(), counts)  # trailing zeros kept
 
     def test_indegrees_match_record_counts(self, small_world):
         split, train = small_world["split"], small_world["train"]

@@ -482,11 +482,7 @@ class TestCheckpoint:
         ckpt = Checkpoint(
             params=params,
             config={"mode": "scd", "epochs": 7},
-            se_edges=g.se_edges,
-            ec_edges=g.ec_edges,
-            n_students=4,
-            n_exercises=5,
-            n_concepts=3,
+            graph=g,
             student_keys=("s0", "s1", "s2", "s3"),
             exercise_keys=("e0", "e1", "e2", "e3", "e4"),
             concept_keys=("c0", "c1", "c2"),
@@ -503,7 +499,7 @@ class TestCheckpoint:
         assert back.config == {"mode": "scd", "epochs": 7}
         assert back.epoch == 7 and back.step == 21
         assert back.student_keys == ckpt.student_keys
-        npt.assert_array_equal(back.se_edges, g.se_edges)
+        npt.assert_array_equal(back.graph.se_edges, g.se_edges)
         npt.assert_array_equal(back.adam_m["student_emb"], 0.25)
 
     def test_loads_checkpoint_written_before_the_mapping(self):
@@ -536,7 +532,7 @@ class TestCheckpoint:
         with np.load(FIXTURE) as data:
             full = {k[3:]: data[k] for k in data.files if k.startswith("p__")}
         assert full["attn0_e2s"].shape == (6, 1)
-        split, q = directed_split(ckpt.graph()), ckpt.qmatrix()
+        split, q = directed_split(ckpt.graph), ckpt.qmatrix()
         states = dict(full)
         for layer in range(2):
             s, e, c, _ = numpy_layer(split, states, layer)
@@ -623,11 +619,7 @@ class TestCheckpoint:
         ckpt = Checkpoint(
             params=params,
             config={},
-            se_edges=g.se_edges,
-            ec_edges=g.ec_edges,
-            n_students=4,
-            n_exercises=5,
-            n_concepts=3,
+            graph=g,
             student_keys=("s0", "s1", "s2", "s3"),
             exercise_keys=("e0", "e1", "e2", "e3", "e4"),
             concept_keys=("c0", "c1", "c2"),
@@ -635,5 +627,5 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "ck.npz", ckpt)
         back = load_checkpoint(tmp_path / "ck.npz")
         assert back.adam_m is None
-        npt.assert_array_equal(back.graph().se_edges, g.se_edges)
+        npt.assert_array_equal(back.graph.se_edges, g.se_edges)
         npt.assert_array_equal(back.qmatrix().dense_mask(), q.dense_mask())

@@ -35,7 +35,7 @@ from scdkit.trainkit import (
 )
 from scdkit.viewgen import DropoutParams
 from conftest import grad_check, small_qmatrix, small_responses, write_many_students
-from scdkit.relgraph import build_relation_graph, directed_split
+from scdkit.relgraph import DIRECTIONS, build_relation_graph, directed_split
 
 
 @pytest.fixture(scope="module")
@@ -497,7 +497,8 @@ class TestFit:
         other = write_synthetic(tmp_path / "other", make_synthetic(30, 15, 5, seed=4))
         ckpt = load_checkpoint(head.checkpoint_path)
         rs = load_responses(other[0])
-        assert (ckpt.n_students, ckpt.n_exercises) == (rs.n_students, rs.n_exercises)
+        g = ckpt.graph
+        assert (g.n_students, g.n_exercises) == (rs.n_students, rs.n_exercises)
         with pytest.raises(ValueError, match="edges"):
             fit(self.config(epochs=6), *other, tmp_path / "tail",
                 resume_from=head.checkpoint_path)
@@ -599,6 +600,27 @@ class TestFit:
         monkeypatch.setattr(trainkit, "train_epoch", first_epoch)
         with pytest.raises(Reached):
             fit(cfg, rp, qp, tmp_path / "run")
+
+    def test_split_from_checkpoint_equals_the_split_fit_trained_on(
+        self, small_files, tmp_path, monkeypatch
+    ):
+        built = []
+
+        def recording_split(graph):
+            built.append(directed_split(graph))
+            return built[-1]
+
+        monkeypatch.setattr(trainkit, "directed_split", recording_split)
+        rp, qp = small_files
+        result = fit(self.config(), rp, qp, tmp_path / "run")
+        (trained,) = built
+        back = directed_split(load_checkpoint(result.checkpoint_path).graph)
+        for d in DIRECTIONS:
+            want, got = trained.adjacency(d), back.adjacency(d)
+            assert got.n_heads == want.n_heads, d
+            for name in ("heads", "tails"):
+                a, b = getattr(want, name), getattr(got, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (d, name)
 
     def test_periodic_checkpoints(self, small_files, tmp_path):
         rp, qp = small_files

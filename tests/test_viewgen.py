@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from scdkit.corpus import QMatrix, ResponseSet
+from scdkit import viewgen
 from scdkit.relgraph import build_relation_graph, directed_split
 from scdkit.viewgen import (
     DropoutParams,
@@ -112,6 +113,45 @@ class TestViews:
             generate_random_view(split, 0.0, np.random.default_rng(0))
         view = generate_random_view(split, 1.0, np.random.default_rng(0))
         assert view.kept_e2s.all() and view.kept_s2e.all()
+
+
+def per_edge_probs(split, p):
+    """The e2s and s2e retention probabilities, one edge at a time from its
+    head's degree."""
+    out = []
+    for adj in (split.e2s, split.s2e):
+        degrees = adj.indegrees()
+        out.append(np.array(
+            [retention_prob(edge_importance(int(degrees[h]), p), p.p_min) for h in adj.heads]
+        ))
+    return out
+
+
+class TestSharedDraw:
+    def test_views_take_one_uniform_per_edge_e2s_first(self):
+        split = star_split([1, 3, 8, 20, 20])
+        p_e2s, p_s2e = per_edge_probs(split, DEFAULTS)
+        p_uniform = matched_uniform_p(split, DEFAULTS)
+        pair = generate_view_pair(split, DEFAULTS, np.random.default_rng(11))
+        rng = np.random.default_rng(12)
+        randoms = [generate_random_view(split, p_uniform, rng) for _ in range(2)]
+        for seed, views, (a, b) in ((11, pair, (p_e2s, p_s2e)),
+                                    (12, randoms, (p_uniform, p_uniform))):
+            ref = np.random.default_rng(seed)
+            for view in views:
+                npt.assert_array_equal(view.kept_e2s, ref.random(split.e2s.n_edges) < a)
+                npt.assert_array_equal(view.kept_s2e, ref.random(split.s2e.n_edges) < b)
+
+    def test_probabilities_computed_once_per_pair_and_per_audit(self, monkeypatch):
+        calls = []
+        edge_probs = viewgen._edge_probs
+        monkeypatch.setattr(viewgen, "_edge_probs", lambda *a: calls.append(a) or edge_probs(*a))
+        split = star_split([1, 3, 8, 20])
+        generate_view_pair(split, DEFAULTS, np.random.default_rng(0))
+        assert len(calls) == 2  # e2s and s2e
+        calls.clear()
+        retention_table(split, DEFAULTS, draws=50, rng=np.random.default_rng(0))
+        assert len(calls) == 2
 
 
 class TestMatching:
