@@ -1,4 +1,5 @@
-"""Response-record and Q-matrix ingestion, sparse-student filtering, and splits.
+"""Response-record and Q-matrix ingestion, sparse-student filtering, splits,
+and the one CSV writer behind every CSV the tool writes.
 
 Raw student/exercise/concept keys are arbitrary strings; loaders remap them
 to dense 0-based indices in first-appearance order and keep the two-way
@@ -11,16 +12,19 @@ plus the integer columns built so far. Each chunk is converted column-wise:
 new keys get ids per chunk, each distinct score string is parsed once, and
 duplicate pairs are dropped at the end with one `np.unique`. Errors name the
 1-based file line where the earliest bad row starts (a row spans lines when a
-quoted field holds a line break), as a row-at-a-time reader would.
+quoted field holds a line break), as a row-at-a-time reader would. What
+`write_csv` writes reads back through this reader.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
-from dataclasses import asdict, dataclass, field
-from itertools import accumulate, compress, islice, repeat
+from dataclasses import asdict, dataclass
+from itertools import accumulate, chain, compress, islice, repeat
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -83,32 +87,15 @@ class ResponseSet:
 
 @dataclass(frozen=True, eq=False)
 class QMatrix:
-    """Binary exercise-concept incidence as a deduplicated pair list."""
+    """The Q-matrix as loaded: distinct (exercise, concept) pairs, sorted, and
+    the concept keys. `build_relation_graph` makes the pairs the graph's
+    concept edges, where training and scoring read an exercise's concepts."""
 
     exercises: np.ndarray
     concepts: np.ndarray
     n_exercises: int
     n_concepts: int
     concept_keys: tuple[str, ...]
-    _mask: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        mask = np.zeros((self.n_exercises, self.n_concepts))
-        mask[self.exercises, self.concepts] = 1.0
-        object.__setattr__(self, "_mask", mask)
-
-    def __len__(self) -> int:
-        return len(self.exercises)
-
-    def dense_mask(self) -> np.ndarray:
-        """(n_exercises, n_concepts) 0/1 float matrix."""
-        return self._mask
-
-    def concept_counts(self) -> np.ndarray:
-        return np.bincount(self.exercises, minlength=self.n_exercises)
-
-    def concepts_of(self, exercise: int) -> np.ndarray:
-        return np.sort(self.concepts[self.exercises == exercise])
 
 
 @dataclass(frozen=True)
@@ -206,6 +193,30 @@ def _read_rows(path, header: tuple[str, ...]):
                 return
 
 
+def _cr_quoted(rows) -> str:
+    """`rows` as CSV lines ending in LF, a field holding a CR quoted: a CRLF
+    writer quotes both line breaks, and each line's CRLF is cut back to LF."""
+    lines: list[str] = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
+    return "".join(line[:-2] + "\n" for line in lines)
+
+
+def write_csv(fh, rows) -> None:
+    """Write `rows` to the text stream `fh` as CSV lines ending in LF, quoting
+    only the fields that hold a comma, a quote, LF or CR. csv.writer quotes only
+    its terminator's line breaks, but the loaders end a row at a lone CR too, so
+    a chunk of CHUNK_ROWS rows whose text holds a CR is written by `_cr_quoted`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    rows = iter(rows)
+    while chunk := list(islice(rows, CHUNK_ROWS)):
+        writer.writerows(chunk)
+        text = buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+        fh.write(_cr_quoted(chunk) if "\r" in text else text)
+
+
 def _dense_ids(keys: list[str], index: dict[str, int]) -> np.ndarray:
     """Dense ids of `keys`, adding unseen keys to `index` in first-appearance
     order."""
@@ -251,6 +262,14 @@ def load_responses(path) -> ResponseSet:
         tuple(student_index),
         tuple(exercise_index),
     )
+
+
+def write_responses(path, rs: ResponseSet) -> None:
+    """Write `rs` as a `student,exercise,score` CSV in raw keys, with a header."""
+    rows = zip(rs.students.tolist(), rs.exercises.tolist(), rs.scores.tolist())
+    keyed = ((rs.student_keys[s], rs.exercise_keys[e], t) for s, e, t in rows)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        write_csv(fh, chain([("student", "exercise", "score")], keyed))
 
 
 def load_qmatrix(path, rs: ResponseSet) -> QMatrix:

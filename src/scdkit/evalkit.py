@@ -15,7 +15,6 @@ once, for the report. No Python loop runs over students.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import ResponseSet, load_responses
+from .corpus import ResponseSet, load_responses, write_csv
 from .relgraph import DirectedSplit, directed_split
 from .scdmodel import Checkpoint, Diagnosis, diagnose, gcn_forward, load_checkpoint, predict
 
@@ -47,9 +46,9 @@ def _check_pair(preds, labels) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _csv_text(rows) -> str:
-    """Rows as CSV text, quoting only the fields that need it; no final newline."""
+    """Rows as CSV text, written by `corpus.write_csv`; no final newline."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
+    write_csv(buf, rows)
     return buf.getvalue().removesuffix("\n")
 
 
@@ -191,14 +190,15 @@ def infer(params, split: DirectedSplit) -> tuple[Diagnosis, dict]:
     return diagnose(gcn_forward(params, split, nodes=nodes), nodes), nodes
 
 
-def evaluate(params, split, q, test_set: ResponseSet, train_counts: np.ndarray) -> EvalReport:
-    """Forward on the original graph and score every test record."""
+def evaluate(params, split: DirectedSplit, test_set: ResponseSet) -> EvalReport:
+    """Forward on the train graph `split` and score every test record. A student's
+    train interaction count is its e2s indegree: train records are distinct pairs."""
     if len(test_set) == 0:
         raise ValueError("test set is empty")
     diag, nodes = infer(params, split)
-    preds = predict(diag, nodes, q, test_set.students, test_set.exercises).value
+    preds = predict(diag, nodes, split, test_set.students, test_set.exercises).value
     labels = test_set.scores
-    table = student_table(test_set.students, preds, labels, train_counts)
+    table = student_table(test_set.students, preds, labels, split.e2s.indegrees())
     acc50, rmse50 = tail_metrics(table)
     return EvalReport(
         acc=accuracy(preds, labels),
@@ -238,19 +238,13 @@ def align_responses(
 
 
 def evaluate_checkpoint(checkpoint_path, test_path) -> EvalReport:
-    """Rebuild the train graph stored in the checkpoint and score a test CSV.
-
-    Train interaction counts are recovered as exercise->student indegrees
-    (train records are deduplicated, so edges equal records).
-    """
+    """Rebuild the train graph stored in the checkpoint and score a test CSV."""
     ckpt = load_checkpoint(checkpoint_path, optimizer=False)
     split = directed_split(ckpt.graph)
-    q = ckpt.qmatrix()
     test_set = align_responses(
         load_responses(test_path), ckpt.student_keys, ckpt.exercise_keys
     )
-    train_counts = split.e2s.indegrees()
-    return evaluate(ckpt.params, split, q, test_set, train_counts)
+    return evaluate(ckpt.params, split, test_set)
 
 
 @dataclass(eq=False)
@@ -323,11 +317,11 @@ def case_study(
     except KeyError as err:
         raise ValueError(f"unknown exercise id {err.args[0]!r}") from None
 
-    q = ckpt.qmatrix()
-    per_exercise = {e: tuple(int(c) for c in q.concepts_of(e)) for e in exercises}
+    split = directed_split(ckpt.graph)
+    per_exercise = {e: tuple(split.c2e.tails[split.c2e.heads == e].tolist()) for e in exercises}
     concept_ids = sorted({c for cs in per_exercise.values() for c in cs})
 
-    diag, _ = infer(ckpt.params, directed_split(ckpt.graph))
+    diag, _ = infer(ckpt.params, split)
     h_s = diag.h_student.value
     h_e = diag.h_exercise.value
 

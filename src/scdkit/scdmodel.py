@@ -12,8 +12,8 @@ residual. A node with no surviving neighbors keeps its residual. The final
 states map through sigmoid linear heads to per-concept mastery (students)
 and difficulty (exercises); predicted accuracy of a (student, exercise)
 pair averages sigmoid(predictor(mastery - difficulty)) over the exercise's
-concepts. Each head and the prediction are one tape node with a hand-written
-backward.
+concepts, its c2e edges. Each head and the prediction are one tape node with
+a hand-written backward.
 
 Forward passes accept an optional View whose masks thin the interaction
 directions only; concept edges always participate at full density. A View of
@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffcore as dc
-from .corpus import QMatrix
 from .relgraph import DIRECTIONS, DirectedSplit, RelationGraph
 from .viewgen import View
 
@@ -242,7 +241,7 @@ def diagnose(states: NodeStates, nodes: dict[str, dc.DiffNode]) -> Diagnosis:
 def predict(
     diag: Diagnosis,
     nodes: dict[str, dc.DiffNode],
-    q: QMatrix,
+    split: DirectedSplit,
     students: np.ndarray,
     exercises: np.ndarray,
 ) -> dc.DiffNode:
@@ -250,11 +249,13 @@ def predict(
     node over the gathered mastery and difficulty rows and the predictor.
 
     sigmoid(predictor(mastery - difficulty)) averaged over the exercise's
-    concepts; exercises without concepts are rejected.
+    concepts, which are its c2e edges in `split`; exercises without one are
+    rejected.
     """
     students = np.asarray(students, dtype=np.intp)
     exercises = np.asarray(exercises, dtype=np.intp)
-    counts = q.concept_counts()[exercises]
+    c2e = split.c2e
+    counts = c2e.indegrees()[exercises]
     if (counts == 0).any():
         bad = int(exercises[counts == 0][0])
         raise ValueError(f"exercise {bad} has no concepts in the Q-matrix")
@@ -262,7 +263,9 @@ def predict(
     h_s = dc.gather_rows(diag.h_student, students)
     h_e = dc.gather_rows(diag.h_exercise, exercises)
     w, b = nodes["w_predict"], nodes["b_predict"]
-    mask = q.dense_mask()[exercises]
+    concepts = np.zeros((c2e.n_heads, split.e2c.n_heads))  # the 0/1 Q-matrix
+    concepts[c2e.heads, c2e.tails] = 1.0
+    mask = concepts[exercises]
     inv = 1.0 / counts
     v = dc.sigmoid((h_s.value - h_e.value) @ w.value + b.value)
 
@@ -290,11 +293,6 @@ class Checkpoint:
     adam_m: dict[str, np.ndarray] | None = None
     adam_v: dict[str, np.ndarray] | None = None
     train_sha256: str | None = None  # fingerprint of the train records, for --resume
-
-    def qmatrix(self) -> QMatrix:
-        g = self.graph
-        exercises, concepts = (column.astype(np.intp) for column in g.ec_edges.T)
-        return QMatrix(exercises, concepts, g.n_exercises, g.n_concepts, self.concept_keys)
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:

@@ -13,7 +13,6 @@ bit-reproducible and resumable in single-thread double precision.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import logging
@@ -24,14 +23,15 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import (
+    QMatrix,
     ResponseSet,
     dataset_stats,
     filter_min_interactions,
     load_qmatrix,
     load_responses,
     split_train_test,
+    write_responses,
 )
-from .corpus import QMatrix
 from .objectives import INFONCE_MAX_ROWS, LossBreakdown, main_loss, ssl_loss, total_loss
 from .relgraph import DirectedSplit, RelationGraph, build_relation_graph, directed_split
 from .scdmodel import (
@@ -212,7 +212,6 @@ def _ssl_subsets(
 def _train_step(
     params: ModelParams,
     split: DirectedSplit,
-    q: QMatrix,
     train_set: ResponseSet,
     config: TrainConfig,
     views: View | None,
@@ -240,7 +239,7 @@ def _train_step(
     nodes = params.wrap()
     states = gcn_forward(params, split, nodes=nodes, rows=rows)
     diag = diagnose(states, nodes)
-    y = predict(diag, nodes, q, b_students, b_exercises)
+    y = predict(diag, nodes, split, b_students, b_exercises)
     l_main = main_loss(y, train_set.scores[batch])
 
     l_ssl_s = l_ssl_e = None
@@ -264,7 +263,6 @@ def _train_step(
 def train_epoch(
     params: ModelParams,
     split: DirectedSplit,
-    q: QMatrix,
     train_set: ResponseSet,
     config: TrainConfig,
     epoch: int,
@@ -280,7 +278,7 @@ def train_epoch(
     n_batches = 0
     for start in range(0, len(order), config.batch_size):
         batch = order[start : start + config.batch_size]
-        breakdown = _train_step(params, split, q, train_set, config, views, batch, opt)
+        breakdown = _train_step(params, split, train_set, config, views, batch, opt)
         sums += (breakdown.main, breakdown.ssl_student, breakdown.ssl_exercise, breakdown.reg)
         n_batches += 1
 
@@ -361,14 +359,6 @@ class FitResult:
     train_path: Path
     test_path: Path
     config: TrainConfig
-
-
-def _write_responses_csv(path: Path, rs: ResponseSet) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("student", "exercise", "score"))
-        rows = zip(rs.students.tolist(), rs.exercises.tolist(), rs.scores.tolist())
-        writer.writerows((rs.student_keys[s], rs.exercise_keys[e], t) for s, e, t in rows)
 
 
 def _make_checkpoint(
@@ -459,8 +449,8 @@ def fit(
 
     train_path = output_dir / "train.csv"
     test_path = output_dir / "test.csv"
-    _write_responses_csv(train_path, train_set)
-    _write_responses_csv(test_path, test_set)
+    write_responses(train_path, train_set)
+    write_responses(test_path, test_set)
     (output_dir / "mappings.json").write_text(
         json.dumps(
             {
@@ -485,7 +475,7 @@ def fit(
         log_file.write(LossBreakdown.CSV_HEADER + "\n")
         for epoch in range(start_epoch + 1, config.epochs + 1):
             try:
-                breakdown = train_epoch(params, split, q, train_set, config, epoch, opt)
+                breakdown = train_epoch(params, split, train_set, config, epoch, opt)
             except FloatingPointError as err:
                 rescue = output_dir / "checkpoint_diverged.npz"
                 save_checkpoint(

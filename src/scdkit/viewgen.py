@@ -104,15 +104,11 @@ def _draw(split: DirectedSplit, p_e2s, p_s2e, rng: np.random.Generator) -> View:
     return View(rng.random(split.e2s.n_edges) < p_e2s, rng.random(split.s2e.n_edges) < p_s2e)
 
 
-def generate_view(split: DirectedSplit, p: DropoutParams, rng: np.random.Generator) -> View:
-    """One importance-based draw: each interaction edge kept i.i.d. Bernoulli."""
-    return _draw(split, *_interaction_probs(split, p), rng)
-
-
 def generate_view_pair(
     split: DirectedSplit, p: DropoutParams, rng: np.random.Generator
 ) -> tuple[View, View]:
-    """Two independent draws from the same generator stream."""
+    """Two independent importance-based draws from the same generator stream:
+    each interaction edge kept i.i.d. Bernoulli in each."""
     probs = _interaction_probs(split, p)
     return _draw(split, *probs, rng), _draw(split, *probs, rng)
 

@@ -23,7 +23,6 @@ from scdkit.viewgen import (
     DropoutParams,
     edge_importance,
     generate_random_view,
-    generate_view,
     generate_view_pair,
     matched_uniform_p,
     retention_prob,
@@ -34,16 +33,15 @@ from conftest import grad_check, small_qmatrix, small_responses
 
 def tiny_world():
     train = small_responses()
-    q = small_qmatrix()
-    split = directed_split(build_relation_graph(train, q))
-    return train, q, split
+    split = directed_split(build_relation_graph(train, small_qmatrix()))
+    return train, split
 
 
-def full_objective(leaves, params, split, q, train, views, lambda1, lambda2, tau):
+def full_objective(leaves, params, split, train, views, lambda1, lambda2, tau):
     """Supervised loss on the intact graph plus contrastive loss on two views."""
     states = gcn_forward(params, split, None, leaves)
     diag = diagnose(states, leaves)
-    y = predict(diag, leaves, q, train.students, train.exercises)
+    y = predict(diag, leaves, split, train.students, train.exercises)
     main = main_loss(y, train.scores)
     states_a = gcn_forward(params, split, views[0], leaves)
     states_b = gcn_forward(params, split, views[1], leaves)
@@ -55,12 +53,12 @@ def full_objective(leaves, params, split, q, train, views, lambda1, lambda2, tau
 def test_c01_full_objective_gradients_match_finite_differences():
     """Backprop through two GCN layers, both contrastive views, the
     prediction head and the regularizer agrees with central differences."""
-    train, q, split = tiny_world()
+    train, split = tiny_world()
     params = init_params(4, 5, 3, dim=3, n_layers=2, seed=11)
     views = generate_view_pair(split, DropoutParams(), np.random.default_rng(5))
 
     def f(leaves):
-        return full_objective(leaves, params, split, q, train, views, 0.1, 1e-4, 0.5)
+        return full_objective(leaves, params, split, train, views, 0.1, 1e-4, 0.5)
 
     start = time.perf_counter()
     worst = grad_check(f, params, eps=1e-5)
@@ -117,7 +115,7 @@ def test_c02_attention_weights_sum_to_one_per_neighborhood():
     for trial in range(100):
         rng = np.random.default_rng(trial)
         split, params = random_world(rng)
-        view = generate_view(split, DropoutParams(), rng) if trial % 2 else None
+        view = generate_view_pair(split, DropoutParams(), rng)[0] if trial % 2 else None
         states = gcn_forward(params, split, view)
         for direction in DIRECTIONS:
             adj = split.adjacency(direction)
@@ -223,9 +221,8 @@ def test_c04_matched_uniform_dropout_keeps_as_many_edges():
     draws = 1_000
     rng_a, rng_b = np.random.default_rng(1), np.random.default_rng(2)
     kept_scd = np.array([
-        generate_view(split, dropout, rng_a).kept_e2s.sum()
-        + generate_view(split, dropout, rng_a).kept_s2e.sum()
-        for _ in range(draws)
+        a.kept_e2s.sum() + b.kept_s2e.sum()
+        for a, b in (generate_view_pair(split, dropout, rng_a) for _ in range(draws))
     ])
     kept_rand = np.array([
         generate_random_view(split, p_uniform, rng_b).kept_e2s.sum()
@@ -298,12 +295,12 @@ def test_c06_metrics_match_hand_computed_values():
 def test_c07_p_min_one_views_reproduce_intact_graph_gradients():
     """With retention forced to 1 the two views are the intact graph, and the
     whole backward pass is bit-identical to skipping view masks entirely."""
-    train, q, split = tiny_world()
+    train, split = tiny_world()
     params = init_params(4, 5, 3, dim=3, n_layers=2, seed=11)
 
     def grads(views):
         leaves = params.wrap()
-        total = full_objective(leaves, params, split, q, train, views, 0.1, 1e-4, 0.5)
+        total = full_objective(leaves, params, split, train, views, 0.1, 1e-4, 0.5)
         total.backward()
         return {name: np.array(node.grad, copy=True) for name, node in leaves.items()}
 

@@ -102,7 +102,7 @@ def test_rebound_step_functions_are_called_on_every_step(small_world, monkeypatc
     params = trainkit.init_params(4, 5, 3, seed=0)
     config = trainkit.TrainConfig(epochs=1, batch_size=4)  # 10 records: 3 steps
     trainkit.train_epoch(
-        params, small_world["split"], small_world["q"], train, config, 1,
+        params, small_world["split"], train, config, 1,
         trainkit.AdamState.fresh(params),
     )
     assert calls == {"adam_step": 3, "total_loss": 3, "gcn_forward": 6}
@@ -121,8 +121,7 @@ def test_rebound_scoring_functions_are_called_once_per_evaluate(small_world, mon
         monkeypatch.setattr(evalkit, name, counted)
     train = small_world["train"]
     evalkit.evaluate(
-        params=trainkit.init_params(4, 5, 3, seed=0), split=small_world["split"],
-        q=small_world["q"], test_set=train, train_counts=train.student_counts(),
+        params=trainkit.init_params(4, 5, 3, seed=0), split=small_world["split"], test_set=train
     )
     assert calls == {"gcn_forward": 1, "diagnose": 1, "predict": 1, "student_table": 1}
 
@@ -180,15 +179,13 @@ def test_benchmark_output_checks_pass_on_a_trained_small_world(worker, small_wor
         return out
 
     monkeypatch.setattr(trainkit, "total_loss", recorded)
-    train, split, q = small_world["train"], small_world["split"], small_world["q"]
+    train, split = small_world["train"], small_world["split"]
     params = trainkit.init_params(4, 5, 3, seed=0)
     config = trainkit.TrainConfig(epochs=1, batch_size=4)
-    trainkit.train_epoch(params, split, q, train, config, 1, trainkit.AdamState.fresh(params))
+    trainkit.train_epoch(params, split, train, config, 1, trainkit.AdamState.fresh(params))
     assert len(losses) == 3
     worker.check_losses(losses)
-    report = evalkit.evaluate(
-        params=params, split=split, q=q, test_set=train, train_counts=train.student_counts()
-    )
+    report = evalkit.evaluate(params=params, split=split, test_set=train)
     assert worker.check_report(report) == (report.acc, report.rmse, report.acc50, report.rmse50)
     assert len(report.per_student) == 4
 

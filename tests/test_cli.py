@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import write_many_students
 from scdkit.cli import main
+from scdkit.corpus import load_responses
 from scdkit.objectives import INFONCE_MAX_ROWS
 from scdkit.synth import make_synthetic, write_synthetic
 
@@ -594,3 +595,45 @@ class TestIdsRoundTrip:
             outcome_rows = csv_rows(outcomes)[1:]
             assert {row[0] for row in outcome_rows} == test_students
             assert {row[1] for row in outcome_rows} <= set(exercises)
+
+    def test_an_id_holding_a_lone_cr_survives_train_eval_and_diagnose(self, data_dir, tmp_path):
+        # the loaders read with newline="", where an unquoted CR ends a row
+        cr_id = "a\rb"
+        with open(data_dir / "responses.csv", newline="") as src:
+            rows = [[cr_id if row[0] == "s1" else row[0], *row[1:]] for row in csv.reader(src)]
+        with open(tmp_path / "responses.csv", "w", newline="") as dst:
+            csv.writer(dst).writerows(rows)  # CRLF lines quote the id
+        (tmp_path / "qmatrix.csv").write_text((data_dir / "qmatrix.csv").read_text())
+        run_dir = tmp_path / "run"
+        code, _, err = call(*train_args(tmp_path, run_dir))
+        assert code == 0, err
+        train, test = (load_responses(run_dir / name) for name in ("train.csv", "test.csv"))
+        assert cr_id in train.student_keys and cr_id in test.student_keys
+        assert len(train) + len(test) == len(load_responses(tmp_path / "responses.csv"))
+
+        code, _, err = call(
+            "eval",
+            "--checkpoint", str(run_dir / "checkpoint.npz"),
+            "--test", str(run_dir / "test.csv"),
+            "--output-dir", str(tmp_path / "eval"),
+        )
+        assert code == 0, err
+        with open(tmp_path / "eval" / "per_student.csv", newline="", encoding="utf-8") as fh:
+            header, *per_student = csv.reader(fh)
+        assert {len(row) for row in per_student} == {len(header)}
+        assert {row[0] for row in per_student} == set(test.student_keys)
+
+        answered = test.exercises[test.students == test.student_keys.index(cr_id)]
+        exercises = [test.exercise_keys[e] for e in answered]
+        code, out, err = call(
+            "diagnose",
+            "--checkpoint", str(run_dir / "checkpoint.npz"),
+            "--students", f'"{cr_id}",s0', "--exercises", ",".join(exercises),
+            "--test", str(run_dir / "test.csv"),
+        )
+        assert code == 0, err
+        concept_table, outcomes = (io.StringIO(t, newline="") for t in out.split("\n\n"))
+        assert next(csv.reader(concept_table))[:3] == ["concept", f"mastery:{cr_id}", "mastery:s0"]
+        header, *outcome_rows = csv.reader(outcomes)
+        assert {row[0] for row in outcome_rows} >= {cr_id}
+        assert {len(row) for row in outcome_rows} == {len(header)}

@@ -21,7 +21,10 @@ from scdkit.corpus import (
     load_qmatrix,
     load_responses,
     split_train_test,
+    write_csv,
+    write_responses,
 )
+from scdkit.relgraph import build_relation_graph, directed_split
 from scdkit.synth import make_synthetic, write_synthetic
 from conftest import small_qmatrix, small_responses
 
@@ -29,6 +32,12 @@ from conftest import small_qmatrix, small_responses
 def write(path, text):
     path.write_text(text)
     return path
+
+
+def concept_edges(rs: ResponseSet, q: QMatrix) -> tuple[list, list]:
+    """The exercise and concept of each c2e edge of the graph built from `q`."""
+    c2e = directed_split(build_relation_graph(rs, q)).c2e
+    return c2e.heads.tolist(), c2e.tails.tolist()
 
 
 class TestLoadResponses:
@@ -79,12 +88,12 @@ class TestLoadQMatrix:
         q = load_qmatrix(write(tmp_path / "q.csv", "exercise,concept\nx,alg\ny,geo\ny,alg\n"), rs)
         assert q.n_exercises == 2 and q.n_concepts == 2
         assert q.concept_keys == ("alg", "geo")
-        npt.assert_array_equal(q.dense_mask(), [[1.0, 0.0], [1.0, 1.0]])
+        assert concept_edges(rs, q) == ([0, 1, 1], [0, 0, 1])
 
     def test_unknown_exercises_ignored(self, tmp_path):
         rs = load_responses(write(tmp_path / "r.csv", "a,x,1\n"))
         q = load_qmatrix(write(tmp_path / "q.csv", "x,alg\nghost,alg\n"), rs)
-        assert q.n_exercises == 1 and len(q) == 1
+        assert q.n_exercises == 1 and concept_edges(rs, q) == ([0], [0])
 
     def test_uncovered_exercise_rejected(self, tmp_path):
         rs = load_responses(write(tmp_path / "r.csv", "a,x,1\na,y,0\n"))
@@ -94,12 +103,12 @@ class TestLoadQMatrix:
     def test_duplicate_pairs_collapse(self, tmp_path):
         rs = load_responses(write(tmp_path / "r.csv", "a,x,1\n"))
         q = load_qmatrix(write(tmp_path / "q.csv", "x,alg\nx,alg\n"), rs)
-        assert len(q) == 1
+        assert concept_edges(rs, q) == ([0], [0])
 
     def test_concepts_of_sorted(self):
-        q = small_qmatrix()
-        npt.assert_array_equal(q.concepts_of(3), [0, 1])
-        npt.assert_array_equal(q.concept_counts(), [1, 1, 1, 2, 1])
+        c2e = directed_split(build_relation_graph(small_responses(), small_qmatrix())).c2e
+        npt.assert_array_equal(c2e.tails[c2e.heads == 3], [0, 1])
+        npt.assert_array_equal(c2e.indegrees(), [1, 1, 1, 2, 1])
 
 
 class TestFilterMinInteractions:
@@ -374,7 +383,7 @@ class TestQMatrixLoaderContract:
 
     def test_header_off_line_one_is_an_unknown_exercise(self, tmp_path, chunk_rows, rs):
         q = load_qmatrix(write(tmp_path / "q.csv", "\nexercise,concept\nx,alg\ny,alg\n"), rs)
-        assert q.concept_keys == ("alg",) and len(q) == 2
+        assert q.concept_keys == ("alg",) and concept_edges(rs, q) == ([0, 1], [0, 0])
 
     def test_unknown_exercises_register_no_concept(self, tmp_path, chunk_rows, rs):
         text = " Exercise,concept\nghost,zeta\ny, geo \n\nx,alg\nghost,beta\ny,alg\nx,alg\ny,geo\n"
@@ -394,6 +403,50 @@ class TestQMatrixLoaderContract:
     def test_no_usable_rows(self, tmp_path, chunk_rows, rs):
         p = write(tmp_path / "q.csv", "exercise,concept\nghost,alg\n")
         assert format_error(load_qmatrix, p, rs) == f"{p}: no usable exercise-concept rows"
+
+
+# --- The one CSV writer -------------------------------------------------------
+
+
+def written(rows) -> str:
+    out = io.StringIO()
+    write_csv(out, rows)
+    return out.getvalue()
+
+
+class TestWriteCsv:
+    # every field csv.writer quotes for LF lines, and values it formats itself
+    PLAIN = [
+        ["student", "exercise", "score"],
+        ["a,b", 'say "hi"', 1],
+        ["c\nd", "", 0.25],
+        [" e ", None, True],
+        [""],
+        ["ø", "x", 0],
+    ]
+
+    def test_fields_without_a_cr_keep_the_lf_writers_bytes(self, chunk_rows):
+        reference = io.StringIO()
+        csv.writer(reference, lineterminator="\n").writerows(self.PLAIN)
+        assert written(self.PLAIN) == reference.getvalue()
+        assert written([]) == ""
+
+    def test_a_field_with_a_lone_cr_is_quoted(self, chunk_rows):
+        assert written([["a\rb", "x", 1], ["c", "y", 0]]) == '"a\rb",x,1\nc,y,0\n'
+        rows = [*self.PLAIN, ["a\rb", "x\r\ny", 1], ["c", "y\r", "\rz,"], *self.PLAIN]
+        back = list(csv.reader(io.StringIO(written(rows), newline="")))
+        assert back == [["" if f is None else str(f) for f in row] for row in rows]
+
+    def test_an_id_with_a_lone_cr_round_trips_through_the_responses_file(
+        self, tmp_path, chunk_rows
+    ):
+        rs = load_responses(write(tmp_path / "r.csv", '"a\rb",x,1\nc,y,0\n"a\rb",y,0\n'))
+        assert rs.student_keys == ("a\rb", "c") and len(rs) == 3
+        write_responses(tmp_path / "w.csv", rs)
+        back = load_responses(tmp_path / "w.csv")
+        assert (back.student_keys, back.exercise_keys) == (rs.student_keys, rs.exercise_keys)
+        for column in ("students", "exercises", "scores"):
+            npt.assert_array_equal(getattr(back, column), getattr(rs, column))
 
 
 # --- Equal to the row-at-a-time loaders --------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import math
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scdkit import trainkit
 from scdkit.corpus import load_responses
 from scdkit.evalkit import (
     CaseStudy,
@@ -20,13 +22,15 @@ from scdkit.evalkit import (
     case_study,
     evaluate_checkpoint,
     group_report,
+    infer,
     rmse,
     student_table,
     tail_metrics,
 )
-from scdkit.scdmodel import Checkpoint, init_params, save_checkpoint
+from scdkit.scdmodel import Checkpoint, init_params, load_checkpoint, predict, save_checkpoint
+from scdkit.synth import make_synthetic, write_synthetic
 from conftest import small_qmatrix, small_responses
-from scdkit.relgraph import build_relation_graph
+from scdkit.relgraph import build_relation_graph, directed_split
 
 
 class TestPointMetrics:
@@ -269,14 +273,15 @@ class TestColumnarReport:
         for row in rows:
             assert isinstance(row, StudentRow)
             assert [type(v) for v in row] == [int, int, float, float]
+        keys = ("a\rb", "c,d", *(f"s{i}" for i in range(2, 40)))  # a lone CR must be quoted
         report = EvalReport(
             acc=0.5, rmse=0.5, acc50=0.5, rmse50=0.5, per_group=group_report(table),
-            per_student=rows, student_keys=tuple(f"s{i}" for i in range(40)),
+            per_student=rows, student_keys=keys,
         )
-        lines = list(csv.reader(report.per_student_csv().splitlines()))
+        lines = list(csv.reader(io.StringIO(report.per_student_csv(), newline="")))
         assert len(lines) == len(rows) + 1
-        for (_, n_train, acc, rmse_), row in zip(lines[1:], rows):
-            assert int(n_train) == row.n_train
+        for (key, n_train, acc, rmse_), row in zip(lines[1:], rows):
+            assert key == keys[row.student] and int(n_train) == row.n_train
             assert float(acc) == row.acc and float(rmse_) == row.rmse
 
 
@@ -334,6 +339,46 @@ class TestEvaluateCheckpoint:
         npt.assert_array_equal(rs.scores, [1, 0])
 
 
+@pytest.fixture(scope="module")
+def fitted(tmp_path_factory):
+    """A short fit, with the split and train records it handed train_epoch."""
+    root = tmp_path_factory.mktemp("fit")
+    responses, qmatrix = write_synthetic(root, make_synthetic(60, 20, 5, seed=0))
+    seen = {}
+
+    def recording(params, split, train_set, *args, **kwargs):
+        seen.update(split=split, train_set=train_set)
+        return train_epoch(params, split, train_set, *args, **kwargs)
+
+    train_epoch = trainkit.train_epoch
+    config = trainkit.TrainConfig(epochs=2, batch_size=64, min_interactions=1, train_ratio=0.7)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainkit, "train_epoch", recording)
+        result = trainkit.fit(config, responses, qmatrix, root / "run")
+    return result, seen["split"], seen["train_set"]
+
+
+class TestScoringAfterFit:
+    def test_predict_on_the_checkpoint_graph_equals_the_fit_time_one_bitwise(self, fitted):
+        result, fit_split, train_set = fitted
+        ckpt = load_checkpoint(result.checkpoint_path, optimizer=False)
+        split = directed_split(ckpt.graph)
+        m, n = train_set.n_students, train_set.n_exercises
+        students, exercises = np.divmod(np.arange(m * n), n)  # every pair
+        scores = []
+        for s in (fit_split, split):
+            diag, nodes = infer(ckpt.params, s)
+            scores.append(predict(diag, nodes, s, students, exercises).value)
+        assert scores[0].tobytes() == scores[1].tobytes()
+
+    def test_per_student_n_train_is_the_train_record_count(self, fitted):
+        result, _, train_set = fitted
+        report = evaluate_checkpoint(result.checkpoint_path, result.test_path)
+        ids = [r.student for r in report.per_student]
+        assert len(ids) > 30
+        assert [r.n_train for r in report.per_student] == train_set.student_counts()[ids].tolist()
+
+
 class TestCaseStudy:
     def test_slices_and_consistency_flag(self, tmp_path):
         path, ckpt = make_checkpoint(tmp_path)
@@ -341,6 +386,7 @@ class TestCaseStudy:
         study = case_study(ckpt, ["s0", "s2"], ["e3", "e0"], test_set)
         # e3 covers c0,c1; e0 covers c0 -> union {c0, c1}
         assert study.concept_labels == ["c0", "c1"]
+        assert study.exercise_concepts == {3: (0, 1), 0: (0,)}
         assert study.mastery.shape == (2, 2)
         assert study.difficulty.shape == (2, 2)
         # scores present for pairs that exist in the records

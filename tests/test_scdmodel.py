@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from scdkit.corpus import QMatrix, ResponseSet
 from scdkit.evalkit import infer
-from scdkit.relgraph import DIRECTIONS, build_relation_graph, directed_split
+from scdkit.relgraph import DIRECTIONS, RelationGraph, build_relation_graph, directed_split
 from scdkit.scdmodel import (
     Checkpoint,
     NodeStates,
@@ -41,7 +41,15 @@ def tiny_split():
         ("x", "y"),
     )
     q = QMatrix(np.array([0, 1]), np.array([0, 0]), 2, 1, ("c",))
-    return directed_split(build_relation_graph(rs, q)), q
+    return directed_split(build_relation_graph(rs, q))
+
+
+def concept_split(exercises, concepts, n_exercises: int, n_concepts: int):
+    """A DirectedSplit whose only edges are the given (exercise, concept)
+    pairs, listed in sorted order: what predict reads of a graph."""
+    ec = np.stack([np.asarray(exercises), np.asarray(concepts)], axis=1)
+    graph = RelationGraph(np.zeros((0, 2), dtype=np.intp), ec, 1, n_exercises, n_concepts)
+    return directed_split(graph)
 
 
 def kept_mask(view, direction):
@@ -212,7 +220,7 @@ class TestForward:
                 npt.assert_allclose(sums[occupied], 1.0, atol=1e-12)
 
     def test_masked_out_node_passes_residual(self):
-        split, _ = tiny_split()
+        split = tiny_split()
         params = init_params(2, 2, 1, dim=2, n_layers=1, seed=0)
         # drop both of s0's incoming edges, keep s1's
         view = View(
@@ -224,7 +232,7 @@ class TestForward:
         assert not np.array_equal(states.students[1].value[1], params["student_emb"][1])
 
     def test_all_edges_dropped_returns_embeddings(self):
-        split, _ = tiny_split()
+        split = tiny_split()
         params = init_params(2, 2, 1, dim=2, n_layers=2, seed=0)
         view = View(kept_e2s=np.zeros(3, dtype=bool), kept_s2e=np.zeros(3, dtype=bool))
         states = gcn_forward(params, split, view=view)
@@ -407,9 +415,7 @@ class TestDiagnosisAndPredict:
         # exercises carry 1 to 3 concepts; the batch repeats students and exercises
         rng = np.random.default_rng(21)
         m, n, k, d = 3, 4, 3, 2
-        q = QMatrix(
-            np.array([0, 1, 1, 2, 2, 2, 3]), np.array([2, 0, 1, 0, 1, 2, 1]), n, k, ("a", "b", "c")
-        )
+        split = concept_split([0, 1, 1, 2, 2, 2, 3], [2, 0, 1, 0, 1, 2, 1], n, k)
         students = np.array([0, 2, 2, 1, 0, 2])
         exercises = np.array([2, 0, 2, 3, 1, 2])
         seed_grad = rng.normal(size=len(students))
@@ -421,7 +427,7 @@ class TestDiagnosisAndPredict:
         def f(leaves):
             states = NodeStates([leaves["final_s"]], [leaves["final_e"]], [])
             diag = diagnose(states, leaves)
-            return seeded_sum(predict(diag, leaves, q, students, exercises), seed_grad)
+            return seeded_sum(predict(diag, leaves, split, students, exercises), seed_grad)
 
         assert grad_check(f, x) < 1e-8
 
@@ -434,8 +440,7 @@ class TestDiagnosisAndPredict:
         assert np.all((h_e > 0) & (h_e < 1))
 
     def test_predict_averages_over_exercise_concepts(self):
-        _, q5 = tiny_split()
-        q = QMatrix(np.array([0, 1, 1]), np.array([0, 0, 1]), 2, 2, ("c0", "c1"))
+        split = concept_split([0, 1, 1], [0, 0, 1], 2, 2)
         mastery = np.array([[2.0, -1.0]])
         difficulty = np.array([[0.5, 0.5], [-1.0, 1.0]])
         nodes = {
@@ -450,20 +455,25 @@ class TestDiagnosisAndPredict:
         def sig(x):
             return 1.0 / (1.0 + np.exp(-x))
 
-        y = predict(Diag, nodes, q, np.array([0, 0]), np.array([0, 1])).value
+        y = predict(Diag, nodes, split, np.array([0, 0]), np.array([0, 1])).value
         npt.assert_allclose(y[0], sig(1.5), atol=1e-12)
         npt.assert_allclose(y[1], (sig(3.0) + sig(-2.0)) / 2, atol=1e-12)
 
     def test_conceptless_exercise_rejected(self):
-        q = QMatrix(np.array([0]), np.array([0]), 2, 1, ("c0",))  # e1 uncovered
-        nodes = {"w_predict": dc.param(np.eye(1)), "b_predict": dc.param(np.zeros(1))}
+        # e1 lies between exercises with concepts and e3 is the last head;
+        # neither has a c2e edge, and the first such exercise asked for is named
+        split = concept_split([0, 2], [0, 1], 4, 2)
+        nodes = {"w_predict": dc.param(np.eye(2)), "b_predict": dc.param(np.zeros(2))}
 
         class Diag:
-            h_student = dc.param(np.zeros((1, 1)))
-            h_exercise = dc.param(np.zeros((2, 1)))
+            h_student = dc.param(np.zeros((1, 2)))
+            h_exercise = dc.param(np.zeros((4, 2)))
 
-        with pytest.raises(ValueError, match="no concepts"):
-            predict(Diag, nodes, q, np.array([0]), np.array([1]))
+        npt.assert_array_equal(predict(Diag, nodes, split, [0, 0], [2, 0]).value, [0.5, 0.5])
+        for exercises, bad in (([1], 1), ([0, 1, 2], 1), ([2, 3], 3), ([3, 1], 3)):
+            students = np.zeros(len(exercises), dtype=np.intp)
+            with pytest.raises(ValueError, match=f"^exercise {bad} has no concepts"):
+                predict(Diag, nodes, split, students, exercises)
 
     def test_diagnose_uses_final_layer(self, small_world):
         params = init_params(4, 5, 3, seed=6)
@@ -532,7 +542,7 @@ class TestCheckpoint:
         with np.load(FIXTURE) as data:
             full = {k[3:]: data[k] for k in data.files if k.startswith("p__")}
         assert full["attn0_e2s"].shape == (6, 1)
-        split, q = directed_split(ckpt.graph), ckpt.qmatrix()
+        split = directed_split(ckpt.graph)
         states = dict(full)
         for layer in range(2):
             s, e, c, _ = numpy_layer(split, states, layer)
@@ -544,12 +554,14 @@ class TestCheckpoint:
         h_s = sig(s @ full["w_student_diag"] + full["b_student_diag"])
         h_e = sig(e @ full["w_exercise_diag"] + full["b_exercise_diag"])
         students, exercises = np.divmod(np.arange(4 * 5), 5)  # every pair
-        concepts = q.dense_mask()[exercises]
+        q_matrix = np.zeros((5, 3))
+        q_matrix[tuple(ckpt.graph.ec_edges.T)] = 1.0
+        concepts = q_matrix[exercises]
         v = sig((h_s[students] - h_e[exercises]) @ full["w_predict"] + full["b_predict"])
         expected = (v * concepts).sum(axis=1) / concepts.sum(axis=1)
 
         diag, nodes = infer(ckpt.params, split)
-        scores = predict(diag, nodes, q, students, exercises).value
+        scores = predict(diag, nodes, split, students, exercises).value
         pairs = [(diag.h_student.value, h_s), (diag.h_exercise.value, h_e), (scores, expected)]
         for got, want in pairs:
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
@@ -628,4 +640,6 @@ class TestCheckpoint:
         back = load_checkpoint(tmp_path / "ck.npz")
         assert back.adam_m is None
         npt.assert_array_equal(back.graph.se_edges, g.se_edges)
-        npt.assert_array_equal(back.qmatrix().dense_mask(), q.dense_mask())
+        c2e = directed_split(back.graph).c2e
+        npt.assert_array_equal(c2e.heads, q.exercises)
+        npt.assert_array_equal(c2e.tails, q.concepts)

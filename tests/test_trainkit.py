@@ -114,52 +114,51 @@ class TestAdam:
 class TestTrainEpoch:
     def world(self):
         train = small_responses()
-        q = small_qmatrix()
-        split = directed_split(build_relation_graph(train, q))
+        split = directed_split(build_relation_graph(train, small_qmatrix()))
         params = init_params(4, 5, 3, seed=0)
-        return params, split, q, train
+        return params, split, train
 
     def test_supervised_only_has_exactly_zero_ssl(self):
-        params, split, q, train = self.world()
+        params, split, train = self.world()
         cfg = TrainConfig(epochs=1, mode="supervised-only", batch_size=4)
         opt = AdamState.fresh(params)
-        b = train_epoch(params, split, q, train, cfg, epoch=1, opt=opt)
+        b = train_epoch(params, split, train, cfg, epoch=1, opt=opt)
         assert b.ssl_student == 0.0 and b.ssl_exercise == 0.0
         assert b.total == pytest.approx(b.main + cfg.lambda2 * b.reg, rel=1e-12)
 
     def test_breakdown_composition_invariant(self):
-        params, split, q, train = self.world()
+        params, split, train = self.world()
         cfg = TrainConfig(epochs=1, mode="scd", batch_size=4)
         opt = AdamState.fresh(params)
-        b = train_epoch(params, split, q, train, cfg, epoch=1, opt=opt)
+        b = train_epoch(params, split, train, cfg, epoch=1, opt=opt)
         assert b.total == pytest.approx(
             b.main + b.lambda1 * (b.ssl_student + b.ssl_exercise) + b.lambda2 * b.reg,
             rel=1e-12,
         )
 
     def test_loss_decreases_over_fifty_epochs(self):
-        params, split, q, train = self.world()
+        params, split, train = self.world()
         cfg = TrainConfig(epochs=50, mode="scd", batch_size=16, learning_rate=0.01)
         opt = AdamState.fresh(params)
-        first = train_epoch(params, split, q, train, cfg, epoch=1, opt=opt)
+        first = train_epoch(params, split, train, cfg, epoch=1, opt=opt)
         last = None
         for epoch in range(2, 51):
-            last = train_epoch(params, split, q, train, cfg, epoch=epoch, opt=opt)
+            last = train_epoch(params, split, train, cfg, epoch=epoch, opt=opt)
         assert last.total < first.total
 
     def test_adam_steps_advance_per_batch(self):
-        params, split, q, train = self.world()
+        params, split, train = self.world()
         cfg = TrainConfig(epochs=1, mode="supervised-only", batch_size=3)
         opt = AdamState.fresh(params)
-        train_epoch(params, split, q, train, cfg, epoch=1, opt=opt)
+        train_epoch(params, split, train, cfg, epoch=1, opt=opt)
         assert opt.step == 4  # ceil(10 / 3)
 
     def test_empty_train_set_rejected(self):
-        params, split, q, train = self.world()
+        params, split, train = self.world()
         empty = train.replace_records(np.zeros(len(train), dtype=bool))
         cfg = TrainConfig(epochs=1)
         with pytest.raises(ValueError, match="empty"):
-            train_epoch(params, split, q, empty, cfg, 1, AdamState.fresh(params))
+            train_epoch(params, split, empty, cfg, 1, AdamState.fresh(params))
 
 
 class TestTrainEpochRows:
@@ -197,7 +196,7 @@ class TestTrainEpochRows:
         def run():
             params = init_params(4, 5, 3, seed=0)
             opt = AdamState.fresh(params)
-            logs = [train_epoch(params, split, q, train, cfg, epoch, opt) for epoch in (1, 2)]
+            logs = [train_epoch(params, split, train, cfg, epoch, opt) for epoch in (1, 2)]
             return logs, params, opt
 
         logs, params, opt = run()
@@ -255,7 +254,7 @@ class TestStepGraphLifetime:
         monkeypatch.setattr(trainkit, "gcn_forward", checked_forward)
         monkeypatch.setattr(trainkit, "total_loss", recording_total_loss)
         cfg = TrainConfig(epochs=1, mode=mode, batch_size=4)
-        train_epoch(params, split, q, train, cfg, 1, AdamState.fresh(params))
+        train_epoch(params, split, train, cfg, 1, AdamState.fresh(params))
         per_step = 3 if mode == "scd" else 2  # forwards plus the total
         assert len(checks) == 3 * per_step and len(alive) > 20
         assert checks == [0] * len(checks)
@@ -276,7 +275,7 @@ class TestStepGraphLifetime:
             opt = AdamState.fresh(params)
             tracemalloc.start()
             try:
-                train_epoch(params, split, q, train, cfg, 1, opt)
+                train_epoch(params, split, train, cfg, 1, opt)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -300,7 +299,7 @@ class TestStepGraphLifetime:
 
         monkeypatch.setattr(trainkit, "total_loss", recording_total_loss)
         cfg = TrainConfig(epochs=1, batch_size=4)
-        train_epoch(params, split, q, train, cfg, 1, AdamState.fresh(params))
+        train_epoch(params, split, train, cfg, 1, AdamState.fresh(params))
         assert len(roots) == 3
         for root in roots:  # parents outlive the walk, so the graph is still there
             interior, leaves, stack, seen = [], [], [root], set()
@@ -338,7 +337,7 @@ class TestStepGraphLifetime:
         monkeypatch.setattr(DiffNode, "backward", traced_backward)
         tracemalloc.start()
         try:
-            train_epoch(params, split, q, train, cfg, 1, AdamState.fresh(params))
+            train_epoch(params, split, train, cfg, 1, AdamState.fresh(params))
         finally:
             tracemalloc.stop()
         assert len(peaks) == 1
@@ -364,7 +363,7 @@ class TestUnionObjective:
 
         def objective(leaves):
             states = gcn_forward(params, split, nodes=leaves, rows=(s_sub, e_sub))
-            y = predict(diagnose(states, leaves), leaves, q, b_students, b_exercises)
+            y = predict(diagnose(states, leaves), leaves, split, b_students, b_exercises)
             union = gcn_forward(params, split, view=pair, nodes=leaves, rows=(s_sub, e_sub))
             loss_s, loss_e = ssl_loss(*(union.copy_rows(j, s_sub, e_sub) for j in (0, 1)), 0.5)
             main = main_loss(y, train.scores[batch])

@@ -11,7 +11,6 @@ from scdkit.viewgen import (
     DropoutParams,
     edge_importance,
     generate_random_view,
-    generate_view,
     generate_view_pair,
     matched_uniform_p,
     retention_prob,
@@ -78,17 +77,18 @@ class TestImportanceCurve:
 class TestViews:
     def test_shapes_and_concept_edges_untouched(self, small_world):
         split = small_world["split"]
-        view = generate_view(split, DEFAULTS, np.random.default_rng(0))
-        assert view.kept_e2s.shape == (split.e2s.n_edges,)
-        assert view.kept_s2e.shape == (split.s2e.n_edges,)
-        assert [f.name for f in dataclasses.fields(view)] == ["kept_e2s", "kept_s2e"]
+        for view in generate_view_pair(split, DEFAULTS, np.random.default_rng(0)):
+            assert view.kept_e2s.shape == (split.e2s.n_edges,)
+            assert view.kept_s2e.shape == (split.s2e.n_edges,)
+            assert [f.name for f in dataclasses.fields(view)] == ["kept_e2s", "kept_s2e"]
 
     def test_deterministic_per_seed(self, small_world):
         split = small_world["split"]
-        a = generate_view(split, DEFAULTS, np.random.default_rng(7))
-        b = generate_view(split, DEFAULTS, np.random.default_rng(7))
-        npt.assert_array_equal(a.kept_e2s, b.kept_e2s)
-        npt.assert_array_equal(a.kept_s2e, b.kept_s2e)
+        pair_a = generate_view_pair(split, DEFAULTS, np.random.default_rng(7))
+        pair_b = generate_view_pair(split, DEFAULTS, np.random.default_rng(7))
+        for a, b in zip(pair_a, pair_b, strict=True):
+            npt.assert_array_equal(a.kept_e2s, b.kept_e2s)
+            npt.assert_array_equal(a.kept_s2e, b.kept_s2e)
 
     def test_pair_views_differ_in_general(self):
         split = star_split([40] * 5)
@@ -97,15 +97,15 @@ class TestViews:
 
     def test_p_min_one_keeps_everything(self, small_world):
         split = small_world["split"]
-        view = generate_view(split, DropoutParams(p_min=1.0), np.random.default_rng(3))
-        assert view.kept_e2s.all() and view.kept_s2e.all()
+        for view in generate_view_pair(split, DropoutParams(p_min=1.0), np.random.default_rng(3)):
+            assert view.kept_e2s.all() and view.kept_s2e.all()
 
     def test_low_degree_edges_always_survive(self):
         # degrees 1 and 2 sit above the t=1 threshold with default params
         split = star_split([1, 2, 2, 1])
         rng = np.random.default_rng(5)
-        for _ in range(50):
-            assert generate_view(split, DEFAULTS, rng).kept_e2s.all()
+        for _ in range(25):  # 50 views
+            assert all(v.kept_e2s.all() for v in generate_view_pair(split, DEFAULTS, rng))
 
     def test_random_view_validates_probability(self, small_world):
         split = small_world["split"]
