@@ -250,31 +250,44 @@ def predict(
 
     sigmoid(predictor(mastery - difficulty)) averaged over the exercise's
     concepts, which are its c2e edges in `split`; exercises without one are
-    rejected.
+    rejected. The predictor's T x K logits are computed whole, but the
+    sigmoid and its derivative only at each record's (record, concept)
+    pairs, put into T x K zeros for the row sum and the products; no
+    exercise x concept array is built.
     """
     students = np.asarray(students, dtype=np.intp)
     exercises = np.asarray(exercises, dtype=np.intp)
     c2e = split.c2e
-    counts = c2e.indegrees()[exercises]
+    indegrees = c2e.indegrees()
+    counts = indegrees[exercises]
     if (counts == 0).any():
         bad = int(exercises[counts == 0][0])
         raise ValueError(f"exercise {bad} has no concepts in the Q-matrix")
+    # record i's pairs are its exercise's c2e edges, in concept order, and
+    # the j-th of them is edge first[i] + j
+    first = (np.cumsum(indegrees) - indegrees)[exercises]
+    records = np.repeat(np.arange(len(exercises)), counts)
+    edges = np.arange(len(records)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+    pairs = records * split.e2c.n_heads + c2e.tails[edges]  # flat indices into T x K
 
     h_s = dc.gather_rows(diag.h_student, students)
     h_e = dc.gather_rows(diag.h_exercise, exercises)
     w, b = nodes["w_predict"], nodes["b_predict"]
-    concepts = np.zeros((c2e.n_heads, split.e2c.n_heads))  # the 0/1 Q-matrix
-    concepts[c2e.heads, c2e.tails] = 1.0
-    mask = concepts[exercises]
     inv = 1.0 / counts
-    v = dc.sigmoid((h_s.value - h_e.value) @ w.value + b.value)
+    z = (h_s.value - h_e.value) @ w.value
+    z += b.value
+    v = dc.sigmoid(z.take(pairs))
+    z[...] = 0.0  # the logits' buffer becomes the T x K zeros that hold v at the pairs
+    z.put(pairs, v)
+    out = z.sum(axis=1) * inv
 
     def backward(g):
-        dz = (g * inv)[:, None] * mask * v * (1.0 - v)
+        dz = np.zeros((len(exercises), len(w.value)))
+        dz.put(pairs, (g * inv)[records] * v * (1.0 - v))
         d_diff = dz @ w.value.T
         return d_diff, -d_diff, (h_s.value - h_e.value).T @ dz, dz.sum(axis=0)
 
-    return dc.DiffNode((v * mask).sum(axis=1) * inv, (h_s, h_e, w, b), backward)
+    return dc.DiffNode(out, (h_s, h_e, w, b), backward)
 
 
 @dataclass(eq=False)

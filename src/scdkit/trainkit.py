@@ -303,6 +303,26 @@ class ResumeMismatch(RunRefused):
     """A checkpoint that does not belong to the run asked to continue it."""
 
 
+def _refuse_oversized_contrast(config: TrainConfig, m: int, n: int, n_records: int) -> None:
+    """Raise RunRefused if a contrastive step of this run could hand the loss
+    more than INFONCE_MAX_ROWS students or exercises. A batch contrasts its
+    distinct students and exercises, at most batch_size of each; a one-record
+    batch (every batch when batch_size is 1, else a last batch of one record)
+    and `ssl_full_population` contrast all m students and all n exercises."""
+    if config.mode == "supervised-only":
+        return
+    one_record_batch = config.batch_size == 1 or n_records % config.batch_size == 1
+    if config.ssl_full_population or one_record_batch:
+        rows = max(m, n)
+        who = "ssl_full_population" if config.ssl_full_population else "a one-record batch"
+        why = f"{who} contrasts all {rows} students or exercises at once"
+    else:
+        rows = max(min(config.batch_size, m), min(config.batch_size, n))
+        why = f"a batch of {config.batch_size} records contrasts up to {rows} students or exercises"
+    if rows > INFONCE_MAX_ROWS:
+        raise RunRefused(f"{why}; the contrastive loss takes at most {INFONCE_MAX_ROWS}")
+
+
 # config keys that fix the train split, the views and the random streams
 _RESUME_KEYS = ("mode", "master_seed", "k", "theta", "p_min", "min_interactions", "train_ratio")
 
@@ -402,8 +422,10 @@ def fit(
     records, model structure, mode, seed, dropout or split settings, or one
     without optimizer state, raises ResumeMismatch before any file is written.
     A resumed train_log.csv holds only the epochs it trains. A contrastive
-    run with `ssl_full_population` over more than INFONCE_MAX_ROWS students
-    or exercises raises RunRefused, also before any file is written.
+    run whose steps could contrast more than INFONCE_MAX_ROWS students or
+    exercises (`ssl_full_population`, a batch_size over it, or a one-record
+    batch over a larger population) raises RunRefused, also before any file
+    is written.
     """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -418,13 +440,7 @@ def fit(
     if len(train_set) == 0:
         raise ValueError("train split is empty")
     graph = build_relation_graph(train_set, q)
-    if config.ssl_full_population and config.mode != "supervised-only":
-        population = max(graph.n_students, graph.n_exercises)
-        if population > INFONCE_MAX_ROWS:
-            raise RunRefused(
-                f"ssl_full_population contrasts all {population} students or exercises "
-                f"at once; the contrastive loss takes at most {INFONCE_MAX_ROWS}"
-            )
+    _refuse_oversized_contrast(config, graph.n_students, graph.n_exercises, len(train_set))
     split = directed_split(graph)
 
     start_epoch = 0

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from scdkit.evalkit import infer
 from scdkit.relgraph import DIRECTIONS, RelationGraph, build_relation_graph, directed_split
 from scdkit.scdmodel import (
     Checkpoint,
+    Diagnosis,
     NodeStates,
     diagnose,
     gcn_forward,
@@ -458,6 +460,57 @@ class TestDiagnosisAndPredict:
         y = predict(Diag, nodes, split, np.array([0, 0]), np.array([0, 1])).value
         npt.assert_allclose(y[0], sig(1.5), atol=1e-12)
         npt.assert_allclose(y[1], (sig(3.0) + sig(-2.0)) / 2, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_predict_equals_the_dense_mask_formula(self, seed):
+        """The value and the rule's four gradients equal the dense 0/1
+        Q-matrix formula up to the sign of zero, on random splits whose
+        exercises carry 1 to 3 concepts, with repeated records."""
+        rng = np.random.default_rng(seed)
+        m, n, k, t = 6, 9, 5, 40
+        q = np.zeros((n, k))
+        for ex in range(n):
+            q[ex, rng.choice(k, size=rng.integers(1, 4), replace=False)] = 1.0
+        split = concept_split(*np.nonzero(q), n, k)
+        students, exercises = rng.integers(m, size=t), rng.integers(n, size=t)
+        students[-3:], exercises[-3:] = students[0], exercises[0]  # repeats
+        h_s, h_e = rng.uniform(size=(m, k)), rng.uniform(size=(n, k))
+        w, b, g = rng.normal(size=(k, k)), rng.normal(size=k), rng.normal(size=t)
+
+        # the formula predict used before it took the sigmoid at pairs only
+        mask = q[exercises]
+        inv = 1.0 / mask.sum(axis=1)
+        diff = h_s[students] - h_e[exercises]
+        v = dc.sigmoid(diff @ w + b)
+        dz = (g * inv)[:, None] * mask * v * (1.0 - v)
+        want = [(v * mask).sum(axis=1) * inv, dz @ w.T, -(dz @ w.T), diff.T @ dz, dz.sum(axis=0)]
+
+        diag = Diagnosis(dc.param(h_s), dc.param(h_e))
+        nodes = {"w_predict": dc.param(w), "b_predict": dc.param(b)}
+        y = predict(diag, nodes, split, students, exercises)
+        got = [y.value, *y.backward_fn(g)]
+        for name, a, e in zip(("value", "d_h_s", "d_h_e", "d_w", "d_b"), got, want, strict=True):
+            assert np.array_equal(a, e), name
+
+    def test_predict_memory_does_not_grow_with_the_exercise_count(self):
+        """256 records over 20,000 exercises x 100 concepts: a dense exercise x
+        concept matrix alone would take 16 MB."""
+        rng = np.random.default_rng(3)
+        n, k, t = 20_000, 100, 256
+        ex = np.repeat(np.arange(n), rng.integers(1, 4, size=n))
+        pairs = np.unique(ex * k + rng.integers(k, size=len(ex)))
+        split = concept_split(pairs // k, pairs % k, n, k)
+        diag = Diagnosis(dc.param(rng.uniform(size=(50, k))), dc.param(rng.uniform(size=(n, k))))
+        nodes = {"w_predict": dc.param(rng.normal(size=(k, k))), "b_predict": dc.param(np.zeros(k))}
+        students, exercises = rng.integers(50, size=t), rng.integers(n, size=t)
+        tracemalloc.start()
+        try:
+            y = predict(diag, nodes, split, students, exercises)
+            y.backward_fn(np.ones(t))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
 
     def test_conceptless_exercise_rejected(self):
         # e1 lies between exercises with concepts and e3 is the last head;

@@ -20,7 +20,7 @@ from scdkit.scdmodel import (
     save_checkpoint,
 )
 from scdkit.synth import make_synthetic, write_synthetic
-from scdkit import trainkit
+from scdkit import objectives, trainkit
 from scdkit.trainkit import (
     AdamState,
     ResumeMismatch,
@@ -599,6 +599,64 @@ class TestFit:
         monkeypatch.setattr(trainkit, "train_epoch", first_epoch)
         with pytest.raises(Reached):
             fit(cfg, rp, qp, tmp_path / "run")
+
+    @staticmethod
+    def lower_row_limit(monkeypatch, limit):
+        monkeypatch.setattr(objectives, "INFONCE_MAX_ROWS", limit)
+        monkeypatch.setattr(trainkit, "INFONCE_MAX_ROWS", limit)
+
+    def n_train_records(self, files, tmp_path, monkeypatch) -> int:
+        """How many train records `fit` splits off the files with self.config()."""
+        seen = []
+
+        class Reached(Exception):
+            pass
+
+        def first_epoch(params, split, train_set, *args):
+            seen.append(len(train_set))
+            raise Reached
+
+        with monkeypatch.context() as patch:
+            patch.setattr(trainkit, "train_epoch", first_epoch)
+            with pytest.raises(Reached):
+                fit(self.config(mode="supervised-only"), *files, tmp_path / "count")
+        return seen[0]
+
+    @pytest.mark.parametrize("mode", ["scd", "scd-random"])
+    def test_batches_over_the_row_limit_refused_before_output(
+        self, small_files, tmp_path, monkeypatch, mode
+    ):
+        # 30 students: a batch of 64 records can hold more than 20 of them
+        self.lower_row_limit(monkeypatch, 20)
+        with pytest.raises(RunRefused, match="batch of 64 records contrasts up to 30 students"):
+            fit(self.config(mode=mode), *small_files, tmp_path / "run")
+        assert not any((tmp_path / "run").iterdir())
+
+    def test_one_record_batches_over_the_row_limit_refused_before_output(
+        self, small_files, tmp_path, monkeypatch
+    ):
+        # a one-record batch contrasts all 30 students
+        self.lower_row_limit(monkeypatch, 20)
+        with pytest.raises(RunRefused, match="one-record batch contrasts all 30 students"):
+            fit(self.config(batch_size=1), *small_files, tmp_path / "run")
+        assert not any((tmp_path / "run").iterdir())
+
+    def test_a_last_one_record_batch_over_the_row_limit_refused_before_output(
+        self, small_files, tmp_path, monkeypatch
+    ):
+        n_records = self.n_train_records(small_files, tmp_path, monkeypatch)
+        size = next(b for b in range(2, 21) if n_records % b == 1)
+        self.lower_row_limit(monkeypatch, 20)
+        with pytest.raises(RunRefused, match="one-record batch contrasts all 30 students"):
+            fit(self.config(batch_size=size), *small_files, tmp_path / "run")
+        assert not any((tmp_path / "run").iterdir())
+
+    def test_batches_inside_the_row_limit_train(self, small_files, tmp_path, monkeypatch):
+        n_records = self.n_train_records(small_files, tmp_path, monkeypatch)
+        size = next(b for b in range(20, 1, -1) if n_records % b > 1)
+        self.lower_row_limit(monkeypatch, 20)
+        result = fit(self.config(epochs=1, batch_size=size), *small_files, tmp_path / "run")
+        assert len(result.log_rows) == 1
 
     def test_split_from_checkpoint_equals_the_split_fit_trained_on(
         self, small_files, tmp_path, monkeypatch
