@@ -94,11 +94,16 @@ def ssl_loss(
     states2: NodeStates,
     tau: float,
     include_positive: bool = False,
-) -> tuple[DiffNode, DiffNode]:
-    """Contrastive loss of the final-layer student rows and exercise rows."""
-    loss_s = infonce(states1.final_students, states2.final_students, tau, include_positive)
-    loss_e = infonce(states1.final_exercises, states2.final_exercises, tau, include_positive)
-    return loss_s, loss_e
+) -> tuple[DiffNode | None, DiffNode | None]:
+    """Contrastive loss of the final-layer student rows and of the exercise
+    rows; None for a side with fewer than 2 rows, which has no negatives."""
+    return tuple(
+        infonce(z1, z2, tau, include_positive) if len(z1.value) >= 2 else None
+        for z1, z2 in (
+            (states1.final_students, states2.final_students),
+            (states1.final_exercises, states2.final_exercises),
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -138,19 +143,15 @@ def total_loss(
 ) -> tuple[DiffNode, LossBreakdown]:
     """main + lambda1 * (ssl_s + ssl_e) + lambda2 * ||all params||^2 as one node.
 
-    Returns the differentiable total and a float breakdown. Pass None for
-    both contrastive parts to train supervised-only.
+    Returns the differentiable total and a float breakdown. Either
+    contrastive part may be None (a side without negatives, or
+    supervised-only training); it then counts as 0.0 and gets no gradient.
     """
-    if (ssl_student is None) != (ssl_exercise is None):
-        raise ValueError("either both or neither contrastive component must be given")
     reg = dc.l2_norm_sq(*param_nodes.values())
-
-    if ssl_student is None:
-        parents, weights, value = (main, reg), (1.0, lambda2), main.value
-    else:
-        parents, weights = (main, ssl_student, ssl_exercise, reg), (1.0, lambda1, lambda1, lambda2)
-        value = main.value + (ssl_student.value + ssl_exercise.value) * lambda1
-    value = value + reg.value * lambda2
+    ssl = [x for x in (ssl_student, ssl_exercise) if x is not None]
+    parents, weights = (main, *ssl, reg), (1.0, *[lambda1] * len(ssl), lambda2)
+    s, e = (0.0 if x is None else x.value for x in (ssl_student, ssl_exercise))
+    value = main.value + (s + e) * lambda1 + reg.value * lambda2
     total = DiffNode(value, parents, lambda g: tuple(g * c for c in weights))
 
     breakdown = LossBreakdown(

@@ -87,7 +87,6 @@ class TrainConfig:
     min_interactions: int = 5
     train_ratio: float = 0.8
     include_positive: bool = False
-    ssl_full_population: bool = False
     checkpoint_every: int = 0
 
     def __post_init__(self):
@@ -101,6 +100,9 @@ class TrainConfig:
             raise ValueError("epochs, batch_size and n_layers must be >= 1")
         if self.master_seed < 0 or self.min_interactions < 0:
             raise ValueError("master_seed and min_interactions must be >= 0")
+        if not isinstance(self.include_positive, bool):
+            got = self.include_positive
+            raise ValueError(f"include_positive must be true or false, got {got!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         require_finite(self, ("learning_rate", "beta1", "beta2", "adam_eps", "tau"))
@@ -193,22 +195,6 @@ def _epoch_views(split: DirectedSplit, config: TrainConfig, epoch: int) -> View 
     return View(np.stack([v.kept_e2s for v in pair]), np.stack([v.kept_s2e for v in pair]))
 
 
-def _ssl_subsets(
-    batch_students: np.ndarray, batch_exercises: np.ndarray, config: TrainConfig, m: int, n: int
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    if config.ssl_full_population:
-        return None, None
-    s_sub = np.unique(batch_students)
-    e_sub = np.unique(batch_exercises)
-    # a degenerate mini-batch (one distinct node) cannot form negatives;
-    # widen to the full population rather than aborting mid-run
-    if len(s_sub) < 2:
-        s_sub = np.arange(m) if m >= 2 else s_sub
-    if len(e_sub) < 2:
-        e_sub = np.arange(n) if n >= 2 else e_sub
-    return s_sub, e_sub
-
-
 def _train_step(
     params: ModelParams,
     split: DirectedSplit,
@@ -220,21 +206,18 @@ def _train_step(
 ) -> LossBreakdown:
     """One optimizer step on the records `batch`; returns its float breakdown.
 
+    The step reads the final rows of the batch's distinct students and
+    exercises: the intact forward prunes its last layer to them, and both
+    views contrast them. A side with fewer than 2 of them has no negatives,
+    so it adds no contrastive term and logs 0.0 for this step.
+
     The step's whole graph lives in this frame's locals, so none of it is
     reachable once the step returns. The model and loss functions are looked
     up as module globals on every call.
     """
     b_students = train_set.students[batch]
     b_exercises = train_set.exercises[batch]
-
-    # the final rows this step's losses read; the contrastive subsets hold
-    # the batch's nodes, and None (full population) means every row
-    rows = (b_students, b_exercises)
-    if views is not None:
-        s_sub, e_sub = _ssl_subsets(
-            b_students, b_exercises, config, train_set.n_students, train_set.n_exercises
-        )
-        rows = None if s_sub is None else (s_sub, e_sub)
+    rows = (np.unique(b_students), np.unique(b_exercises))
 
     nodes = params.wrap()
     states = gcn_forward(params, split, nodes=nodes, rows=rows)
@@ -245,7 +228,7 @@ def _train_step(
     l_ssl_s = l_ssl_e = None
     if views is not None:
         union = gcn_forward(params, split, view=views, nodes=nodes, rows=rows)
-        states1, states2 = (union.copy_rows(j, s_sub, e_sub) for j in (0, 1))
+        states1, states2 = (union.copy_rows(j, *rows) for j in (0, 1))
         l_ssl_s, l_ssl_e = ssl_loss(
             states1, states2, config.tau, include_positive=config.include_positive
         )
@@ -303,24 +286,18 @@ class ResumeMismatch(RunRefused):
     """A checkpoint that does not belong to the run asked to continue it."""
 
 
-def _refuse_oversized_contrast(config: TrainConfig, m: int, n: int, n_records: int) -> None:
+def _refuse_oversized_contrast(config: TrainConfig, m: int, n: int) -> None:
     """Raise RunRefused if a contrastive step of this run could hand the loss
     more than INFONCE_MAX_ROWS students or exercises. A batch contrasts its
-    distinct students and exercises, at most batch_size of each; a one-record
-    batch (every batch when batch_size is 1, else a last batch of one record)
-    and `ssl_full_population` contrast all m students and all n exercises."""
+    distinct students and exercises, at most batch_size of each."""
     if config.mode == "supervised-only":
         return
-    one_record_batch = config.batch_size == 1 or n_records % config.batch_size == 1
-    if config.ssl_full_population or one_record_batch:
-        rows = max(m, n)
-        who = "ssl_full_population" if config.ssl_full_population else "a one-record batch"
-        why = f"{who} contrasts all {rows} students or exercises at once"
-    else:
-        rows = max(min(config.batch_size, m), min(config.batch_size, n))
-        why = f"a batch of {config.batch_size} records contrasts up to {rows} students or exercises"
+    rows = max(min(config.batch_size, m), min(config.batch_size, n))
     if rows > INFONCE_MAX_ROWS:
-        raise RunRefused(f"{why}; the contrastive loss takes at most {INFONCE_MAX_ROWS}")
+        raise RunRefused(
+            f"a batch of {config.batch_size} records contrasts up to {rows} students or "
+            f"exercises; the contrastive loss takes at most {INFONCE_MAX_ROWS}"
+        )
 
 
 # config keys that fix the train split, the views and the random streams
@@ -418,14 +395,15 @@ def fit(
     mappings.json, stats.json, train_log.csv, and checkpoint.npz (params,
     config, graph, and optimizer state, so training can resume bit-exactly).
 
-    `resume_from` continues a checkpoint of this run; one from other data or train
-    records, model structure, mode, seed, dropout or split settings, or one
-    without optimizer state, raises ResumeMismatch before any file is written.
-    A resumed train_log.csv holds only the epochs it trains. A contrastive
-    run whose steps could contrast more than INFONCE_MAX_ROWS students or
-    exercises (`ssl_full_population`, a batch_size over it, or a one-record
-    batch over a larger population) raises RunRefused, also before any file
-    is written.
+    Each step contrasts the distinct students and exercises of its batch
+    (`_train_step`). `resume_from` continues a checkpoint of this run; one
+    from other data or train records, model structure, mode, seed, dropout
+    or split settings, or one without optimizer state, raises ResumeMismatch
+    before any file is written, and one already at or past `epochs` raises
+    RunRefused. A resumed train_log.csv holds only the epochs it trains. A
+    contrastive run whose batch_size lets a step contrast more than
+    INFONCE_MAX_ROWS students or exercises raises RunRefused, also before
+    any file is written.
     """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -440,7 +418,7 @@ def fit(
     if len(train_set) == 0:
         raise ValueError("train split is empty")
     graph = build_relation_graph(train_set, q)
-    _refuse_oversized_contrast(config, graph.n_students, graph.n_exercises, len(train_set))
+    _refuse_oversized_contrast(config, graph.n_students, graph.n_exercises)
     split = directed_split(graph)
 
     start_epoch = 0
@@ -451,7 +429,9 @@ def fit(
         opt = AdamState(m=dict(ckpt.adam_m), v=dict(ckpt.adam_v), step=ckpt.step)
         start_epoch = ckpt.epoch
         if ckpt.epoch >= config.epochs:
-            raise ValueError(f"checkpoint already at epoch {ckpt.epoch} >= epochs {config.epochs}")
+            raise RunRefused(
+                f"checkpoint already at epoch {ckpt.epoch} >= epochs {config.epochs}"
+            )
     else:
         params = init_params(
             graph.n_students,

@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -96,18 +94,6 @@ def small_qmatrix() -> QMatrix:
         3,
         ("c0", "c1", "c2"),
     )
-
-
-def write_many_students(directory, n_students: int) -> tuple[Path, Path]:
-    """Responses and Q-matrix CSVs in which each of `n_students` students
-    answers the same two exercises, one concept each."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    responses, qmatrix = directory / "responses.csv", directory / "qmatrix.csv"
-    lines = (f"s{i},e{j},{(i + j) % 2}\n" for i in range(n_students) for j in (0, 1))
-    responses.write_text("student,exercise,score\n" + "".join(lines))
-    qmatrix.write_text("exercise,concept\ne0,c0\ne1,c1\n")
-    return responses, qmatrix
 
 
 @pytest.fixture

@@ -13,10 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import write_many_students
 from scdkit.cli import main
 from scdkit.corpus import load_responses
-from scdkit.objectives import INFONCE_MAX_ROWS
 from scdkit.synth import make_synthetic, write_synthetic
 
 
@@ -177,6 +175,8 @@ class TestTrain:
             "tau=Infinity", "k=Infinity", "theta=Infinity", "adam_eps=Infinity",
             "learning_rate=Infinity", "lambda1=Infinity", "lambda2=Infinity",
             "tau=true", "k=true", "p_min=true", "lambda2=false", "tau=1e-3",
+            "include_positive=no", "include_positive=0.5", "include_positive=2",
+            "include_positive=null",
         ],
     )
     def test_out_of_range_value_is_refused_before_any_output(
@@ -188,17 +188,6 @@ class TestTrain:
         assert "error:" in err and out == ""
         assert not out_dir.exists()
 
-    def test_oversized_full_population_contrast_is_refused_before_any_output(
-        self, capsys, tmp_path
-    ):
-        write_many_students(tmp_path / "data", INFONCE_MAX_ROWS + 1)
-        out_dir = tmp_path / "run"
-        overrides = ("--override", "min_interactions=0", "--override", "ssl_full_population=true")
-        code, out, err = run(capsys, *train_args(tmp_path / "data", out_dir, *overrides))
-        assert code == 2
-        assert "ssl_full_population" in err and out == ""
-        assert not any(out_dir.iterdir())
-
     def test_oversized_field_names_its_line(self, capsys, data_dir, tmp_path):
         huge = "0" * (csv.field_size_limit() + 1)
         text = (data_dir / "responses.csv").read_text(encoding="utf-8")
@@ -208,6 +197,18 @@ class TestTrain:
         code, out, err = run(capsys, *train_args(tmp_path, tmp_path / "run"))
         assert code == 1 and out == ""
         assert f"error: line {n_lines}: field larger than field limit" in err
+
+    def test_resume_of_a_finished_run_is_refused_before_any_output(
+        self, capsys, data_dir, trained, tmp_path
+    ):
+        out_dir = tmp_path / "run"
+        code, out, err = run(
+            capsys,
+            *train_args(data_dir, out_dir, "--resume", str(trained / "checkpoint.npz")),
+        )
+        assert code == 2 and out == ""
+        assert "checkpoint already at epoch 3 >= epochs 3" in err
+        assert not any(out_dir.iterdir())
 
     def test_resume_mismatch_is_usage_error(self, capsys, data_dir, trained, tmp_path):
         code, _, err = run(

@@ -166,15 +166,20 @@ class TestSslLoss:
         loss_s2, _ = ssl_loss(s1b, s1b, tau=0.5)
         assert loss_s.item() == pytest.approx(loss_s2.item(), rel=1e-12)
 
-    def test_empty_subset_rejected(self):
+    @pytest.mark.parametrize("picked", [[2], []])
+    def test_a_side_with_fewer_than_two_rows_gives_none(self, picked):
         train = small_responses()
         split = directed_split(build_relation_graph(train, small_qmatrix()))
         params = init_params(4, 5, 3, seed=0)
         s1 = gcn_forward(params, split)
         s2 = gcn_forward(params, split)
-        none = np.array([], dtype=np.intp)
-        with pytest.raises(ValueError):
-            ssl_loss(s1.copy_rows(0, exercises=none), s2.copy_rows(0, exercises=none), 0.5)
+        rows = np.array(picked, dtype=np.intp)
+        few_exercises = (s.copy_rows(0, exercises=rows) for s in (s1, s2))
+        loss_s, loss_e = ssl_loss(*few_exercises, 0.5)
+        assert loss_e is None and np.isfinite(loss_s.item())
+        few_students = (s.copy_rows(0, students=rows) for s in (s1, s2))
+        loss_s, loss_e = ssl_loss(*few_students, 0.5)
+        assert loss_s is None and np.isfinite(loss_e.item())
 
 
 class TestTotalLoss:
@@ -219,9 +224,19 @@ class TestTotalLoss:
         with pytest.raises(FloatingPointError):
             total_loss(dc.param(np.array(np.inf)), None, None, {}, 0.1, 0.1, 0.5)
 
-    def test_one_sided_ssl_rejected(self):
-        with pytest.raises(ValueError):
-            total_loss(dc.param(np.array(1.0)), dc.param(np.array(1.0)), None, {}, 0.1, 0.1, 0.5)
+    @pytest.mark.parametrize("side", ["student", "exercise"])
+    def test_one_sided_ssl_adds_and_trains_only_the_present_side(self, side):
+        main, present = dc.param(np.array(2.0)), dc.param(np.array(0.25))
+        p = dc.param(np.array([3.0]))
+        parts = (present, None) if side == "student" else (None, present)
+        total, b = total_loss(main, *parts, {"p": p}, lambda1=0.3, lambda2=0.01, tau=1.0)
+        assert total.item() == 2.0 + 0.3 * 0.25 + 0.01 * 9.0
+        want = (0.25, 0.0) if side == "student" else (0.0, 0.25)
+        assert (b.ssl_student, b.ssl_exercise) == want
+        total.backward()
+        assert len(total.parents) == 3  # main, the present side and the regularizer
+        assert main.grad == 1.0 and present.grad == 0.3
+        npt.assert_array_equal(p.grad, [0.01 * 2 * 3.0])
 
     def test_csv_row_full_precision(self):
         b = LossBreakdown(

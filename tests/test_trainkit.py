@@ -10,7 +10,7 @@ import pytest
 from scdkit.corpus import load_qmatrix, load_responses
 from scdkit.diffcore import DiffNode
 from scdkit.evalkit import evaluate_checkpoint
-from scdkit.objectives import INFONCE_MAX_ROWS, main_loss, ssl_loss, total_loss
+from scdkit.objectives import main_loss, ssl_loss, total_loss
 from scdkit.scdmodel import (
     diagnose,
     gcn_forward,
@@ -34,7 +34,7 @@ from scdkit.trainkit import (
     _rng,
 )
 from scdkit.viewgen import DropoutParams
-from conftest import grad_check, small_qmatrix, small_responses, write_many_students
+from conftest import grad_check, small_qmatrix, small_responses
 from scdkit.relgraph import DIRECTIONS, build_relation_graph, directed_split
 
 
@@ -62,6 +62,12 @@ class TestConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+
+    @pytest.mark.parametrize("value", ["no", "false", 0.5, 2, 0, None])
+    def test_include_positive_must_be_a_bool(self, value):
+        with pytest.raises(ValueError, match="include_positive must be true or false"):
+            TrainConfig.from_dict({"include_positive": value})
+        assert TrainConfig(include_positive=True).include_positive is True
 
     def test_tau_whose_contrast_overflows_is_refused(self):
         smallest = 1.0 / trainkit.MAX_EXP_ARG
@@ -166,27 +172,16 @@ class TestTrainEpochRows:
     the reference is the same step loop with every forward in full."""
 
     @pytest.mark.parametrize(
-        "mode, ssl_full_population, one_student",
-        [
-            ("scd", False, False),
-            ("scd-random", False, False),
-            ("supervised-only", False, False),
-            ("scd", True, False),
-            ("scd", False, True),
-        ],
+        "mode, one_student",
+        [("scd", False), ("scd-random", False), ("supervised-only", False), ("scd", True)],
     )
-    def test_matches_full_forward_loop_bitwise(
-        self, monkeypatch, mode, ssl_full_population, one_student
-    ):
+    def test_matches_full_forward_loop_bitwise(self, monkeypatch, mode, one_student):
         train = small_responses()
         q = small_qmatrix()
         split = directed_split(build_relation_graph(train, q))
         if one_student:  # every batch holds one distinct student
             train = train.replace_records(train.students == 1)
-        cfg = TrainConfig(
-            epochs=2, mode=mode, batch_size=3, learning_rate=0.01,
-            ssl_full_population=ssl_full_population,
-        )
+        cfg = TrainConfig(epochs=2, mode=mode, batch_size=3, learning_rate=0.01)
         seen_rows = []
 
         def full_forward(*args, rows=None, **kwargs):
@@ -208,15 +203,13 @@ class TestTrainEpochRows:
             assert params[name].tobytes() == value.tobytes(), name
             assert opt.m[name].tobytes() == ref_opt.m[name].tobytes(), name
             assert opt.v[name].tobytes() == ref_opt.v[name].tobytes(), name
-        # the rows train_epoch asked for
-        if ssl_full_population:
-            assert all(rows is None for rows in seen_rows)
+        # the rows train_epoch asked for: the batch's own students
+        assert all(rows is not None for rows in seen_rows)
+        if one_student:  # one student has no negatives: no student term
+            assert all(rows[0].tolist() == [1] for rows in seen_rows)
+            assert [log.ssl_student for log in logs] == [0.0, 0.0]
         else:
-            assert all(rows is not None for rows in seen_rows)
-            if one_student:  # the contrastive subset widens to every student
-                assert all(set(rows[0]) == set(range(4)) for rows in seen_rows)
-            else:
-                assert any(len(set(rows[0])) < 4 for rows in seen_rows)
+            assert any(len(set(rows[0])) < 4 for rows in seen_rows)
 
 
 class TestStepGraphLifetime:
@@ -573,33 +566,6 @@ class TestFit:
             fit(self.config(epochs=2), rp, qp, tmp_path / "tail", resume_from=edited)
         assert not any((tmp_path / "tail").iterdir())
 
-    def test_full_population_contrast_over_the_row_limit_refused_before_output(
-        self, tmp_path
-    ):
-        rp, qp = write_many_students(tmp_path / "data", INFONCE_MAX_ROWS + 1)
-        cfg = self.config(epochs=1, min_interactions=0, ssl_full_population=True)
-        with pytest.raises(RunRefused, match=f"all {INFONCE_MAX_ROWS + 1} students"):
-            fit(cfg, rp, qp, tmp_path / "run")
-        assert not any((tmp_path / "run").iterdir())
-
-    def test_full_population_supervised_only_over_the_row_limit_trains(
-        self, monkeypatch, tmp_path
-    ):
-        rp, qp = write_many_students(tmp_path / "data", INFONCE_MAX_ROWS + 1)
-        cfg = self.config(
-            epochs=1, min_interactions=0, ssl_full_population=True, mode="supervised-only"
-        )
-
-        class Reached(Exception):
-            pass
-
-        def first_epoch(*args, **kwargs):
-            raise Reached
-
-        monkeypatch.setattr(trainkit, "train_epoch", first_epoch)
-        with pytest.raises(Reached):
-            fit(cfg, rp, qp, tmp_path / "run")
-
     @staticmethod
     def lower_row_limit(monkeypatch, limit):
         monkeypatch.setattr(objectives, "INFONCE_MAX_ROWS", limit)
@@ -632,24 +598,16 @@ class TestFit:
             fit(self.config(mode=mode), *small_files, tmp_path / "run")
         assert not any((tmp_path / "run").iterdir())
 
-    def test_one_record_batches_over_the_row_limit_refused_before_output(
+    def test_a_last_one_record_batch_inside_the_row_limit_trains(
         self, small_files, tmp_path, monkeypatch
     ):
-        # a one-record batch contrasts all 30 students
-        self.lower_row_limit(monkeypatch, 20)
-        with pytest.raises(RunRefused, match="one-record batch contrasts all 30 students"):
-            fit(self.config(batch_size=1), *small_files, tmp_path / "run")
-        assert not any((tmp_path / "run").iterdir())
-
-    def test_a_last_one_record_batch_over_the_row_limit_refused_before_output(
-        self, small_files, tmp_path, monkeypatch
-    ):
+        # its one student and one exercise have no negatives, so that step
+        # adds no contrastive term
         n_records = self.n_train_records(small_files, tmp_path, monkeypatch)
         size = next(b for b in range(2, 21) if n_records % b == 1)
         self.lower_row_limit(monkeypatch, 20)
-        with pytest.raises(RunRefused, match="one-record batch contrasts all 30 students"):
-            fit(self.config(batch_size=size), *small_files, tmp_path / "run")
-        assert not any((tmp_path / "run").iterdir())
+        result = fit(self.config(epochs=2, batch_size=size), *small_files, tmp_path / "run")
+        assert len(result.log_rows) == 2 and result.checkpoint_path.exists()
 
     def test_batches_inside_the_row_limit_train(self, small_files, tmp_path, monkeypatch):
         n_records = self.n_train_records(small_files, tmp_path, monkeypatch)
