@@ -19,11 +19,14 @@ values are thus freed during the walk rather than after it; after
 `backward` only the root and the leaves keep their values, and a second
 `backward` on the same graph raises.
 
-Scatter-adds (the aggregate and the `gather_rows` backward) run one feature
-column at a time: each column is one `np.bincount` over the row indices, so
-no index-by-feature array is built and each bucket is summed in row order,
-bit-identical to `np.add.at`. Such ops may return transposed (Fortran-order)
-arrays.
+Scatter-adds (the aggregate's weighted sum and tail scatter, and the
+`gather_rows` backward) run one feature column at a time: each column is one
+`np.bincount` over the row indices, so no index-by-feature array is built and
+each bucket is summed in row order, bit-identical to `np.add.at`. The
+aggregate's backward takes no per-edge dot product: the two sums the logits'
+gradient needs are row dot products with the weighted sums its forward kept
+and with the tail scatter it computes anyway. Such ops may return transposed
+(Fortran-order) arrays.
 
 A computation graph is confined to one thread.
 """
@@ -175,13 +178,26 @@ def attention_aggregate(
     there are `len(residual.value)` heads. The residual's gradient is the
     output's. Returns the output node and the detached per-edge weights.
 
-    The sums run one feature column at a time over a transposed copy of the
-    tail states, so no edge-by-feature array is ever built: every per-edge
-    temporary is one column long. Each column is one `np.bincount`, which
-    adds a head's edges in edge order, so the weighted sum and the scatter
-    term of the tail gradient are bit-identical to `np.add.at`. The node
-    keeps no transposed copy: the backward rebuilds it from the tail
-    states. The tail gradient is a transposed view (Fortran order).
+    The sums run one feature column at a time, so no edge-by-feature array is
+    ever built: every per-edge temporary is one column long. Each column is
+    one `np.bincount`, which adds a head's edges in edge order, so the
+    weighted sum `agg` (the output less the residual) and the scatter
+    `S = A^T g` of the tail gradient (A the weighted head-by-tail adjacency)
+    are bit-identical to `np.add.at`.
+
+    The backward forms no per-edge dot product `g[heads[e]] . t[tails[e]]`.
+    The logits' gradient needs it only in two sums, and each is a row dot
+    product of arrays the op already has:
+    - per head h, the sum over its edges of `alpha_e * g[h] . t[tails[e]]`
+      is `g[h] . agg[h]`;
+    - per tail t, the sum over its edges of `alpha_e * g[heads[e]] . t[t]`
+      is `t[t] . S[t]`.
+    So the logit gradient gathered per tail is
+    `rowdot(t, S) - bincount(tails, alpha * (g . agg)[heads])`, and a column
+    of the backward is one gather, one multiply and one `np.bincount`. The
+    rule holds `agg` (n_heads x d) until it runs, and no copy of the tail
+    states. Gradients agree with the per-edge form to rounding, not bitwise.
+    The tail gradient is a transposed view (Fortran order).
     """
     heads = np.asarray(heads, dtype=np.intp)
     tails = np.asarray(tails, dtype=np.intp)
@@ -200,16 +216,16 @@ def attention_aggregate(
     )
 
     def backward(g):
-        t_cols = np.ascontiguousarray(t_val.T)
-        d_alpha = np.zeros(len(heads))
-        d_tail = np.empty_like(t_cols)
-        for c, g_col in enumerate(np.ascontiguousarray(g.T)):
-            g_edges = g_col[heads]
-            d_alpha += g_edges * t_cols[c][tails]
-            d_tail[c] = np.bincount(tails, weights=alpha * g_edges, minlength=n_tails)
-        seg_dot = np.bincount(heads, weights=alpha * d_alpha, minlength=n_heads)
-        d_logit = alpha * (d_alpha - seg_dot[heads])
-        d_lt = np.bincount(tails, weights=d_logit, minlength=n_tails)
+        d_tail = np.array(
+            [
+                np.bincount(tails, weights=alpha * g_col[heads], minlength=n_tails)
+                for g_col in np.ascontiguousarray(g.T)
+            ],
+            dtype=np.float64,  # a bincount over no edges is int64
+        )
+        seg_dot = np.einsum("hc,ch->h", g, out)
+        d_lt = np.einsum("ct,tc->t", d_tail, t_val)
+        d_lt -= np.bincount(tails, weights=alpha * seg_dot[heads], minlength=n_tails)
         d_tail += np.outer(w, d_lt)
         return d_tail.T, (t_val.T @ d_lt)[:, None], g
 

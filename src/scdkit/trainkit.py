@@ -398,16 +398,14 @@ def fit(
     Each step contrasts the distinct students and exercises of its batch
     (`_train_step`). `resume_from` continues a checkpoint of this run; one
     from other data or train records, model structure, mode, seed, dropout
-    or split settings, or one without optimizer state, raises ResumeMismatch
-    before any file is written, and one already at or past `epochs` raises
-    RunRefused. A resumed train_log.csv holds only the epochs it trains. A
-    contrastive run whose batch_size lets a step contrast more than
-    INFONCE_MAX_ROWS students or exercises raises RunRefused, also before
-    any file is written.
+    or split settings, or one without optimizer state, raises ResumeMismatch,
+    and one already at or past `epochs` raises RunRefused. A resumed
+    train_log.csv holds only the epochs it trains. A contrastive run whose
+    batch_size lets a step contrast more than INFONCE_MAX_ROWS students or
+    exercises raises RunRefused. Each of these refusals comes before
+    `output_dir` is created.
     """
     output_dir = Path(output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
-
     rs = load_responses(responses_path)
     if config.min_interactions > 0:
         rs = filter_min_interactions(rs, config.min_interactions)
@@ -443,6 +441,7 @@ def fit(
         )
         opt = AdamState.fresh(params)
 
+    output_dir.mkdir(parents=True, exist_ok=True)
     train_path = output_dir / "train.csv"
     test_path = output_dir / "test.csv"
     write_responses(train_path, train_set)

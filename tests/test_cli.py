@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scdkit import objectives, trainkit
 from scdkit.cli import main
 from scdkit.corpus import load_responses
 from scdkit.synth import make_synthetic, write_synthetic
@@ -208,18 +209,31 @@ class TestTrain:
         )
         assert code == 2 and out == ""
         assert "checkpoint already at epoch 3 >= epochs 3" in err
-        assert not any(out_dir.iterdir())
+        assert not out_dir.exists()
 
     def test_resume_mismatch_is_usage_error(self, capsys, data_dir, trained, tmp_path):
+        out_dir = tmp_path / "run"
         code, _, err = run(
             capsys,
             *train_args(
-                data_dir, tmp_path, "--override", "epochs=6", "--override", "n_layers=3",
+                data_dir, out_dir, "--override", "epochs=6", "--override", "n_layers=3",
                 "--resume", str(trained / "checkpoint.npz"),
             ),
         )
         assert code == 2
         assert "n_layers" in err
+        assert not out_dir.exists()
+
+    def test_oversized_batch_is_refused_before_any_output(
+        self, capsys, data_dir, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(objectives, "INFONCE_MAX_ROWS", 2)
+        monkeypatch.setattr(trainkit, "INFONCE_MAX_ROWS", 2)
+        out_dir = tmp_path / "run"
+        code, out, err = run(capsys, *train_args(data_dir, out_dir))
+        assert code == 2 and out == ""
+        assert "the contrastive loss takes at most 2" in err
+        assert not out_dir.exists()
 
 
 @pytest.fixture(scope="module")

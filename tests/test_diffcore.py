@@ -270,6 +270,62 @@ class TestAttentionAggregate:
             tracemalloc.stop()
         assert held < n_tails * d * 8 // 2, f"{held} B held after the forward"
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_one_edge_per_head_gives_a_zero_weight_gradient(self, seed):
+        """With one edge per head (c2e under a one-concept-per-exercise
+        Q-matrix) every weight is 1, so the logits get no gradient: the two
+        per-tail sums that the backward subtracts are equal. The weight
+        gradient is 0 and the tail gradient the plain scatter, up to rounding
+        of the size of those sums."""
+        rng = np.random.default_rng(seed)
+        n_heads, n_tails, d = int(rng.integers(1, 40)), int(rng.integers(1, 10)), 5
+        heads = rng.permutation(n_heads)
+        tails = rng.integers(0, n_tails, size=n_heads)
+        t, g = rng.normal(size=(n_tails, d)), rng.normal(size=(n_heads, d))
+        leaves = dc.param(t), dc.param(rng.normal(size=(d, 1)) * 3.0)
+        out, alpha = dc.attention_aggregate(*leaves, heads, tails, dc.param(np.zeros((n_heads, d))))
+        seeded_sum(out, g).backward()
+        scatter = np.zeros_like(t)
+        np.add.at(scatter, tails, g[heads])
+        # each of the two subtracted per-tail sums, carried through t.T @ ...
+        scale = np.max(np.abs(t).T @ np.abs(t * scatter).sum(axis=1))
+        tol = 1e-12 * max(1.0, scale)
+        assert np.all(alpha == 1.0)
+        assert np.max(np.abs(leaves[1].grad)) <= tol
+        assert np.max(np.abs(leaves[0].grad - scatter)) <= tol
+
+    def test_all_edges_dropped_gives_exactly_zero_gradients(self):
+        rng = np.random.default_rng(3)
+        n_heads, n_tails, d = 7, 5, 4
+        none = np.zeros(0, dtype=np.intp)
+        leaves = dc.param(rng.normal(size=(n_tails, d))), dc.param(rng.normal(size=(d, 1)))
+        residual = dc.param(rng.normal(size=(n_heads, d)))
+        out, alpha = dc.attention_aggregate(*leaves, none, none, residual)
+        assert len(alpha) == 0 and out.value.tobytes() == residual.value.tobytes()
+        seeded_sum(out, rng.normal(size=(n_heads, d))).backward()
+        assert leaves[0].grad.shape == (n_tails, d) and np.all(leaves[0].grad == 0.0)
+        assert leaves[1].grad.shape == (d, 1) and np.all(leaves[1].grad == 0.0)
+
+    def test_node_holds_its_value_weights_edge_ids_and_one_head_array(self):
+        # what a forward leaves held until its backward runs: the weighted
+        # sums it reuses there are one n_heads x d array
+        rng = np.random.default_rng(2)
+        n_heads, n_tails, d, n_edges = 500, 300, 32, 20_000
+        heads = np.sort(rng.integers(0, n_heads, size=n_edges)).astype(np.int32)
+        tails = rng.integers(0, n_tails, size=n_edges).astype(np.int32)
+        leaves = dc.param(rng.normal(size=(n_tails, d))), dc.param(rng.normal(size=(d, 1)))
+        residual = dc.param(rng.normal(size=(n_heads, d)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            node, alpha = dc.attention_aggregate(*leaves, heads, tails, residual)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        ids = 2 * n_edges * np.dtype(np.intp).itemsize  # int32 ids are copied to intp
+        allowed = node.value.nbytes + alpha.nbytes + ids + n_heads * d * 8
+        assert held <= allowed + 4096, f"{held} B held after the forward, {allowed} B allowed"
+
     def test_gradient_on_random_masked_graph(self):
         rng = np.random.default_rng(4)
         n_heads, n_tails, d = 6, 5, 3

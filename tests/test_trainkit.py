@@ -543,7 +543,7 @@ class TestFit:
         with pytest.raises(ResumeMismatch, match="train records"):
             fit(self.config(epochs=4), *other, tmp_path / "tail",
                 resume_from=head.checkpoint_path)
-        assert not any((tmp_path / "tail").iterdir())
+        assert not (tmp_path / "tail").exists()
 
     def test_resume_without_optimizer_state_rejected(self, small_files, tmp_path):
         rp, qp = small_files
@@ -553,7 +553,7 @@ class TestFit:
         save_checkpoint(bare, dataclasses.replace(ckpt, adam_m=None, adam_v=None))
         with pytest.raises(ResumeMismatch, match="optimizer state"):
             fit(self.config(epochs=2), rp, qp, tmp_path / "tail", resume_from=bare)
-        assert not any((tmp_path / "tail").iterdir())
+        assert not (tmp_path / "tail").exists()
 
     def test_resume_with_missing_moment_array_rejected(self, small_files, tmp_path):
         rp, qp = small_files
@@ -564,7 +564,7 @@ class TestFit:
         np.savez(edited, **arrays)
         with pytest.raises(ValueError, match="missing.*w_predict"):
             fit(self.config(epochs=2), rp, qp, tmp_path / "tail", resume_from=edited)
-        assert not any((tmp_path / "tail").iterdir())
+        assert not (tmp_path / "tail").exists()
 
     @staticmethod
     def lower_row_limit(monkeypatch, limit):
@@ -596,7 +596,7 @@ class TestFit:
         self.lower_row_limit(monkeypatch, 20)
         with pytest.raises(RunRefused, match="batch of 64 records contrasts up to 30 students"):
             fit(self.config(mode=mode), *small_files, tmp_path / "run")
-        assert not any((tmp_path / "run").iterdir())
+        assert not (tmp_path / "run").exists()
 
     def test_a_last_one_record_batch_inside_the_row_limit_trains(
         self, small_files, tmp_path, monkeypatch
