@@ -53,9 +53,14 @@ def _load_config(args) -> tuple[dict, dict]:
     (hyperparameter dict, path dict)."""
     raw: dict = {}
     if getattr(args, "config", None):
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8-sig"))
+        try:
+            raw = json.loads(Path(args.config).read_text(encoding="utf-8-sig"))
+        except json.JSONDecodeError as err:
+            raise UsageError(
+                f"{args.config}: line {err.lineno} column {err.colno}: {err.msg}"
+            ) from None
         if not isinstance(raw, dict):
-            raise UsageError("config file must hold a JSON object")
+            raise UsageError(f"{args.config}: a config file must hold a JSON object")
     for key, value in getattr(args, "override", None) or []:
         raw[key] = value
     paths = {k: raw.pop(k, None) for k in _PATH_KEYS}

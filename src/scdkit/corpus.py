@@ -1,5 +1,6 @@
 """Response-record and Q-matrix ingestion, sparse-student filtering, splits,
-and the one CSV writer behind every CSV the tool writes.
+and `write_csv`, the writer of every CSV that holds an id; train_log.csv and
+the viewgen-audit table hold numbers only and are formatted by hand.
 
 Raw student/exercise/concept keys are arbitrary strings; loaders remap them
 to dense 0-based indices in first-appearance order and keep the two-way

@@ -26,10 +26,15 @@ from .corpus import ResponseSet, load_responses, write_csv
 from .relgraph import DirectedSplit, directed_split
 from .scdmodel import Checkpoint, Diagnosis, diagnose, gcn_forward, load_checkpoint, predict
 
+PASS_THRESHOLD = 0.5  # a prediction at or above it counts as a correct answer
+# group_report's buckets of train interaction counts: [0,5), [5,10), ..., [40,inf)
+BUCKET_WIDTH = 5
+N_BUCKETS = 9
 
-def accuracy(preds, labels, threshold: float = 0.5) -> float:
+
+def accuracy(preds, labels) -> float:
     preds, labels = _check_pair(preds, labels)
-    return float(np.mean((preds >= threshold).astype(np.int64) == labels))
+    return float(np.mean((preds >= PASS_THRESHOLD).astype(np.int64) == labels))
 
 
 def rmse(preds, labels) -> float:
@@ -96,7 +101,7 @@ def student_table(
     counts = np.bincount(students)
     ids = np.flatnonzero(counts)
     counts = counts[ids]
-    hits = np.bincount(students, weights=(preds >= 0.5) == labels)[ids]
+    hits = np.bincount(students, weights=(preds >= PASS_THRESHOLD) == labels)[ids]
     sq_err = np.bincount(students, weights=(preds - labels) ** 2)[ids]
     return StudentColumns(
         ids, np.asarray(train_counts)[ids], hits / counts, np.sqrt(sq_err / counts)
@@ -115,18 +120,17 @@ def tail_metrics(table: StudentColumns) -> tuple[float, float]:
     return float(np.mean(acc[half])), float(np.mean(rmse_[half]))
 
 
-def group_report(
-    table: StudentColumns, bucket_width: int = 5, n_buckets: int = 9
-) -> list[GroupRow]:
-    """Bucket students by train interaction count: [0,w),[w,2w),...,[(n-1)w,inf)."""
+def group_report(table: StudentColumns) -> list[GroupRow]:
+    """Bucket students by train interaction count: [0,w),[w,2w),...,[(n-1)w,inf)
+    for w = BUCKET_WIDTH and n = N_BUCKETS."""
     _, counts, acc, rmse_ = table
-    if not len(counts) or bucket_width < 1 or n_buckets < 1:
-        raise ValueError("need a nonempty table and positive bucket geometry")
+    if not len(counts):
+        raise ValueError("need a nonempty table")
     out = []
-    idx = np.minimum(counts // bucket_width, n_buckets - 1)
-    for b in range(n_buckets):
-        lo = b * bucket_width
-        label = f"{lo}+" if b == n_buckets - 1 else f"{lo}-{lo + bucket_width}"
+    idx = np.minimum(counts // BUCKET_WIDTH, N_BUCKETS - 1)
+    for b in range(N_BUCKETS):
+        lo = b * BUCKET_WIDTH
+        label = f"{lo}+" if b == N_BUCKETS - 1 else f"{lo}-{lo + BUCKET_WIDTH}"
         members = idx == b  # in row order, so each mean sums as a row loop would
         n = int(np.count_nonzero(members))
         means = (float(np.mean(c[members])) if n else float("nan") for c in (acc, rmse_))

@@ -25,6 +25,7 @@ of mask row j and every concept edge.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +67,22 @@ class ModelParams(dict):
     def wrap(self) -> dict[str, dc.DiffNode]:
         """Fresh trainable leaves for one optimization step."""
         return {name: dc.param(arr) for name, arr in self.items()}
+
+
+@dataclass
+class AdamState:
+    """Adam's moments, by parameter name, and the number of steps taken."""
+
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
+    step: int = 0
+
+    @classmethod
+    def fresh(cls, params: dict[str, np.ndarray]) -> "AdamState":
+        return cls(
+            m={k: np.zeros_like(p) for k, p in params.items()},
+            v={k: np.zeros_like(p) for k, p in params.items()},
+        )
 
 
 @dataclass(eq=False)
@@ -302,35 +319,30 @@ class Checkpoint:
     exercise_keys: tuple[str, ...]
     concept_keys: tuple[str, ...]
     epoch: int = 0
-    step: int = 0
-    adam_m: dict[str, np.ndarray] | None = None
-    adam_v: dict[str, np.ndarray] | None = None
+    opt: AdamState | None = None  # None when the checkpoint holds no optimizer state
     train_sha256: str | None = None  # fingerprint of the train records, for --resume
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Single-file npz: parameter arrays with shape headers, config, graph,
-    key maps, train-record fingerprint, and optimizer state (both Adam
-    moments or neither)."""
-    if (ckpt.adam_m is None) != (ckpt.adam_v is None):
-        raise ValueError("a checkpoint holds both adam_m and adam_v or neither")
+    key maps, train-record fingerprint, and the optimizer state if any."""
     meta = {
         "config": ckpt.config,
         "counts": [ckpt.graph.n_students, ckpt.graph.n_exercises, ckpt.graph.n_concepts],
         "n_layers": ckpt.params.n_layers,
         "dim": ckpt.params.dim,
         "epoch": ckpt.epoch,
-        "step": ckpt.step,
-        "has_adam": ckpt.adam_m is not None,
+        "step": 0 if ckpt.opt is None else ckpt.opt.step,
+        "has_adam": ckpt.opt is not None,
         "student_keys": list(ckpt.student_keys),
         "exercise_keys": list(ckpt.exercise_keys),
         "concept_keys": list(ckpt.concept_keys),
         "train_sha256": ckpt.train_sha256,
     }
     arrays = {f"p__{k}": v for k, v in ckpt.params.items()}
-    if ckpt.adam_m is not None:
-        arrays.update({f"m__{k}": v for k, v in ckpt.adam_m.items()})
-        arrays.update({f"v__{k}": v for k, v in ckpt.adam_v.items()})
+    if ckpt.opt is not None:
+        arrays.update({f"m__{k}": v for k, v in ckpt.opt.m.items()})
+        arrays.update({f"v__{k}": v for k, v in ckpt.opt.v.items()})
     np.savez(
         path,
         meta=np.array(json.dumps(meta)),
@@ -363,18 +375,35 @@ def _named_arrays(data, path, prefix: str, shapes: dict, what: str) -> dict:
     return arrays
 
 
+def _open_checkpoint(path):
+    """The open npz at `path`; ValueError naming the path if the file is not
+    an npz that holds `meta`. Pickled data is never loaded."""
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):  # empty, cut short, or not npz/npy
+        data = None
+    if isinstance(data, np.lib.npyio.NpzFile):
+        if "meta" in data.files:
+            return data
+        data.close()
+    raise ValueError(f"{path}: not an scdkit checkpoint (an npz written by save_checkpoint)")
+
+
 def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint. With `optimizer=False`
-    no Adam moment is read, stored or not, and adam_m and adam_v are None:
-    scoring needs only the parameters, graph and key maps."""
-    with np.load(path, allow_pickle=False) as data:
+    no Adam moment is read, stored or not, and `opt` is None: scoring needs
+    only the parameters, graph and key maps."""
+    with _open_checkpoint(path) as data:
         meta = json.loads(str(data["meta"]))
         shapes = param_shapes(*meta["counts"], meta["dim"], meta["n_layers"])
         params = ModelParams(_named_arrays(data, path, "p__", shapes, "parameter"))
-        adam_m = adam_v = None
+        opt = None
         if optimizer and meta["has_adam"]:
-            adam_m = _named_arrays(data, path, "m__", shapes, "Adam first-moment")
-            adam_v = _named_arrays(data, path, "v__", shapes, "Adam second-moment")
+            opt = AdamState(
+                m=_named_arrays(data, path, "m__", shapes, "Adam first-moment"),
+                v=_named_arrays(data, path, "v__", shapes, "Adam second-moment"),
+                step=meta["step"],
+            )
         return Checkpoint(
             params=params,
             config=meta["config"],
@@ -383,8 +412,6 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
             exercise_keys=tuple(meta["exercise_keys"]),
             concept_keys=tuple(meta["concept_keys"]),
             epoch=meta["epoch"],
-            step=meta["step"],
-            adam_m=adam_m,
-            adam_v=adam_v,
+            opt=opt,
             train_sha256=meta.get("train_sha256"),  # absent before fingerprints
         )

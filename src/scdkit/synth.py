@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+TAIL_FRACTION = 0.5  # share of students who answer only 2-5 exercises
+
 
 @dataclass(frozen=True)
 class SyntheticData:
@@ -30,7 +32,6 @@ def make_synthetic(
     n_concepts: int = 10,
     seed: int = 0,
     noise: float = 0.15,
-    tail_fraction: float = 0.5,
 ) -> SyntheticData:
     if n_exercises < n_concepts:
         raise ValueError("need at least one exercise per concept")
@@ -59,7 +60,7 @@ def make_synthetic(
         np.array([c for e2, c in q_pairs if e2 == e], dtype=np.intp) for e in range(n_exercises)
     ]
 
-    n_tail = int(round(n_students * tail_fraction))
+    n_tail = int(round(n_students * TAIL_FRACTION))
     responses: list[tuple[str, str, int]] = []
     for s in range(n_students):
         if s < n_tail:

@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import (
-    QMatrix,
     ResponseSet,
     dataset_stats,
     filter_min_interactions,
@@ -35,6 +34,7 @@ from .corpus import (
 from .objectives import INFONCE_MAX_ROWS, LossBreakdown, main_loss, ssl_loss, total_loss
 from .relgraph import DirectedSplit, RelationGraph, build_relation_graph, directed_split
 from .scdmodel import (
+    AdamState,
     Checkpoint,
     ModelParams,
     diagnose,
@@ -50,6 +50,11 @@ from .viewgen import matched_uniform_p, require_finite
 log = logging.getLogger(__name__)
 
 MODES = ("scd", "scd-random", "supervised-only")
+
+# Adam's decay rates and denominator offset, as Kingma & Ba (ICLR 2015) publish them
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 # the largest x whose exp(x) is a finite float64
 MAX_EXP_ARG = float(np.log(np.finfo(np.float64).max))
@@ -73,9 +78,6 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 256
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     dropout: DropoutParams = field(default_factory=DropoutParams)
     tau: float = 0.5
     lambda1: float = 0.1
@@ -105,9 +107,8 @@ class TrainConfig:
             raise ValueError(f"include_positive must be true or false, got {got!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        require_finite(self, ("learning_rate", "beta1", "beta2", "adam_eps", "tau"))
-        require_finite(self, ("lambda1", "lambda2", "train_ratio"))
-        for name in ("learning_rate", "tau", "adam_eps"):
+        require_finite(self, ("learning_rate", "tau", "lambda1", "lambda2", "train_ratio"))
+        for name in ("learning_rate", "tau"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if 1.0 / self.tau > MAX_EXP_ARG:
@@ -118,9 +119,6 @@ class TrainConfig:
         for name in ("lambda1", "lambda2"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must lie in [0, 1)")
         if not 0 < self.train_ratio < 1:
             raise ValueError("train_ratio must lie in (0, 1)")
         if self.dim is not None and self.dim < 1:
@@ -144,38 +142,23 @@ class TrainConfig:
         return cls(dropout=dropout, **raw)
 
 
-@dataclass
-class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    step: int = 0
-
-    @classmethod
-    def fresh(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
-
-
 def adam_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     state: AdamState,
     config: TrainConfig,
 ) -> None:
-    """One bias-corrected Adam update, in place. state.step must already be
-    advanced to the 1-based index of this step."""
-    b1, b2 = config.beta1, config.beta2
-    c1 = 1.0 - b1**state.step
-    c2 = 1.0 - b2**state.step
+    """One bias-corrected Adam update at config.learning_rate, in place.
+    state.step must already be advanced to the 1-based index of this step."""
+    c1 = 1.0 - ADAM_BETA1**state.step
+    c2 = 1.0 - ADAM_BETA2**state.step
     for name, p in params.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise TrainingDiverged(f"non-finite gradient for parameter {name!r}")
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        p -= config.learning_rate * (state.m[name] / c1) / (np.sqrt(state.v[name] / c2) + config.adam_eps)
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
+        p -= config.learning_rate * (state.m[name] / c1) / (np.sqrt(state.v[name] / c2) + ADAM_EPS)
 
 
 def _rng(master_seed: int, *tags: int) -> np.random.Generator:
@@ -316,7 +299,7 @@ def _check_resume(
     ckpt: Checkpoint, config: TrainConfig, graph: RelationGraph, train_set: ResponseSet
 ) -> None:
     """Raise ResumeMismatch naming the first way `ckpt` differs from this run."""
-    if ckpt.adam_m is None:
+    if ckpt.opt is None:
         raise ResumeMismatch("cannot resume: the checkpoint holds no optimizer state")
     saved, wanted = ckpt.config, config.to_dict()
     checks = [(key, saved.get(key), wanted[key]) for key in _RESUME_KEYS]
@@ -356,30 +339,6 @@ class FitResult:
     train_path: Path
     test_path: Path
     config: TrainConfig
-
-
-def _make_checkpoint(
-    params: ModelParams,
-    config: TrainConfig,
-    graph: RelationGraph,
-    train_set: ResponseSet,
-    q: QMatrix,
-    opt: AdamState,
-    epoch: int,
-) -> Checkpoint:
-    return Checkpoint(
-        params=params,
-        config=config.to_dict(),
-        graph=graph,
-        student_keys=train_set.student_keys,
-        exercise_keys=train_set.exercise_keys,
-        concept_keys=q.concept_keys,
-        epoch=epoch,
-        step=opt.step,
-        adam_m=opt.m,
-        adam_v=opt.v,
-        train_sha256=_records_sha256(train_set),
-    )
 
 
 def fit(
@@ -423,9 +382,7 @@ def fit(
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
         _check_resume(ckpt, config, graph, train_set)
-        params = ckpt.params
-        opt = AdamState(m=dict(ckpt.adam_m), v=dict(ckpt.adam_v), step=ckpt.step)
-        start_epoch = ckpt.epoch
+        params, opt, start_epoch = ckpt.params, ckpt.opt, ckpt.epoch
         if ckpt.epoch >= config.epochs:
             raise RunRefused(
                 f"checkpoint already at epoch {ckpt.epoch} >= epochs {config.epochs}"
@@ -466,6 +423,20 @@ def fit(
     log_rows: list[str] = []
     last_good, last_good_opt = _snapshot(params, opt)
 
+    def save(path, model: ModelParams, optimizer: AdamState, epoch: int) -> None:
+        ckpt = Checkpoint(
+            params=model,
+            config=config.to_dict(),
+            graph=graph,
+            student_keys=train_set.student_keys,
+            exercise_keys=train_set.exercise_keys,
+            concept_keys=q.concept_keys,
+            epoch=epoch,
+            opt=optimizer,
+            train_sha256=_records_sha256(train_set),
+        )
+        save_checkpoint(path, ckpt)
+
     with open(log_path, "w", encoding="utf-8") as log_file:
         log_file.write(LossBreakdown.CSV_HEADER + "\n")
         for epoch in range(start_epoch + 1, config.epochs + 1):
@@ -473,12 +444,7 @@ def fit(
                 breakdown = train_epoch(params, split, train_set, config, epoch, opt)
             except FloatingPointError as err:
                 rescue = output_dir / "checkpoint_diverged.npz"
-                save_checkpoint(
-                    rescue,
-                    _make_checkpoint(
-                        last_good, config, graph, train_set, q, last_good_opt, epoch - 1
-                    ),
-                )
+                save(rescue, last_good, last_good_opt, epoch - 1)
                 raise TrainingDiverged(
                     f"epoch {epoch}: {err}; last good state saved to {rescue}", rescue
                 ) from err
@@ -488,14 +454,9 @@ def fit(
             log.info("epoch %d: %s", epoch, row)
             last_good, last_good_opt = _snapshot(params, opt)
             if config.checkpoint_every and epoch % config.checkpoint_every == 0:
-                save_checkpoint(
-                    output_dir / f"checkpoint_ep{epoch}.npz",
-                    _make_checkpoint(params, config, graph, train_set, q, opt, epoch),
-                )
+                save(output_dir / f"checkpoint_ep{epoch}.npz", params, opt, epoch)
 
-    save_checkpoint(
-        ckpt_path, _make_checkpoint(params, config, graph, train_set, q, opt, config.epochs)
-    )
+    save(ckpt_path, params, opt, config.epochs)
     return FitResult(params, ckpt_path, log_path, log_rows, train_path, test_path, config)
 
 

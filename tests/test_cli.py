@@ -189,6 +189,16 @@ class TestTrain:
         assert "error:" in err and out == ""
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("pair", ["beta1=0.9", "beta2=0.999", "adam_eps=1e-8"])
+    def test_adam_constants_are_unknown_keys_refused_before_any_output(
+        self, capsys, data_dir, tmp_path, pair
+    ):
+        out_dir = tmp_path / "run"
+        code, out, err = run(capsys, *train_args(data_dir, out_dir, "--override", pair))
+        assert code == 2 and out == ""
+        assert f"error: unknown config keys: ['{pair.partition('=')[0]}']" in err
+        assert not out_dir.exists()
+
     def test_oversized_field_names_its_line(self, capsys, data_dir, tmp_path):
         huge = "0" * (csv.field_size_limit() + 1)
         text = (data_dir / "responses.csv").read_text(encoding="utf-8")
@@ -233,6 +243,51 @@ class TestTrain:
         code, out, err = run(capsys, *train_args(data_dir, out_dir))
         assert code == 2 and out == ""
         assert "the contrastive loss takes at most 2" in err
+        assert not out_dir.exists()
+
+
+def config_args(command, data_dir, out_dir, config):
+    if command == "train":
+        return (*train_args(data_dir, out_dir), "--config", str(config))
+    return (
+        "viewgen-audit", "--config", str(config),
+        "--responses", str(data_dir / "responses.csv"),
+        "--qmatrix", str(data_dir / "qmatrix.csv"), "--draws", "5",
+    )
+
+
+@pytest.mark.parametrize("command", ["train", "viewgen-audit"])
+class TestConfigFile:
+    def test_malformed_json_is_a_usage_error_naming_file_line_and_column(
+        self, capsys, data_dir, tmp_path, command
+    ):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"epochs": 2,\n "tau" 0.5}\n', encoding="utf-8")
+        out_dir = tmp_path / "run"
+        code, out, err = run(capsys, *config_args(command, data_dir, out_dir, config))
+        assert code == 2 and out == ""
+        assert err == f"error: {config}: line 2 column 8: Expecting ':' delimiter\n"
+        assert not out_dir.exists()
+
+    def test_a_json_list_is_a_usage_error_naming_the_file(
+        self, capsys, data_dir, tmp_path, command
+    ):
+        config = tmp_path / "cfg.json"
+        config.write_text("[1, 2]", encoding="utf-8")
+        out_dir = tmp_path / "run"
+        code, out, err = run(capsys, *config_args(command, data_dir, out_dir, config))
+        assert code == 2 and out == ""
+        assert f"error: {config}: a config file must hold a JSON object" in err
+        assert not out_dir.exists()
+
+    def test_a_missing_config_file_is_a_runtime_failure(
+        self, capsys, data_dir, tmp_path, command
+    ):
+        out_dir = tmp_path / "run"
+        config = tmp_path / "absent.json"
+        code, out, err = run(capsys, *config_args(command, data_dir, out_dir, config))
+        assert code == 1 and out == ""
+        assert "absent.json" in err
         assert not out_dir.exists()
 
 
@@ -324,6 +379,40 @@ class TestEvalAndDiagnose:
         )
         assert code == 2 and out == ""
         assert "--students must be UTF-8 text" in err
+
+
+@pytest.mark.parametrize("kind", ["csv", "npz without meta"])
+class TestNotACheckpoint:
+    @pytest.fixture
+    def path(self, trained, tmp_path, kind):
+        if kind == "csv":
+            return trained / "test.csv"
+        path = tmp_path / "arrays.npz"
+        np.savez(path, p__student_emb=np.zeros((2, 2)))
+        return path
+
+    def assert_named(self, err, path):
+        assert err.startswith(f"error: {path}: not an scdkit checkpoint")
+        assert "pickle" not in err
+
+    def test_eval(self, capsys, trained, tmp_path, path):
+        out_dir = tmp_path / "report"
+        code, out, err = run(
+            capsys, "eval", "--checkpoint", str(path), "--test", str(trained / "test.csv"),
+            "--output-dir", str(out_dir),
+        )
+        assert code == 1 and out == ""
+        self.assert_named(err, path)
+        assert not out_dir.exists()
+
+    def test_diagnose(self, capsys, trained, path):
+        mappings = json.loads((trained / "mappings.json").read_text())
+        code, out, err = run(
+            capsys, "diagnose", "--checkpoint", str(path),
+            "--students", mappings["students"][0], "--exercises", mappings["exercises"][0],
+        )
+        assert code == 1 and out == ""
+        self.assert_named(err, path)
 
 
 class TestScoringReadsNoOptimizerState:

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 import tracemalloc
 from pathlib import Path
@@ -13,6 +12,7 @@ from scdkit.corpus import QMatrix, ResponseSet
 from scdkit.evalkit import infer
 from scdkit.relgraph import DIRECTIONS, RelationGraph, build_relation_graph, directed_split
 from scdkit.scdmodel import (
+    AdamState,
     Checkpoint,
     Diagnosis,
     NodeStates,
@@ -550,9 +550,11 @@ class TestCheckpoint:
             exercise_keys=("e0", "e1", "e2", "e3", "e4"),
             concept_keys=("c0", "c1", "c2"),
             epoch=7,
-            step=21,
-            adam_m={k: np.full_like(v, 0.25) for k, v in params.items()},
-            adam_v={k: np.full_like(v, 4.0) for k, v in params.items()},
+            opt=AdamState(
+                m={k: np.full_like(v, 0.25) for k, v in params.items()},
+                v={k: np.full_like(v, 4.0) for k, v in params.items()},
+                step=21,
+            ),
         )
         path = tmp_path / "ck.npz"
         save_checkpoint(path, ckpt)
@@ -560,10 +562,11 @@ class TestCheckpoint:
         for k, v in params.items():
             npt.assert_array_equal(back.params[k], v)
         assert back.config == {"mode": "scd", "epochs": 7}
-        assert back.epoch == 7 and back.step == 21
+        assert back.epoch == 7 and back.opt.step == 21
         assert back.student_keys == ckpt.student_keys
         npt.assert_array_equal(back.graph.se_edges, g.se_edges)
-        npt.assert_array_equal(back.adam_m["student_emb"], 0.25)
+        npt.assert_array_equal(back.opt.m["student_emb"], 0.25)
+        npt.assert_array_equal(back.opt.v["student_emb"], 4.0)
 
     def test_loads_checkpoint_written_before_the_mapping(self):
         """The fixture was written by save_checkpoint at commit fca24c9, when
@@ -581,12 +584,13 @@ class TestCheckpoint:
             assert back.params[name].shape == arr.shape
             assert back.params[name].tobytes() == arr.tobytes(), name
         assert back.params.n_layers == 2 and back.params.dim == 3
-        assert back.epoch == 1 and back.step == 3 and back.config["epochs"] == 4
-        assert set(back.adam_m) == set(back.adam_v) == set(param_names(2))
-        assert all(np.all(m == 0.25) for m in back.adam_m.values())
-        assert all(np.all(v == 4.0) for v in back.adam_v.values())
+        assert back.epoch == 1 and back.opt.step == 3 and back.config["epochs"] == 4
+        assert set(back.opt.m) == set(back.opt.v) == set(param_names(2))
+        assert all(np.all(m == 0.25) for m in back.opt.m.values())
+        assert all(np.all(v == 4.0) for v in back.opt.v.values())
         for name, arr in fresh.items():
-            assert back.adam_m[name].shape == back.adam_v[name].shape == arr.shape, name
+            assert back.opt.m[name].shape == back.opt.v[name].shape == arr.shape, name
+        assert load_checkpoint(FIXTURE, optimizer=False).opt is None
 
     def test_fixture_scores_as_the_full_weight_formula(self):
         """The fixture, loaded with its attention arrays cut to their neighbor
@@ -670,13 +674,26 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"{edit}.*{name}"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("half", ["adam_m", "adam_v"])
-    def test_save_refuses_half_the_optimizer_state(self, tmp_path, half):
-        ckpt = load_checkpoint(FIXTURE)
-        ckpt = dataclasses.replace(ckpt, **{half: None})
-        with pytest.raises(ValueError, match="adam_m and adam_v"):
-            save_checkpoint(tmp_path / "half.npz", ckpt)
-        assert not (tmp_path / "half.npz").exists()
+    @pytest.mark.parametrize("kind", ["csv", "empty", "npy", "npz without meta", "cut short"])
+    def test_a_file_that_is_not_a_checkpoint_is_named(self, tmp_path, kind):
+        path = tmp_path / "input"
+        if kind == "cut short":
+            path.write_bytes(FIXTURE.read_bytes()[:300])
+        elif kind == "csv":
+            path.write_text("student,exercise,score\ns1,e1,1\n")
+        elif kind == "empty":
+            path.write_bytes(b"")
+        elif kind == "npy":
+            with open(path, "wb") as fh:
+                np.save(fh, np.arange(3))
+        else:
+            with open(path, "wb") as fh:
+                np.savez(fh, p__student_emb=np.zeros((2, 2)))
+        message = f"{path}: not an scdkit checkpoint"
+        for optimizer in (True, False):
+            with pytest.raises(ValueError, match=re.escape(message)) as err:
+                load_checkpoint(path, optimizer=optimizer)
+            assert "pickle" not in str(err.value)
 
     def test_rebuilds_graph_and_qmatrix(self, tmp_path, small_world):
         g, q = small_world["graph"], small_world["q"]
@@ -691,7 +708,7 @@ class TestCheckpoint:
         )
         save_checkpoint(tmp_path / "ck.npz", ckpt)
         back = load_checkpoint(tmp_path / "ck.npz")
-        assert back.adam_m is None
+        assert back.opt is None
         npt.assert_array_equal(back.graph.se_edges, g.se_edges)
         c2e = directed_split(back.graph).c2e
         npt.assert_array_equal(c2e.heads, q.exercises)

@@ -55,6 +55,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config"):
             TrainConfig.from_dict({"epocks": 3})
 
+    @pytest.mark.parametrize("key, value", [("beta1", 0.9), ("beta2", 0.999), ("adam_eps", 1e-8)])
+    def test_adam_constants_are_not_config_keys(self, key, value):
+        with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
+            TrainConfig.from_dict({key: value})
+
+    def test_settable_values(self):
+        assert sorted(TrainConfig().to_dict()) == sorted([
+            "epochs", "batch_size", "learning_rate", "k", "theta", "p_min", "tau",
+            "lambda1", "lambda2", "n_layers", "dim", "master_seed", "mode",
+            "min_interactions", "train_ratio", "include_positive", "checkpoint_every",
+        ])
+
     def test_mode_and_bounds_validated(self):
         with pytest.raises(ValueError, match="mode"):
             TrainConfig(mode="contrastive")
@@ -108,6 +120,23 @@ class TestAdam:
                 adam_step(params, {"w": g}, state, self.cfg)
             outs.append(params["w"].copy())
         npt.assert_array_equal(outs[0], outs[1])
+
+    def test_two_steps_with_the_published_constants(self):
+        """Kingma & Ba's β1 = 0.9, β2 = 0.999 and ε = 1e-8, by hand."""
+        params = {"w": np.array([0.5])}
+        state = AdamState.fresh(params)
+        m = v = 0.0
+        w = 0.5
+        for step, g in enumerate((2.0, -1.0), start=1):
+            state.step = step
+            adam_step(params, {"w": np.array([g])}, state, self.cfg)
+            m = 0.9 * m + 0.1 * g
+            v = 0.999 * v + 0.001 * g * g
+            m_hat, v_hat = m / (1 - 0.9**step), v / (1 - 0.999**step)
+            w -= 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        assert state.m["w"][0] == pytest.approx(m, rel=1e-15)
+        assert state.v["w"][0] == pytest.approx(v, rel=1e-15)
+        assert params["w"][0] == pytest.approx(w, rel=1e-15)
 
     def test_non_finite_gradient_aborts(self):
         params = {"w": np.ones(2)}
@@ -451,9 +480,10 @@ class TestFit:
             npt.assert_array_equal(v, tail.params[k])
         ck_full = load_checkpoint(full.checkpoint_path)
         ck_tail = load_checkpoint(tail.checkpoint_path)
-        for k in ck_full.adam_m:
-            npt.assert_array_equal(ck_full.adam_m[k], ck_tail.adam_m[k])
-            npt.assert_array_equal(ck_full.adam_v[k], ck_tail.adam_v[k])
+        assert ck_full.opt.step == ck_tail.opt.step
+        for k in ck_full.opt.m:
+            npt.assert_array_equal(ck_full.opt.m[k], ck_tail.opt.m[k])
+            npt.assert_array_equal(ck_full.opt.v[k], ck_tail.opt.v[k])
 
     def test_resume_from_full_width_attention_checkpoint(self, small_files, tmp_path):
         """Checkpoints written while each attention weight was the full (2d, 1)
@@ -550,7 +580,7 @@ class TestFit:
         head = fit(self.config(epochs=1), rp, qp, tmp_path / "head")
         bare = tmp_path / "bare.npz"
         ckpt = load_checkpoint(head.checkpoint_path)
-        save_checkpoint(bare, dataclasses.replace(ckpt, adam_m=None, adam_v=None))
+        save_checkpoint(bare, dataclasses.replace(ckpt, opt=None))
         with pytest.raises(ResumeMismatch, match="optimizer state"):
             fit(self.config(epochs=2), rp, qp, tmp_path / "tail", resume_from=bare)
         assert not (tmp_path / "tail").exists()
@@ -653,6 +683,42 @@ class TestFit:
         back = load_checkpoint(rescue)
         assert all(np.all(np.isfinite(v)) for v in back.params.values())
         # diverged in epoch 1: the optimizer saved with the params is the fresh one
-        assert back.epoch == 0 and back.step == 0
-        assert all(not np.any(m) for m in back.adam_m.values())
-        assert all(not np.any(v) for v in back.adam_v.values())
+        assert back.epoch == 0 and back.opt.step == 0
+        assert all(not np.any(m) for m in back.opt.m.values())
+        assert all(not np.any(v) for v in back.opt.v.values())
+
+    def test_divergence_after_adam_steps_saves_the_last_epoch_bitwise(
+        self, small_files, tmp_path, monkeypatch
+    ):
+        """A step of epoch 2 runs its Adam update and then diverges: the
+        rescue checkpoint holds epoch 1's parameters, moments and step, not
+        the state that update left behind."""
+        epochs = []
+
+        def recording_epoch(params, split, train_set, config, epoch, opt):
+            epochs.append(epoch)
+            return train_epoch(params, split, train_set, config, epoch, opt)
+
+        def diverging_adam(params, grads, state, config):
+            adam_step(params, grads, state, config)
+            if epochs[-1] == 2:
+                raise FloatingPointError("injected after an epoch-2 Adam step")
+
+        monkeypatch.setattr(trainkit, "train_epoch", recording_epoch)
+        monkeypatch.setattr(trainkit, "adam_step", diverging_adam)
+        rp, qp = small_files
+        with pytest.raises(TrainingDiverged, match="epoch 2: injected"):
+            fit(self.config(epochs=3, checkpoint_every=1), rp, qp, tmp_path / "run")
+        out = tmp_path / "run"
+        epoch1 = load_checkpoint(out / "checkpoint_ep1.npz")
+        assert epoch1.epoch == 1 and epoch1.opt.step > 0
+        assert all(np.any(m) for m in epoch1.opt.m.values())
+        assert all(np.any(v) for v in epoch1.opt.v.values())
+        with np.load(out / "checkpoint_ep1.npz") as want, np.load(
+            out / "checkpoint_diverged.npz"
+        ) as got:
+            assert got.files == want.files
+            for name in want.files:
+                a, b = want[name], got[name]
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
