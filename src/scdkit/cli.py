@@ -59,6 +59,8 @@ def _load_config(args) -> tuple[dict, dict]:
             raise UsageError(
                 f"{args.config}: line {err.lineno} column {err.colno}: {err.msg}"
             ) from None
+        except UnicodeDecodeError as err:
+            raise UsageError(f"{args.config}: not UTF-8 text at byte {err.start}") from None
         if not isinstance(raw, dict):
             raise UsageError(f"{args.config}: a config file must hold a JSON object")
     for key, value in getattr(args, "override", None) or []:

@@ -22,11 +22,13 @@ values are thus freed during the walk rather than after it; after
 Scatter-adds (the aggregate's weighted sum and tail scatter, and the
 `gather_rows` backward) run one feature column at a time: each column is one
 `np.bincount` over the row indices, so no index-by-feature array is built and
-each bucket is summed in row order, bit-identical to `np.add.at`. The
-aggregate's backward takes no per-edge dot product: the two sums the logits'
-gradient needs are row dot products with the weighted sums its forward kept
-and with the tail scatter it computes anyway. Such ops may return transposed
-(Fortran-order) arrays.
+each bucket is summed in row order, bit-identical to `np.add.at`. So the row
+order sets the speed but not the sums: two orders that list each bucket's rows
+alike sum bit for bit alike, but long runs of consecutive rows into one bucket
+make each add wait for the one before it. The aggregate's backward takes no
+per-edge dot product: the two sums the logits' gradient needs are row dot
+products with the weighted sums its forward kept and with the tail scatter it
+computes anyway. Such ops may return transposed (Fortran-order) arrays.
 
 A computation graph is confined to one thread.
 """

@@ -4,12 +4,17 @@ The interaction subgraph comes from train responses only (an edge means
 "answered", regardless of score); the exercise-concept subgraph mirrors the
 Q-matrix. Each logical edge is split into two directed edges so that every
 aggregation direction has its own adjacency: a per-edge head array and tail
-array, sorted by head and then tail for reproducibility.
+array. A relation's two directions read one pair list: e2s and c2e take its
+two columns as heads and tails, s2e and e2c the same two arrays swapped, so
+s2e is student-major and e2c exercise-major. Within each head, tails ascend;
+a direction and its reverse share one pair order. The edges into each head
+and out of each tail are thus summed in one fixed order, without a sort.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +25,10 @@ DIRECTIONS = ("e2s", "s2e", "c2e", "e2c")
 
 @dataclass(frozen=True, eq=False)
 class RelationGraph:
-    """Edge lists of both subgraphs plus node counts (M students, N exercises, K concepts)."""
+    """Edge lists of both subgraphs plus node counts (M students, N exercises, K concepts).
+
+    Each pair list strictly increases by first, then second element;
+    `directed_split` refuses any other order."""
 
     se_edges: np.ndarray  # (n_se, 2) distinct (student, exercise) pairs, lexsorted
     ec_edges: np.ndarray  # (n_ec, 2) distinct (exercise, concept) pairs, lexsorted
@@ -33,8 +41,10 @@ class RelationGraph:
 class Adjacency:
     """One aggregation direction as an edge list: edge i flows tails[i] -> heads[i].
 
-    Edges are sorted by head, then tail, which fixes RNG consumption and
-    summation order; heads run over 0..n_heads-1, and a head may have no edge.
+    Within each head, tails ascend; a direction and its reverse share one
+    pair order, so either is sorted by its heads or by its tails. That fixes
+    the summation order per head and per tail. Heads run over 0..n_heads-1,
+    and a head may have no edge.
     """
 
     heads: np.ndarray
@@ -47,6 +57,13 @@ class Adjacency:
 
     def indegrees(self) -> np.ndarray:
         return np.bincount(self.heads, minlength=self.n_heads)
+
+    @cached_property
+    def head_order(self) -> np.ndarray:
+        """The edges in (head, tail) order: edge head_order[i] is the i-th.
+        One stable sort by head, made on first use and kept; view draws need
+        it, scoring does not."""
+        return np.argsort(self.heads, kind="stable")
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,24 +114,26 @@ def build_relation_graph(train: ResponseSet, q: QMatrix) -> RelationGraph:
     return RelationGraph(se, ec, train.n_students, train.n_exercises, q.n_concepts)
 
 
-def _by_head(heads: np.ndarray, tails: np.ndarray, n_heads: int) -> Adjacency:
-    """The edges tails[i] -> heads[i] sorted by head, then tail. They come from
-    a pair list sorted by its first column, then its second, so either column
-    ascends within each value of the other, and one stable sort by head
-    leaves the tails ascending within each head."""
-    order = np.argsort(heads, kind="stable")
-    return Adjacency(
-        heads[order].astype(np.intp, copy=False), tails[order].astype(np.intp, copy=False), n_heads
-    )
+def _columns(pairs: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The two columns of a pair list as contiguous intp arrays; ValueError
+    unless the pairs strictly increase by first, then second element."""
+    first, second = (np.ascontiguousarray(col, dtype=np.intp) for col in pairs.T)
+    step = np.diff(first)
+    if ((step < 0) | ((step == 0) & (np.diff(second) <= 0))).any():
+        raise ValueError(f"{name} must be distinct pairs sorted by first, then second element")
+    return first, second
 
 
 def directed_split(g: RelationGraph) -> DirectedSplit:
-    """Split each logical edge into its two directed counterparts."""
-    s, e = g.se_edges[:, 0], g.se_edges[:, 1]
-    ex, c = g.ec_edges[:, 0], g.ec_edges[:, 1]
+    """Split each logical edge into its two directed counterparts: e2s and c2e
+    are the pair lists' columns as stored, s2e and e2c the same two arrays
+    with heads and tails swapped. ValueError if `se_edges` or `ec_edges` is
+    not strictly increasing by (first, second)."""
+    s, e = _columns(g.se_edges, "se_edges")
+    ex, c = _columns(g.ec_edges, "ec_edges")
     return DirectedSplit(
-        e2s=_by_head(s, e, g.n_students),
-        s2e=_by_head(e, s, g.n_exercises),
-        c2e=_by_head(ex, c, g.n_exercises),
-        e2c=_by_head(c, ex, g.n_concepts),
+        e2s=Adjacency(s, e, g.n_students),
+        s2e=Adjacency(e, s, g.n_exercises),
+        c2e=Adjacency(ex, c, g.n_exercises),
+        e2c=Adjacency(c, ex, g.n_concepts),
     )

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffcore as dc
-from .relgraph import DIRECTIONS, DirectedSplit, RelationGraph
+from .relgraph import DIRECTIONS, DirectedSplit, RelationGraph, directed_split
 from .viewgen import View
 
 
@@ -352,14 +352,14 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     )
 
 
-def _named_arrays(data, path, prefix: str, shapes: dict, what: str) -> dict:
+def _named_arrays(data, prefix: str, shapes: dict, what: str) -> dict:
     """The `prefix<name>` arrays of `data`: exactly the names of `shapes`, with
     those shapes, except that an older (2d, 1) attention array is cut to its
     neighbor half, which is all of it that ever reached the output."""
     stored = {k[len(prefix) :] for k in data.files if k.startswith(prefix)}
     if stored != set(shapes):
         raise ValueError(
-            f"{path}: missing {what} arrays {sorted(set(shapes) - stored)}, "
+            f"missing {what} arrays {sorted(set(shapes) - stored)}, "
             f"unexpected {sorted(stored - set(shapes))}"
         )
     arrays = {}
@@ -368,9 +368,7 @@ def _named_arrays(data, path, prefix: str, shapes: dict, what: str) -> dict:
         if name.startswith("attn") and arr.shape == (2 * shape[0], 1):
             arr = arr[shape[0] :]
         if arr.shape != shape:
-            raise ValueError(
-                f"{path}: array {prefix}{name} has shape {arr.shape}, expected {shape}"
-            )
+            raise ValueError(f"array {prefix}{name} has shape {arr.shape}, expected {shape}")
         arrays[name] = arr
     return arrays
 
@@ -392,26 +390,35 @@ def _open_checkpoint(path):
 def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint. With `optimizer=False`
     no Adam moment is read, stored or not, and `opt` is None: scoring needs
-    only the parameters, graph and key maps."""
+    only the parameters, graph and key maps. A damaged checkpoint (a missing
+    or garbled member or meta key, a wrong-shaped array, or a pair list that
+    `directed_split` refuses) raises a ValueError naming the file."""
     with _open_checkpoint(path) as data:
-        meta = json.loads(str(data["meta"]))
-        shapes = param_shapes(*meta["counts"], meta["dim"], meta["n_layers"])
-        params = ModelParams(_named_arrays(data, path, "p__", shapes, "parameter"))
-        opt = None
-        if optimizer and meta["has_adam"]:
-            opt = AdamState(
-                m=_named_arrays(data, path, "m__", shapes, "Adam first-moment"),
-                v=_named_arrays(data, path, "v__", shapes, "Adam second-moment"),
-                step=meta["step"],
+        try:
+            meta = json.loads(str(data["meta"]))
+            shapes = param_shapes(*meta["counts"], meta["dim"], meta["n_layers"])
+            params = ModelParams(_named_arrays(data, "p__", shapes, "parameter"))
+            opt = None
+            if optimizer and meta["has_adam"]:
+                opt = AdamState(
+                    m=_named_arrays(data, "m__", shapes, "Adam first-moment"),
+                    v=_named_arrays(data, "v__", shapes, "Adam second-moment"),
+                    step=meta["step"],
+                )
+            graph = RelationGraph(data["se_edges"], data["ec_edges"], *meta["counts"])
+            directed_split(graph)  # refuses out-of-order pair lists
+            return Checkpoint(
+                params=params,
+                config=meta["config"],
+                graph=graph,
+                student_keys=tuple(meta["student_keys"]),
+                exercise_keys=tuple(meta["exercise_keys"]),
+                concept_keys=tuple(meta["concept_keys"]),
+                epoch=meta["epoch"],
+                opt=opt,
+                train_sha256=meta.get("train_sha256"),  # absent before fingerprints
             )
-        return Checkpoint(
-            params=params,
-            config=meta["config"],
-            graph=RelationGraph(data["se_edges"], data["ec_edges"], *meta["counts"]),
-            student_keys=tuple(meta["student_keys"]),
-            exercise_keys=tuple(meta["exercise_keys"]),
-            concept_keys=tuple(meta["concept_keys"]),
-            epoch=meta["epoch"],
-            opt=opt,
-            train_sha256=meta.get("train_sha256"),  # absent before fingerprints
-        )
+        except (KeyError, TypeError, EOFError, zipfile.BadZipFile) as err:
+            raise ValueError(f"{path}: damaged checkpoint ({type(err).__name__}: {err})") from None
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None

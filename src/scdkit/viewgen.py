@@ -96,12 +96,21 @@ def _interaction_probs(split: DirectedSplit, p: DropoutParams) -> tuple[np.ndarr
     return _edge_probs(split.e2s, p), _edge_probs(split.s2e, p)
 
 
+def _uniforms(adj: Adjacency, rng: np.random.Generator) -> np.ndarray:
+    """One uniform per edge, drawn in (head, tail) order and stored at its edge."""
+    u = np.empty(adj.n_edges)
+    u[adj.head_order] = rng.random(adj.n_edges)
+    return u
+
+
 def _draw(split: DirectedSplit, p_e2s, p_s2e, rng: np.random.Generator) -> View:
     """Keep each interaction edge whose uniform falls under its probability (an
-    array per edge, or one number). The RNG is consumed in canonical edge
-    order, e2s first then s2e, one uniform per edge, so identical seeds give
-    identical views."""
-    return View(rng.random(split.e2s.n_edges) < p_e2s, rng.random(split.s2e.n_edges) < p_s2e)
+    array per edge, or one number). The RNG is consumed e2s first, then s2e,
+    one uniform per edge in (head, tail) order, whatever order the edges are
+    stored in; each uniform lands at its stored edge through the direction's
+    `head_order`, computed once per split. So identical seeds give identical
+    views, and a (head, tail) pair keeps its uniform under any storage order."""
+    return View(_uniforms(split.e2s, rng) < p_e2s, _uniforms(split.s2e, rng) < p_s2e)
 
 
 def generate_view_pair(
@@ -126,7 +135,9 @@ def matched_uniform_p(split: DirectedSplit, p: DropoutParams) -> float:
     """Uniform retention probability whose expected kept-edge count matches
     the importance-based strategy (the mean retention probability over all
     directed interaction edges)."""
-    probs = np.concatenate(_interaction_probs(split, p))
+    directions = zip((split.e2s, split.s2e), _interaction_probs(split, p))
+    # summed in (head, tail) order, so the mean does not depend on how edges are stored
+    probs = np.concatenate([q[adj.head_order] for adj, q in directions])
     if len(probs) == 0:
         raise ValueError("split has no interaction edges")
     return float(probs.mean())

@@ -1,3 +1,6 @@
+import struct
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -66,6 +69,18 @@ def grad_check(f, x: dict[str, np.ndarray], eps: float = 1e-5) -> float:
             a = analytic[key][i]
             worst = max(worst, abs(a - numeric) / max(1.0, abs(numeric)))
     return worst
+
+
+def corrupt_member(path, member: str) -> None:
+    """Flip the last data byte of one stored member of the npz at `path`, so
+    that reading the member fails its CRC-32 check."""
+    raw = bytearray(path.read_bytes())
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo(member)
+    start = info.header_offset + 30  # the local header's fixed part
+    start += sum(struct.unpack("<HH", raw[info.header_offset + 26 : start]))  # name, extra
+    raw[start + info.compress_size - 1] ^= 0xFF
+    path.write_bytes(raw)
 
 
 def small_responses(scores=None) -> ResponseSet:

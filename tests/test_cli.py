@@ -17,6 +17,7 @@ from scdkit import objectives, trainkit
 from scdkit.cli import main
 from scdkit.corpus import load_responses
 from scdkit.synth import make_synthetic, write_synthetic
+from conftest import corrupt_member
 
 
 @pytest.fixture(scope="module")
@@ -280,6 +281,17 @@ class TestConfigFile:
         assert f"error: {config}: a config file must hold a JSON object" in err
         assert not out_dir.exists()
 
+    def test_a_config_that_is_not_utf8_is_a_usage_error_naming_the_file(
+        self, capsys, data_dir, tmp_path, command
+    ):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(b'\xff{"epochs": 2}')
+        out_dir = tmp_path / "run"
+        code, out, err = run(capsys, *config_args(command, data_dir, out_dir, config))
+        assert code == 2 and out == ""
+        assert err == f"error: {config}: not UTF-8 text at byte 0\n"
+        assert not out_dir.exists()
+
     def test_a_missing_config_file_is_a_runtime_failure(
         self, capsys, data_dir, tmp_path, command
     ):
@@ -381,38 +393,60 @@ class TestEvalAndDiagnose:
         assert "--students must be UTF-8 text" in err
 
 
-@pytest.mark.parametrize("kind", ["csv", "npz without meta"])
+# what each file makes `eval` and `diagnose` print after "error: <path>: "
+NOT_A_CHECKPOINT = {
+    "csv": "not an scdkit checkpoint",
+    "npz without meta": "not an scdkit checkpoint",
+    "meta without counts": "damaged checkpoint (KeyError: 'counts')",
+    "bad CRC-32": "damaged checkpoint (BadZipFile: Bad CRC-32",
+}
+
+
+@pytest.mark.parametrize("kind", list(NOT_A_CHECKPOINT))
 class TestNotACheckpoint:
+    """A file that is not a checkpoint, or a damaged one, is named in one line."""
+
     @pytest.fixture
     def path(self, trained, tmp_path, kind):
         if kind == "csv":
             return trained / "test.csv"
         path = tmp_path / "arrays.npz"
-        np.savez(path, p__student_emb=np.zeros((2, 2)))
+        if kind == "npz without meta":
+            np.savez(path, p__student_emb=np.zeros((2, 2)))
+        elif kind == "bad CRC-32":
+            path.write_bytes((trained / "checkpoint.npz").read_bytes())
+            corrupt_member(path, "p__student_emb.npy")
+        else:
+            with np.load(trained / "checkpoint.npz") as data:
+                arrays = {k: data[k] for k in data.files}
+            meta = json.loads(str(arrays["meta"]))
+            del meta["counts"]
+            np.savez(path, **{**arrays, "meta": np.array(json.dumps(meta))})
         return path
 
-    def assert_named(self, err, path):
-        assert err.startswith(f"error: {path}: not an scdkit checkpoint")
+    def assert_named(self, err, path, kind):
+        assert err.startswith(f"error: {path}: {NOT_A_CHECKPOINT[kind]}")
+        assert err.count("\n") == 1 and err.endswith("\n")
         assert "pickle" not in err
 
-    def test_eval(self, capsys, trained, tmp_path, path):
+    def test_eval(self, capsys, trained, tmp_path, path, kind):
         out_dir = tmp_path / "report"
         code, out, err = run(
             capsys, "eval", "--checkpoint", str(path), "--test", str(trained / "test.csv"),
             "--output-dir", str(out_dir),
         )
         assert code == 1 and out == ""
-        self.assert_named(err, path)
+        self.assert_named(err, path, kind)
         assert not out_dir.exists()
 
-    def test_diagnose(self, capsys, trained, path):
+    def test_diagnose(self, capsys, trained, path, kind):
         mappings = json.loads((trained / "mappings.json").read_text())
         code, out, err = run(
             capsys, "diagnose", "--checkpoint", str(path),
             "--students", mappings["students"][0], "--exercises", mappings["exercises"][0],
         )
         assert code == 1 and out == ""
-        self.assert_named(err, path)
+        self.assert_named(err, path, kind)
 
 
 class TestScoringReadsNoOptimizerState:

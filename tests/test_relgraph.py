@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scdkit.corpus import QMatrix, ResponseSet
-from scdkit.relgraph import build_relation_graph, directed_split
+from scdkit.relgraph import RelationGraph, build_relation_graph, directed_split
 from conftest import small_qmatrix, small_responses
 
 
@@ -69,11 +69,12 @@ class TestDirectedSplit:
         ex, co = (np.array(c, dtype=np.intp) for c in zip(*ec))
         q = QMatrix(ex, co, n, k, tuple(f"c{i}" for i in range(k)))
         split = directed_split(build_relation_graph(rs, q))
+        # each reverse direction lists its pairs swapped, in the forward's order
         expected = {
             "e2s": (sorted(set(se)), m),
-            "s2e": (sorted({(e, s) for s, e in se}), n),
+            "s2e": ([(e, s) for s, e in sorted(set(se))], n),
             "c2e": (sorted(set(ec)), n),
-            "e2c": (sorted({(c, e) for e, c in ec}), k),
+            "e2c": ([(c, e) for e, c in sorted(set(ec))], k),
         }
         for direction, (pairs, n_heads) in expected.items():
             adj = split.adjacency(direction)
@@ -83,6 +84,7 @@ class TestDirectedSplit:
                 npt.assert_array_equal(got, np.array([pair[column] for pair in pairs], np.intp))
             counts = [sum(h == head for h, _ in pairs) for head in range(n_heads)]
             npt.assert_array_equal(adj.indegrees(), counts)  # trailing zeros kept
+            assert [pairs[i] for i in adj.head_order] == sorted(pairs)
 
     def test_indegrees_match_record_counts(self, small_world):
         split, train = small_world["split"], small_world["train"]
@@ -102,3 +104,18 @@ class TestDirectedSplit:
         with pytest.raises(ValueError, match="direction"):
             split.adjacency("s2s")
 
+
+    @pytest.mark.parametrize("name", ["se_edges", "ec_edges"])
+    @pytest.mark.parametrize("edit", ["swapped", "repeated", "second column back"])
+    def test_out_of_order_pair_list_refused(self, small_world, name, edit):
+        g = small_world["graph"]
+        pairs = getattr(g, name).copy()
+        if edit == "swapped":  # two rows out of order
+            pairs[[1, 2]] = pairs[[2, 1]]
+        elif edit == "repeated":  # a duplicate is not strictly increasing
+            pairs[2] = pairs[1]
+        else:  # the first column ties and the second steps back
+            first = pairs[1, 0]
+            pairs[1:3] = [[first, 2], [first, 1]]
+        with pytest.raises(ValueError, match=f"{name} must be distinct pairs sorted"):
+            directed_split(RelationGraph(**{**vars(g), name: pairs}))

@@ -1,3 +1,4 @@
+import json
 import re
 import tracemalloc
 from pathlib import Path
@@ -10,7 +11,14 @@ from hypothesis import strategies as st
 
 from scdkit.corpus import QMatrix, ResponseSet
 from scdkit.evalkit import infer
-from scdkit.relgraph import DIRECTIONS, RelationGraph, build_relation_graph, directed_split
+from scdkit.relgraph import (
+    DIRECTIONS,
+    Adjacency,
+    DirectedSplit,
+    RelationGraph,
+    build_relation_graph,
+    directed_split,
+)
 from scdkit.scdmodel import (
     AdamState,
     Checkpoint,
@@ -26,7 +34,7 @@ from scdkit.scdmodel import (
 )
 from scdkit.viewgen import View
 from scdkit import diffcore as dc
-from conftest import grad_check, seeded_sum
+from conftest import corrupt_member, grad_check, seeded_sum
 
 FIXTURE = Path(__file__).parent / "fixtures" / "checkpoint_fca24c9.npz"
 
@@ -412,6 +420,91 @@ class TestViewUnion:
         assert not np.array_equal(union.copy_rows(0).final_students.value, s_final)
 
 
+class TestEdgeOrder:
+    """gcn_forward on the stored split against a copy whose every direction
+    is lexsorted by (head, tail), bit for bit: within each head the tails
+    ascend in both orders, and each tail's edges come by ascending head, so
+    every sum adds in the same order."""
+
+    @staticmethod
+    def head_sorted(split):
+        """The copy, and per direction the stored edge at each copy position."""
+        adjs = {d: split.adjacency(d) for d in DIRECTIONS}
+        orders = {d: np.lexsort((a.tails, a.heads)) for d, a in adjs.items()}
+        sorted_adjs = {
+            d: Adjacency(a.heads[orders[d]], a.tails[orders[d]], a.n_heads) for d, a in adjs.items()
+        }
+        return DirectedSplit(**sorted_adjs), orders
+
+    @staticmethod
+    def attention_by_edge(states, split, view, rows, layer, direction):
+        """{(copy, head, tail): attention bits} over the edges the layer ran:
+        the kept ones, and in the last layer with `rows` those into read rows."""
+        adj = split.adjacency(direction)
+        kept = np.ones((states.copies, adj.n_edges), dtype=bool)
+        mask = kept_mask(view, direction)
+        if mask is not None:
+            kept &= np.atleast_2d(mask)
+        if rows is not None and layer == len(states.students) - 2:  # the last layer
+            read = {"e2s": rows[0], "s2e": rows[1], "c2e": rows[1], "e2c": []}[direction]
+            kept &= np.isin(adj.heads, read)
+        copy, edge = np.nonzero(kept)
+        keys = zip(copy.tolist(), adj.heads[edge].tolist(), adj.tails[edge].tolist())
+        alpha = states.attention[direction][layer]
+        return dict(zip(keys, alpha.view(np.int64).tolist(), strict=True))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=100_000),
+        union=st.booleans(),
+        with_rows=st.booleans(),
+    )
+    def test_head_sorted_copy_gives_identical_forward_and_gradients(self, seed, union, with_rows):
+        rng = np.random.default_rng(seed)
+        split, (m, n, k) = random_split(rng)
+        n_layers = int(rng.integers(1, 4))
+        params = init_params(m, n, k, dim=int(rng.integers(1, 5)), n_layers=n_layers, seed=seed)
+        resorted, orders = self.head_sorted(split)
+        views = (None, None)
+        if union:  # two stacked views; the sorted copy's masks follow its edges
+            e2s, s2e = (rng.random((2, split.adjacency(d).n_edges)) < 0.5 for d in ("e2s", "s2e"))
+            views = (View(e2s, s2e), View(e2s[:, orders["e2s"]], s2e[:, orders["s2e"]]))
+        students, exercises = np.arange(m), np.arange(n)
+        rows = None
+        if with_rows:
+            students = rng.integers(0, m, size=int(rng.integers(0, 2 * m)))
+            exercises = rng.integers(0, n, size=int(rng.integers(0, 2 * n)))
+            rows = (students, exercises)
+
+        runs = []
+        for sp, view in zip((split, resorted), views):
+            nodes = params.wrap()
+            states = gcn_forward(params, sp, view=view, nodes=nodes, rows=rows)
+            values = [
+                node.value.tobytes()
+                for layers in (states.students, states.exercises, states.concepts)
+                for node in layers
+            ]
+            attention = {
+                (layer, d): self.attention_by_edge(states, sp, view, rows, layer, d)
+                for layer in range(n_layers)
+                for d in DIRECTIONS
+            }
+            loss_rng = np.random.default_rng(seed)
+            offsets = np.arange(states.copies)[:, None]  # the read rows of every copy
+            read_s, read_e = (students + offsets * m).ravel(), (exercises + offsets * n).ravel()
+            TestFinalRows.rows_loss(states, nodes, read_s, read_e, loss_rng).backward()
+            runs.append((values, attention, {name: nodes[name].grad for name in params}))
+        (values, attention, grads), (values_sorted, attention_sorted, grads_sorted) = runs
+
+        assert values == values_sorted
+        assert attention == attention_sorted
+        for name in params:
+            assert (grads[name] is None) == (grads_sorted[name] is None), name
+            if grads[name] is not None:
+                assert grads[name].tobytes() == grads_sorted[name].tobytes(), name
+
+
 class TestDiagnosisAndPredict:
     def test_heads_gradient_against_finite_difference(self):
         # exercises carry 1 to 3 concepts; the batch repeats students and exercises
@@ -694,6 +787,39 @@ class TestCheckpoint:
             with pytest.raises(ValueError, match=re.escape(message)) as err:
                 load_checkpoint(path, optimizer=optimizer)
             assert "pickle" not in str(err.value)
+
+    @pytest.mark.parametrize("name", ["se_edges", "ec_edges"])
+    def test_out_of_order_pair_list_names_the_file(self, tmp_path, name):
+        with np.load(FIXTURE) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays[name] = arrays[name][::-1]
+        path = tmp_path / "edited.npz"
+        np.savez(path, **arrays)
+        message = f"{path}: {name} must be distinct pairs sorted"
+        for optimizer in (True, False):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                load_checkpoint(path, optimizer=optimizer)
+
+    @pytest.mark.parametrize("key", ["counts", "dim", "has_adam", "student_keys"])
+    def test_meta_without_a_key_names_the_file(self, tmp_path, key):
+        with np.load(FIXTURE) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(str(arrays["meta"]))
+        del meta[key]
+        arrays["meta"] = np.array(json.dumps(meta))
+        path = tmp_path / "edited.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: damaged checkpoint (KeyError")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("member", ["meta", "se_edges", "p__student_emb", "v__w_predict"])
+    def test_a_corrupted_member_names_the_file(self, tmp_path, member):
+        path = tmp_path / "damaged.npz"
+        path.write_bytes(FIXTURE.read_bytes())
+        corrupt_member(path, f"{member}.npy")
+        message = f"{path}: damaged checkpoint (BadZipFile: Bad CRC-32"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_checkpoint(path)
 
     def test_rebuilds_graph_and_qmatrix(self, tmp_path, small_world):
         g, q = small_world["graph"], small_world["q"]

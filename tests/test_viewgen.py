@@ -142,6 +142,36 @@ class TestSharedDraw:
                 npt.assert_array_equal(view.kept_e2s, ref.random(split.e2s.n_edges) < a)
                 npt.assert_array_equal(view.kept_s2e, ref.random(split.s2e.n_edges) < b)
 
+    def test_each_edge_takes_the_uniform_at_its_head_tail_position(self):
+        # every student answers a random subset of exercises: s2e is stored
+        # student-major, so its order is not its (head, tail) order
+        rng = np.random.default_rng(4)
+        students, exercises = np.nonzero(rng.random((8, 6)) < 0.6)
+        rs = ResponseSet(
+            students.astype(np.intp), exercises.astype(np.intp),
+            np.zeros(len(students), dtype=np.int64), 8, 6,
+            tuple(f"s{i}" for i in range(8)), tuple(f"e{i}" for i in range(6)),
+        )
+        q = QMatrix(np.arange(6, dtype=np.intp), np.zeros(6, dtype=np.intp), 6, 1, ("c0",))
+        split = directed_split(build_relation_graph(rs, q))
+        stored = {}  # each direction's (head, tail) pairs in stored order
+        for d in ("e2s", "s2e"):
+            adj = split.adjacency(d)
+            stored[d] = list(zip(adj.heads.tolist(), adj.tails.tolist()))
+        assert stored["s2e"] != sorted(stored["s2e"])
+        p_e2s, p_s2e = per_edge_probs(split, DEFAULTS)
+        p_uniform = matched_uniform_p(split, DEFAULTS)
+        pair = generate_view_pair(split, DEFAULTS, np.random.default_rng(11))
+        randoms = [generate_random_view(split, p_uniform, np.random.default_rng(12))]
+        for seed, views, probs in ((11, pair, (p_e2s, p_s2e)), (12, randoms, (p_uniform,) * 2)):
+            ref = np.random.default_rng(seed)
+            for view in views:
+                for d, kept, p in zip(("e2s", "s2e"), (view.kept_e2s, view.kept_s2e), probs):
+                    u = ref.random(len(kept))  # one per edge, in (head, tail) order
+                    position = {edge: i for i, edge in enumerate(sorted(stored[d]))}
+                    expected = np.array([u[position[edge]] for edge in stored[d]]) < p
+                    npt.assert_array_equal(kept, expected)
+
     def test_probabilities_computed_once_per_pair_and_per_audit(self, monkeypatch):
         calls = []
         edge_probs = viewgen._edge_probs
