@@ -4,8 +4,9 @@ Covers exactly the operator set the diagnosis model and its losses need:
 row gathers with scatter-add backward, row tiling with a block-sum
 backward, row normalization, the fused residual graph-attention aggregate
 (`attention_aggregate`: per-edge logits, segment softmax, weighted neighbor
-sum and the residual in one node with a hand-written backward), and one
-squared L2 norm node over many arrays. `sigmoid` is a plain array function.
+sum and the residual, or a pick of its rows, in one node with a hand-written
+backward), and one squared L2 norm node over many arrays. `sigmoid` is a
+plain array function.
 The model heads in `scdmodel` and the loss terms and their weighted total in
 `objectives` are single `DiffNode`s with their own backward rules.
 Every leaf is a trainable `param`, and every node reachable from a
@@ -27,8 +28,10 @@ order sets the speed but not the sums: two orders that list each bucket's rows
 alike sum bit for bit alike, but long runs of consecutive rows into one bucket
 make each add wait for the one before it. The aggregate's backward takes no
 per-edge dot product: the two sums the logits' gradient needs are row dot
-products with the weighted sums its forward kept and with the tail scatter it
-computes anyway. Such ops may return transposed (Fortran-order) arrays.
+products with the weighted sums, which it recomputes as its output less its
+residual rows, and with the tail scatter it computes anyway. So the node keeps
+no weighted sums between its forward and its backward. Such ops may return
+transposed (Fortran-order) arrays.
 
 A computation graph is confined to one thread.
 """
@@ -169,27 +172,29 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def attention_aggregate(
-    tail_state: DiffNode, weight: DiffNode, heads, tails, residual: DiffNode
+    tail_state: DiffNode, weight: DiffNode, heads, tails, residual: DiffNode, residual_rows=None
 ) -> tuple[DiffNode, np.ndarray]:
     """Residual plus attention-weighted sum of tail rows into head rows, as one node.
 
     Edge e carries `tail_state[tails[e]]` into head `heads[e]` with logit
     `tail_state[tails[e]] @ weight`, where `weight` is (d, 1). Logits are
     softmax-normalized within each head's edges, max-subtracted. Row h of the
-    output is `residual[h]` plus the weighted sum of its edges' tail rows;
-    there are `len(residual.value)` heads. The residual's gradient is the
-    output's. Returns the output node and the detached per-edge weights.
+    output is the residual row of head h plus the weighted sum `agg[h]` of its
+    edges' tail rows. The residual rows are `residual` itself, or with
+    `residual_rows` (distinct row ids) `residual[residual_rows]`: then head h
+    adds residual row `residual_rows[h]`, and the residual's gradient is the
+    output's at those rows and zero elsewhere. There are as many heads as
+    residual rows. Returns the output node and the detached per-edge weights.
 
     The sums run one feature column at a time, so no edge-by-feature array is
     ever built: every per-edge temporary is one column long. Each column is
-    one `np.bincount`, which adds a head's edges in edge order, so the
-    weighted sum `agg` (the output less the residual) and the scatter
-    `S = A^T g` of the tail gradient (A the weighted head-by-tail adjacency)
-    are bit-identical to `np.add.at`.
+    one `np.bincount`, which adds a head's edges in edge order, so `agg` and
+    the scatter `S = A^T g` of the tail gradient (A the weighted head-by-tail
+    adjacency) are bit-identical to `np.add.at`.
 
     The backward forms no per-edge dot product `g[heads[e]] . t[tails[e]]`.
     The logits' gradient needs it only in two sums, and each is a row dot
-    product of arrays the op already has:
+    product:
     - per head h, the sum over its edges of `alpha_e * g[h] . t[tails[e]]`
       is `g[h] . agg[h]`;
     - per tail t, the sum over its edges of `alpha_e * g[heads[e]] . t[t]`
@@ -197,27 +202,39 @@ def attention_aggregate(
     So the logit gradient gathered per tail is
     `rowdot(t, S) - bincount(tails, alpha * (g . agg)[heads])`, and a column
     of the backward is one gather, one multiply and one `np.bincount`. The
-    rule holds `agg` (n_heads x d) until it runs, and no copy of the tail
-    states. Gradients agree with the per-edge form to rounding, not bitwise.
-    The tail gradient is a transposed view (Fortran order).
+    node holds no `agg`: the rule recomputes it as its own output less the
+    residual rows, both still alive when it runs (the walk is reverse
+    topological), and takes each row dot on C-ordered rows, so its bits do
+    not depend on the memory order of `g` or on how many heads there are.
+    The node holds its value, the per-edge weights and the edge ids, and no
+    copy of the tail states. Gradients agree with the per-edge form to
+    rounding, not bitwise. The tail gradient is a transposed view (Fortran
+    order).
     """
     heads = np.asarray(heads, dtype=np.intp)
     tails = np.asarray(tails, dtype=np.intp)
-    t_val, w = tail_state.value, weight.value
-    n_heads, n_tails = len(residual.value), len(t_val)
+    t_val, w, r_val = tail_state.value, weight.value, residual.value
+    picked = r_val if residual_rows is None else r_val[residual_rows]
+    n_heads, n_tails = len(picked), len(t_val)
     logits = (t_val @ w)[tails, 0]
     seg_max = np.full(n_heads, -np.inf)
     np.maximum.at(seg_max, heads, logits)
     e = np.exp(logits - seg_max[heads])
     alpha = e / np.bincount(heads, weights=e, minlength=n_heads)[heads]
-    out = np.array(
+    agg = np.array(
         [
             np.bincount(heads, weights=alpha * col[tails], minlength=n_heads)
             for col in np.ascontiguousarray(t_val.T)
         ]
     )
+    out = picked + agg.T
 
     def backward(g):
+        picked = r_val if residual_rows is None else r_val[residual_rows]  # not kept
+        agg = np.subtract(out, picked, order="C")
+        agg *= g  # C-ordered, so each row sums alike whatever the order of g
+        seg_dot = agg.sum(axis=1)
+        del agg
         d_tail = np.array(
             [
                 np.bincount(tails, weights=alpha * g_col[heads], minlength=n_tails)
@@ -225,13 +242,17 @@ def attention_aggregate(
             ],
             dtype=np.float64,  # a bincount over no edges is int64
         )
-        seg_dot = np.einsum("hc,ch->h", g, out)
         d_lt = np.einsum("ct,tc->t", d_tail, t_val)
         d_lt -= np.bincount(tails, weights=alpha * seg_dot[heads], minlength=n_tails)
         d_tail += np.outer(w, d_lt)
-        return d_tail.T, (t_val.T @ d_lt)[:, None], g
+        if residual_rows is None:
+            d_res = g
+        else:
+            d_res = np.zeros_like(r_val)
+            d_res[residual_rows] = g
+        return d_tail.T, (t_val.T @ d_lt)[:, None], d_res
 
-    return DiffNode(residual.value + out.T, (tail_state, weight, residual), backward), alpha
+    return DiffNode(out, (tail_state, weight, residual), backward), alpha
 
 
 def normalize_rows(a: DiffNode) -> DiffNode:

@@ -92,6 +92,10 @@ class NodeStates:
     `attention` keeps detached per-edge softmax weights for auditing,
     keyed by direction, one array per layer. A forward over a k-copy union
     (`copies` = k) stacks the copies' rows, copy 0 first.
+
+    With `rows` = (students, exercises), sorted distinct ids, the final
+    student and exercise states hold only those rows of each copy: copy j's
+    i-th row is row `j * len(ids) + i`. `concepts` then has no final layer.
     """
 
     students: list[dc.DiffNode]
@@ -99,16 +103,16 @@ class NodeStates:
     concepts: list[dc.DiffNode]
     attention: dict[str, list[np.ndarray]] = field(default_factory=dict)
     copies: int = 1
+    rows: tuple[np.ndarray, np.ndarray] | None = None
 
-    def copy_rows(self, j: int, students=None, exercises=None) -> "NodeStates":
-        """Copy j's final `students` and `exercises` rows (per-copy indices,
-        None for all), gathered into a one-layer NodeStates."""
+    def copy_rows(self, j: int) -> "NodeStates":
+        """Copy j's final student and exercise rows, gathered into a
+        one-layer NodeStates with the same `rows`."""
         picked = []
-        for final, idx in ((self.final_students, students), (self.final_exercises, exercises)):
+        for final in (self.final_students, self.final_exercises):
             n = len(final.value) // self.copies
-            idx = np.arange(n) if idx is None else np.asarray(idx, dtype=np.intp)
-            picked.append([dc.gather_rows(final, idx + j * n)])
-        return NodeStates(*picked, concepts=[])
+            picked.append([dc.gather_rows(final, np.arange(j * n, (j + 1) * n))])
+        return NodeStates(*picked, concepts=[], rows=self.rows)
 
     @property
     def final_students(self) -> dc.DiffNode:
@@ -121,10 +125,13 @@ class NodeStates:
 
 @dataclass(eq=False)
 class Diagnosis:
-    """Sigmoid mastery (M x K) and difficulty (N x K) matrices."""
+    """Sigmoid mastery (M x K) and difficulty (N x K) matrices; with `rows` =
+    (students, exercises), as in `NodeStates`, only those students' and
+    exercises' rows, in id order."""
 
     h_student: dc.DiffNode
     h_exercise: dc.DiffNode
+    rows: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def init_params(
@@ -155,6 +162,30 @@ def init_params(
     return ModelParams((name, drawn.get(name, np.zeros(shape))) for name, shape in shapes.items())
 
 
+def _check_rows(rows, split: DirectedSplit) -> tuple[np.ndarray, ...]:
+    """`rows` as two intp arrays; ValueError unless each holds distinct
+    student or exercise ids in range, sorted, as `np.unique` returns them."""
+    checked = []
+    counts = split.e2s.n_heads, split.s2e.n_heads
+    for ids, n, what in zip(rows, counts, ("students", "exercises")):
+        ids = np.asarray(ids)
+        if ids.ndim != 1 or ids.dtype.kind not in "iu" or (
+            len(ids) and (ids[0] < 0 or ids[-1] >= n or (ids[1:] <= ids[:-1]).any())
+        ):
+            raise ValueError(f"rows: {what} must be distinct integer ids in [0, {n}), ascending")
+        checked.append(ids.astype(np.intp, copy=False))
+    return tuple(checked)
+
+
+def _read_heads(ids: np.ndarray, n_heads: int, copies: int) -> tuple[np.ndarray, np.ndarray]:
+    """The union ids of the read heads `ids` in every copy, and per union head
+    its compact number (copy j's i-th read head is j * len(ids) + i) or -1."""
+    union_ids = (ids + np.arange(copies)[:, None] * n_heads).ravel()
+    compact = np.full(copies * n_heads, -1, dtype=np.intp)
+    compact[union_ids] = np.arange(len(union_ids))
+    return union_ids, compact
+
+
 def gcn_forward(
     params: ModelParams,
     split: DirectedSplit,
@@ -171,13 +202,15 @@ def gcn_forward(
     Pass `nodes` (from ModelParams.wrap()) to share leaves across several
     forwards of one training step; omit it for standalone inference.
 
-    `rows = (students, exercises)` names the final-layer rows the caller
-    reads in each copy (repeats allowed); None means every row. With `rows`,
-    the last layer aggregates only the edges into those students and
-    exercises, so only those final rows are valid and no final concept row
-    is; the last layer's `attention` covers only the kept edges. The valid
-    rows, and the gradients of a loss that reads only them, are bit-identical
-    to the full forward's. Earlier layers are always full.
+    `rows = (students, exercises)`, sorted distinct ids as `np.unique`
+    returns them (ValueError otherwise), names the final rows the caller
+    reads in each copy; None means every row. With `rows`, the last layer is
+    computed for those rows only: the final states hold `copies * len(ids)`
+    rows in copy-then-id order (`NodeStates`), the last layer aggregates only
+    the edges into them and its `attention` covers only those edges, and no
+    final concept state is made (no loss reads one). Those rows, and the
+    gradients of a loss that reads them, are bit-identical to the full
+    forward's at the same rows. Earlier layers are always full.
     """
     if nodes is None:
         nodes = params.wrap()
@@ -197,16 +230,18 @@ def gcn_forward(
         if d in masks:
             heads, tails = heads[masks[d].ravel()], tails[masks[d].ravel()]
         edges[d] = heads, tails
+    picks = {}  # the last layer's residual rows, per direction
     last_edges = edges
-    if rows is not None:  # only the edges into the read rows, in every copy
-        students, exercises = rows
+    if rows is not None:  # only the edges into the read rows, renumbered compactly
+        rows = _check_rows(rows, split)
+        picks["e2s"], into_s = _read_heads(rows[0], split.e2s.n_heads, copies)
+        picks["s2e"], into_e = _read_heads(rows[1], split.s2e.n_heads, copies)
         last_edges = {}
-        for d, read in zip(DIRECTIONS, (students, exercises, exercises, ())):
-            into_read = np.zeros(split.adjacency(d).n_heads, dtype=bool)
-            into_read[np.asarray(read, dtype=np.intp)] = True
+        for d, compact in (("e2s", into_s), ("s2e", into_e), ("c2e", into_e)):
             heads, tails = edges[d]
-            into_read = np.tile(into_read, copies)[heads]
-            last_edges[d] = heads[into_read], tails[into_read]
+            heads = compact[heads]
+            into = heads >= 0
+            last_edges[d] = heads[into], tails[into]
     if copies > 1:
         s, e, c = (dc.tile_rows(x, copies) for x in (s, e, c))
     states = NodeStates(
@@ -215,22 +250,28 @@ def gcn_forward(
         concepts=[c],
         attention={direction: [] for direction in DIRECTIONS},
         copies=copies,
+        rows=rows,
     )
 
     for layer in range(params.n_layers):
         w = {d: nodes[f"attn{layer}_{d}"] for d in DIRECTIONS}
-        ed = last_edges if layer == params.n_layers - 1 else edges
-        s_next, a_e2s = dc.attention_aggregate(e, w["e2s"], *ed["e2s"], residual=s)
-        e_stu, a_s2e = dc.attention_aggregate(s, w["s2e"], *ed["s2e"], residual=e)
+        final = rows is not None and layer == params.n_layers - 1
+        ed, pick = (last_edges, picks) if final else (edges, {})
+        s_next, a_e2s = dc.attention_aggregate(e, w["e2s"], *ed["e2s"], s, pick.get("e2s"))
+        e_stu, a_s2e = dc.attention_aggregate(s, w["s2e"], *ed["s2e"], e, pick.get("s2e"))
         e_next, a_c2e = dc.attention_aggregate(c, w["c2e"], *ed["c2e"], residual=e_stu)
-        c_next, a_e2c = dc.attention_aggregate(e, w["e2c"], *ed["e2c"], residual=c)
+        if final:
+            c_next, a_e2c = None, np.zeros(0)
+        else:
+            c_next, a_e2c = dc.attention_aggregate(e, w["e2c"], *ed["e2c"], residual=c)
 
         for direction, a in zip(DIRECTIONS, (a_e2s, a_s2e, a_c2e, a_e2c)):
             states.attention[direction].append(a)
         s, e, c = s_next, e_next, c_next
         states.students.append(s)
         states.exercises.append(e)
-        states.concepts.append(c)
+        if c is not None:
+            states.concepts.append(c)
 
     return states
 
@@ -247,12 +288,23 @@ def _sigmoid_head(x: dc.DiffNode, w: dc.DiffNode, b: dc.DiffNode) -> dc.DiffNode
 
 
 def diagnose(states: NodeStates, nodes: dict[str, dc.DiffNode]) -> Diagnosis:
-    """Map final node states to (0,1) mastery and difficulty matrices, one node each."""
+    """Map final node states to (0,1) mastery and difficulty matrices, one
+    node each, over the rows the states hold (`rows`)."""
     h_s = _sigmoid_head(states.final_students, nodes["w_student_diag"], nodes["b_student_diag"])
     h_e = _sigmoid_head(
         states.final_exercises, nodes["w_exercise_diag"], nodes["b_exercise_diag"]
     )
-    return Diagnosis(h_s, h_e)
+    return Diagnosis(h_s, h_e, states.rows)
+
+
+def _positions(read: np.ndarray, ids: np.ndarray, what: str) -> np.ndarray:
+    """The position of each id in the sorted distinct ids `read`; ValueError
+    naming the first id not among them."""
+    pos = np.searchsorted(read, ids)
+    if len(ids) and (len(read) == 0 or not np.array_equal(read.take(pos, mode="clip"), ids)):
+        bad = ids[~np.isin(ids, read)][0]
+        raise ValueError(f"{what} {int(bad)} is not among the diagnosis rows")
+    return pos
 
 
 def predict(
@@ -264,6 +316,8 @@ def predict(
 ) -> dc.DiffNode:
     """Predicted accuracy in (0,1) for each (student, exercise) pair, as one
     node over the gathered mastery and difficulty rows and the predictor.
+    A diagnosis with `rows` is read at the ids' positions in them; an id
+    outside them is rejected.
 
     sigmoid(predictor(mastery - difficulty)) averaged over the exercise's
     concepts, which are its c2e edges in `split`; exercises without one are
@@ -287,8 +341,12 @@ def predict(
     edges = np.arange(len(records)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
     pairs = records * split.e2c.n_heads + c2e.tails[edges]  # flat indices into T x K
 
-    h_s = dc.gather_rows(diag.h_student, students)
-    h_e = dc.gather_rows(diag.h_exercise, exercises)
+    s_rows, e_rows = students, exercises
+    if diag.rows is not None:
+        s_rows = _positions(diag.rows[0], students, "student")
+        e_rows = _positions(diag.rows[1], exercises, "exercise")
+    h_s = dc.gather_rows(diag.h_student, s_rows)
+    h_e = dc.gather_rows(diag.h_exercise, e_rows)
     w, b = nodes["w_predict"], nodes["b_predict"]
     inv = 1.0 / counts
     z = (h_s.value - h_e.value) @ w.value
@@ -374,13 +432,15 @@ def _named_arrays(data, prefix: str, shapes: dict, what: str) -> dict:
 
 
 def _open_checkpoint(path):
-    """The open npz at `path`; ValueError naming the path if the file is not
-    an npz that holds `meta`. Pickled data is never loaded."""
+    """The open npz at `path`, which closes the file with it; ValueError
+    naming the path, with the file closed, if it is not an npz that holds
+    `meta`. Pickled data is never loaded."""
+    fh = open(path, "rb")
     try:
-        data = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError, zipfile.BadZipFile):  # empty, cut short, or not npz/npy
-        data = None
-    if isinstance(data, np.lib.npyio.NpzFile):
+        data = np.lib.npyio.NpzFile(fh, own_fid=True, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):  # empty, cut short, or not a zip
+        fh.close()
+    else:
         if "meta" in data.files:
             return data
         data.close()
@@ -406,7 +466,7 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
                     step=meta["step"],
                 )
             graph = RelationGraph(data["se_edges"], data["ec_edges"], *meta["counts"])
-            directed_split(graph)  # refuses out-of-order pair lists
+            directed_split(graph)  # refuses out-of-order or out-of-range pair lists
             return Checkpoint(
                 params=params,
                 config=meta["config"],

@@ -190,9 +190,10 @@ def _train_step(
     """One optimizer step on the records `batch`; returns its float breakdown.
 
     The step reads the final rows of the batch's distinct students and
-    exercises: the intact forward prunes its last layer to them, and both
-    views contrast them. A side with fewer than 2 of them has no negatives,
-    so it adds no contrastive term and logs 0.0 for this step.
+    exercises: both forwards compute their last layer for those rows only,
+    the intact one's feed the response loss, and the views contrast theirs.
+    A side with fewer than 2 of them has no negatives, so it adds no
+    contrastive term and logs 0.0 for this step.
 
     The step's whole graph lives in this frame's locals, so none of it is
     reachable once the step returns. The model and loss functions are looked
@@ -211,7 +212,7 @@ def _train_step(
     l_ssl_s = l_ssl_e = None
     if views is not None:
         union = gcn_forward(params, split, view=views, nodes=nodes, rows=rows)
-        states1, states2 = (union.copy_rows(j, *rows) for j in (0, 1))
+        states1, states2 = (union.copy_rows(j) for j in (0, 1))
         l_ssl_s, l_ssl_e = ssl_loss(
             states1, states2, config.tau, include_positive=config.include_positive
         )

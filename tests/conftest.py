@@ -7,6 +7,7 @@ import pytest
 from scdkit import diffcore as dc
 from scdkit.corpus import QMatrix, ResponseSet
 from scdkit.relgraph import build_relation_graph, directed_split
+from scdkit.scdmodel import NodeStates
 
 # one pass/fail line per acceptance criterion at the end of the run
 _acceptance_results = []
@@ -36,6 +37,19 @@ def seeded_sum(node, g) -> dc.DiffNode:
         (node,),
         lambda s: (float(s) * np.broadcast_to(g, node.value.shape),),
     )
+
+
+def full_then_rows(states: NodeStates, rows) -> NodeStates:
+    """The final rows `rows` = (students, exercises) of every copy of a full
+    forward's states, gathered into a one-layer NodeStates laid out as
+    `gcn_forward(..., rows=rows)` returns its final states: the reference
+    that the rows forward must match bit for bit."""
+    picked = []
+    for final, ids in zip((states.final_students, states.final_exercises), rows):
+        per_copy = len(final.value) // states.copies
+        offsets = np.arange(states.copies)[:, None] * per_copy
+        picked.append([dc.gather_rows(final, (np.asarray(ids) + offsets).ravel())])
+    return NodeStates(*picked, concepts=[], copies=states.copies, rows=tuple(rows))
 
 
 def grad_check(f, x: dict[str, np.ndarray], eps: float = 1e-5) -> float:

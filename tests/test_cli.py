@@ -399,6 +399,8 @@ NOT_A_CHECKPOINT = {
     "npz without meta": "not an scdkit checkpoint",
     "meta without counts": "damaged checkpoint (KeyError: 'counts')",
     "bad CRC-32": "damaged checkpoint (BadZipFile: Bad CRC-32",
+    "student id too large": "se_edges names id 999 in its first column, outside [0, ",
+    "negative concept id": "ec_edges names id -1 in its second column, outside [0, ",
 }
 
 
@@ -420,7 +422,12 @@ class TestNotACheckpoint:
             with np.load(trained / "checkpoint.npz") as data:
                 arrays = {k: data[k] for k in data.files}
             meta = json.loads(str(arrays["meta"]))
-            del meta["counts"]
+            if kind == "student id too large":  # the last pair: still sorted
+                arrays["se_edges"][-1, 0] = 999
+            elif kind == "negative concept id":  # the first pair: still sorted
+                arrays["ec_edges"][0, 1] = -1
+            else:
+                del meta["counts"]
             np.savez(path, **{**arrays, "meta": np.array(json.dumps(meta))})
         return path
 

@@ -306,9 +306,9 @@ class TestAttentionAggregate:
         assert leaves[0].grad.shape == (n_tails, d) and np.all(leaves[0].grad == 0.0)
         assert leaves[1].grad.shape == (d, 1) and np.all(leaves[1].grad == 0.0)
 
-    def test_node_holds_its_value_weights_edge_ids_and_one_head_array(self):
-        # what a forward leaves held until its backward runs: the weighted
-        # sums it reuses there are one n_heads x d array
+    def test_node_holds_its_value_weights_and_edge_ids(self):
+        # what a forward leaves held until its backward runs: the backward
+        # recomputes the weighted sums from the value and the residual
         rng = np.random.default_rng(2)
         n_heads, n_tails, d, n_edges = 500, 300, 32, 20_000
         heads = np.sort(rng.integers(0, n_heads, size=n_edges)).astype(np.int32)
@@ -323,8 +323,47 @@ class TestAttentionAggregate:
         finally:
             tracemalloc.stop()
         ids = 2 * n_edges * np.dtype(np.intp).itemsize  # int32 ids are copied to intp
-        allowed = node.value.nbytes + alpha.nbytes + ids + n_heads * d * 8
+        allowed = node.value.nbytes + alpha.nbytes + ids
         assert held <= allowed + 4096, f"{held} B held after the forward, {allowed} B allowed"
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=100_000))
+    def test_residual_rows_match_the_full_op_at_those_rows(self, seed):
+        """With `residual_rows` and the edges into those rows renumbered, the
+        output, weights and every gradient equal the full op's at those rows,
+        bit for bit, when the full op's gradient is zero at the other rows;
+        the residual gets the gradient at its picked rows and zero elsewhere.
+        The gradient arrives in Fortran order on one side only."""
+        rng = np.random.default_rng(seed)
+        n_heads, n_tails = int(rng.integers(1, 12)), int(rng.integers(1, 10))
+        d, n_edges = int(rng.integers(1, 6)), int(rng.integers(0, 50))
+        heads = np.sort(rng.integers(0, n_heads, size=n_edges))
+        tails = rng.integers(0, n_tails, size=n_edges)
+        read = np.unique(rng.integers(0, n_heads, size=int(rng.integers(0, 2 * n_heads))))
+        compact = np.full(n_heads, -1)
+        compact[read] = np.arange(len(read))
+        into = compact[heads] >= 0
+        t, r = rng.normal(size=(n_tails, d)), rng.normal(size=(n_heads, d))
+        w, g = rng.normal(size=(d, 1)) * 3.0, rng.normal(size=(len(read), d))
+        g_full = np.zeros((n_heads, d))
+        g_full[read] = g
+
+        runs = []
+        for args, seed_grad in (
+            ((heads, tails), np.asfortranarray(g_full)),
+            ((compact[heads[into]], tails[into], read), g),
+        ):
+            leaves = dc.param(t), dc.param(w), dc.param(r)
+            out, alpha = dc.attention_aggregate(*leaves[:2], *args[:2], leaves[2], *args[2:])
+            value = out.value.copy()
+            seeded_sum(out, seed_grad).backward()
+            runs.append((value, alpha, [leaf.grad for leaf in leaves]))
+        (full, full_alpha, full_grads), (part, part_alpha, part_grads) = runs
+
+        assert part.tobytes() == full[read].tobytes()
+        assert part_alpha.tobytes() == full_alpha[into].tobytes()
+        for got, want in zip(part_grads, full_grads):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_gradient_on_random_masked_graph(self):
         rng = np.random.default_rng(4)

@@ -121,14 +121,14 @@ class TestInfonce:
         want = brute_infonce(z1, z2, 0.5, include_positive)
         assert got == pytest.approx(want, abs=1e-10)
 
-    def test_subset_selects_rows(self):
+    def test_copy_rows_contrast_the_read_rows_of_each_copy(self):
         rng = np.random.default_rng(7)
         z1, z2 = rng.normal(size=(10, 4)), rng.normal(size=(10, 4))
         subset = np.array([1, 4, 9])
-        # one two-copy union holding z1 then z2; copy_rows picks the subset of each
-        both = dc.param(np.vstack([z1, z2]))
-        union = NodeStates([both], [both], [], copies=2)
-        picked = (union.copy_rows(j, subset, subset) for j in (0, 1))
+        # a two-copy union as a rows forward holds it: the subset of z1, then of z2
+        both = dc.param(np.vstack([z1[subset], z2[subset]]))
+        union = NodeStates([both], [both], [], copies=2, rows=(subset, subset))
+        picked = (union.copy_rows(j) for j in (0, 1))
         got = infonce(*(p.final_students for p in picked), 0.5).item()
         want = brute_infonce(z1[subset], z2[subset], 0.5)
         assert got == pytest.approx(want, abs=1e-12)
@@ -171,13 +171,11 @@ class TestSslLoss:
         train = small_responses()
         split = directed_split(build_relation_graph(train, small_qmatrix()))
         params = init_params(4, 5, 3, seed=0)
-        s1 = gcn_forward(params, split)
-        s2 = gcn_forward(params, split)
-        rows = np.array(picked, dtype=np.intp)
-        few_exercises = (s.copy_rows(0, exercises=rows) for s in (s1, s2))
+        few, every = np.array(picked, dtype=np.intp), np.arange(4)
+        few_exercises = (gcn_forward(params, split, rows=(every, few)) for _ in range(2))
         loss_s, loss_e = ssl_loss(*few_exercises, 0.5)
         assert loss_e is None and np.isfinite(loss_s.item())
-        few_students = (s.copy_rows(0, students=rows) for s in (s1, s2))
+        few_students = (gcn_forward(params, split, rows=(few, every)) for _ in range(2))
         loss_s, loss_e = ssl_loss(*few_students, 0.5)
         assert loss_s is None and np.isfinite(loss_e.item())
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -118,4 +120,19 @@ class TestDirectedSplit:
             first = pairs[1, 0]
             pairs[1:3] = [[first, 2], [first, 1]]
         with pytest.raises(ValueError, match=f"{name} must be distinct pairs sorted"):
+            directed_split(RelationGraph(**{**vars(g), name: pairs}))
+
+    @pytest.mark.parametrize("name", ["se_edges", "ec_edges"])
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("edit", ["too large", "negative"])
+    def test_out_of_range_id_refused(self, small_world, name, column, edit):
+        g = small_world["graph"]
+        pairs = getattr(g, name).copy()
+        counts = {"se_edges": (4, 5), "ec_edges": (5, 3)}[name]
+        # the last pair's id past its count, or the first pair's below 0: still sorted
+        row, bad = (-1, counts[column]) if edit == "too large" else (0, -1)
+        pairs[row, column] = bad
+        which = ("first", "second")[column]
+        message = f"{name} names id {bad} in its {which} column, outside [0, {counts[column]})"
+        with pytest.raises(ValueError, match=re.escape(message)):
             directed_split(RelationGraph(**{**vars(g), name: pairs}))

@@ -34,7 +34,7 @@ from scdkit.scdmodel import (
 )
 from scdkit.viewgen import View
 from scdkit import diffcore as dc
-from conftest import corrupt_member, grad_check, seeded_sum
+from conftest import corrupt_member, full_then_rows, grad_check, seeded_sum
 
 FIXTURE = Path(__file__).parent / "fixtures" / "checkpoint_fca24c9.npz"
 
@@ -263,26 +263,33 @@ class TestForward:
         npt.assert_array_equal(a.final_exercises.value, b.final_exercises.value)
 
 
+def draw_rows(rng, m: int, n: int):
+    """Sorted distinct student and exercise ids, as np.unique returns them;
+    either may be empty."""
+    return (
+        np.unique(rng.integers(0, m, size=int(rng.integers(0, 2 * m)))),
+        np.unique(rng.integers(0, n, size=int(rng.integers(0, 2 * n)))),
+    )
+
+
 class TestFinalRows:
-    """gcn_forward(..., rows=...) against the full forward, bit for bit."""
+    """gcn_forward(..., rows=...) against the full forward, then its rows,
+    bit for bit."""
 
     @staticmethod
-    def rows_loss(states, nodes, students, exercises, rng):
-        # reads the final states through the diagnosis heads, like the
-        # response loss, but only at the given rows: the squares of two
-        # weighted sums
+    def rows_loss(states, nodes, rng):
+        # reads every final row of the states through the diagnosis heads,
+        # like the response loss: the squares of two weighted sums
         diag = diagnose(states, nodes)
-        w_s = rng.normal(size=(len(students), diag.h_student.value.shape[1]))
-        w_e = rng.normal(size=(len(exercises), diag.h_exercise.value.shape[1]))
-        picked_s = seeded_sum(dc.gather_rows(diag.h_student, students), w_s)
-        picked_e = seeded_sum(dc.gather_rows(diag.h_exercise, exercises), w_e)
-        return dc.l2_norm_sq(picked_s, picked_e)
+        w_s = rng.normal(size=diag.h_student.value.shape)
+        w_e = rng.normal(size=diag.h_exercise.value.shape)
+        return dc.l2_norm_sq(seeded_sum(diag.h_student, w_s), seeded_sum(diag.h_exercise, w_e))
 
     @settings(max_examples=120, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=100_000),
         drop=st.sampled_from(["none", "random", "all"]),
-        pick=st.sampled_from(["random", "empty", "repeated", "all"]),
+        pick=st.sampled_from(["random", "empty", "one", "all"]),
     )
     def test_rows_match_full_forward_bitwise(self, seed, drop, pick):
         rng = np.random.default_rng(seed)
@@ -297,39 +304,39 @@ class TestFinalRows:
                 kept_s2e=rng.random(split.s2e.n_edges) < keep,
             )
         if pick == "random":
-            students = rng.integers(0, m, size=int(rng.integers(0, 2 * m)))
-            exercises = rng.integers(0, n, size=int(rng.integers(0, 2 * n)))
+            rows = draw_rows(rng, m, n)
         elif pick == "empty":
-            students = exercises = np.zeros(0, dtype=np.intp)
-        elif pick == "repeated":
-            students = np.full(3, rng.integers(0, m))
-            exercises = np.full(3, rng.integers(0, n))
+            rows = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+        elif pick == "one":
+            rows = np.array([rng.integers(0, m)]), np.array([rng.integers(0, n)])
         else:
-            students, exercises = np.arange(m), np.arange(n)
+            rows = np.arange(m), np.arange(n)
 
         runs = []
-        for rows in (None, (students, exercises)):
+        for rows_arg in (None, rows):
             nodes = params.wrap()
-            states = gcn_forward(params, split, view=view, nodes=nodes, rows=rows)
+            states = gcn_forward(params, split, view=view, nodes=nodes, rows=rows_arg)
             # backward frees the interior values, so keep copies of the states
             values = [
                 [node.value.copy() for node in layers]
                 for layers in (states.students, states.exercises, states.concepts)
             ]
+            read = full_then_rows(states, rows) if rows_arg is None else states
             loss_rng = np.random.default_rng(seed)  # the same loss weights for both
-            self.rows_loss(states, nodes, students, exercises, loss_rng).backward()
+            self.rows_loss(read, nodes, loss_rng).backward()
             runs.append((states, values, nodes))
         (full, full_values, full_nodes), (part, part_values, part_nodes) = runs
 
+        assert part.rows is not None and len(part.concepts) == n_layers  # no final concepts
         for layer in range(n_layers):  # every layer but the last is computed in full
             for a, b in zip(full_values, part_values):
                 assert a[layer].tobytes() == b[layer].tobytes()
         fs, ps = full_values[0][-1], part_values[0][-1]
         fe, pe = full_values[1][-1], part_values[1][-1]
-        assert fs[students].tobytes() == ps[students].tobytes()
-        assert fe[exercises].tobytes() == pe[exercises].tobytes()
+        assert fs[rows[0]].tobytes() == ps.tobytes()
+        assert fe[rows[1]].tobytes() == pe.tobytes()
 
-        kept_heads = {"e2s": students, "s2e": exercises, "c2e": exercises, "e2c": []}
+        kept_heads = {"e2s": rows[0], "s2e": rows[1], "c2e": rows[1], "e2c": []}
         for direction, kept in kept_heads.items():
             adj = split.adjacency(direction)
             mask = kept_mask(view, direction)
@@ -341,7 +348,26 @@ class TestFinalRows:
             g_full, g_part = full_nodes[name].grad, part_nodes[name].grad
             assert (g_full is None) == (g_part is None), name
             if g_full is not None:
-                assert np.array_equal(g_full, g_part), name
+                assert g_full.tobytes() == g_part.tobytes(), name
+
+    @pytest.mark.parametrize(
+        "students, exercises",
+        [
+            ([2, 1], [0]),  # descending
+            ([1, 1], [0]),  # repeated
+            ([0], [0, 5]),  # past the last exercise
+            ([-1, 0], [0]),  # negative
+            ([[0, 1]], [0]),  # not 1-d
+            ([0.0], [0]),  # not integer ids
+        ],
+    )
+    def test_rows_that_np_unique_would_not_return_are_refused(
+        self, small_world, students, exercises
+    ):
+        params = init_params(4, 5, 3, seed=0)
+        rows = np.array(students), np.array(exercises)
+        with pytest.raises(ValueError, match="^rows: "):
+            gcn_forward(params, small_world["split"], rows=rows)
 
 
 class TestViewUnion:
@@ -359,12 +385,7 @@ class TestViewUnion:
             for keep in rng.choice([0.0, 0.5, 1.0], size=2)
         ]
         pair = View(np.stack([v.kept_e2s for v in views]), np.stack([v.kept_s2e for v in views]))
-        rows = None
-        if with_rows:
-            rows = (
-                rng.integers(0, m, size=int(rng.integers(0, 2 * m))),
-                rng.integers(0, n, size=int(rng.integers(0, 2 * n))),
-            )
+        rows = draw_rows(rng, m, n) if with_rows else None
         union = gcn_forward(params, split, view=pair, rows=rows)
         singles = [gcn_forward(params, split, view=view, rows=rows) for view in views]
         assert union.copies == 2
@@ -372,17 +393,16 @@ class TestViewUnion:
         for layer in range(n_layers + 1):
             pruned = with_rows and layer == n_layers
             for kind, size in (("students", m), ("exercises", n), ("concepts", k)):
+                if pruned and kind == "concepts":  # no final concept state
+                    assert len(union.concepts) == n_layers
+                    continue
+                if pruned:  # copy j holds the named rows only
+                    size = len(rows[0] if kind == "students" else rows[1])
                 got = getattr(union, kind)[layer].value
                 assert got.shape[0] == 2 * size
                 for j, single in enumerate(singles):
                     want = getattr(single, kind)[layer].value
-                    if pruned:  # only the named final rows are valid
-                        if kind == "concepts":
-                            continue
-                        picked = rows[0] if kind == "students" else rows[1]
-                        want, got_rows = want[picked], got[picked + j * size]
-                    else:
-                        got_rows = got[j * size : (j + 1) * size]
+                    got_rows = got[j * size : (j + 1) * size]
                     assert got_rows.tobytes() == want.tobytes(), (kind, layer, j)
 
         for direction in DIRECTIONS:
@@ -401,22 +421,24 @@ class TestViewUnion:
                     occupied = np.bincount(heads, minlength=adj.n_heads) > 0
                     npt.assert_allclose(sums[occupied], 1.0, rtol=0, atol=1e-12)
 
-    def test_copy_reads_its_own_copy_at_per_copy_rows(self, small_world):
+    def test_copy_rows_reads_its_own_copy(self, small_world):
         split = small_world["split"]
         params = init_params(4, 5, 3, seed=3)
         e2s, s2e = np.arange(split.e2s.n_edges), np.arange(split.s2e.n_edges)
         views = [View(e2s % 2 == 0, s2e % 3 != 0), View(e2s % 2 == 1, s2e % 3 != 1)]
         pair = View(np.stack([v.kept_e2s for v in views]), np.stack([v.kept_s2e for v in views]))
+        rows = np.array([0, 3]), np.array([1, 4])
         union = gcn_forward(params, split, view=pair)
-        students, exercises = np.array([3, 0, 3]), np.array([4, 1])
+        union_rows = gcn_forward(params, split, view=pair, rows=rows)
         for j, view in enumerate(views):
             single = gcn_forward(params, split, view=view)
-            picked, whole = union.copy_rows(j, students, exercises), union.copy_rows(j)
+            whole, picked = union.copy_rows(j), union_rows.copy_rows(j)
             s_final, e_final = single.final_students.value, single.final_exercises.value
-            assert picked.final_students.value.tobytes() == s_final[students].tobytes()
-            assert picked.final_exercises.value.tobytes() == e_final[exercises].tobytes()
             assert whole.final_students.value.tobytes() == s_final.tobytes()
             assert whole.final_exercises.value.tobytes() == e_final.tobytes()
+            assert picked.rows is union_rows.rows
+            assert picked.final_students.value.tobytes() == s_final[rows[0]].tobytes()
+            assert picked.final_exercises.value.tobytes() == e_final[rows[1]].tobytes()
         assert not np.array_equal(union.copy_rows(0).final_students.value, s_final)
 
 
@@ -439,7 +461,8 @@ class TestEdgeOrder:
     @staticmethod
     def attention_by_edge(states, split, view, rows, layer, direction):
         """{(copy, head, tail): attention bits} over the edges the layer ran:
-        the kept ones, and in the last layer with `rows` those into read rows."""
+        the kept ones, and in the last layer with `rows` those into read rows
+        (none into concepts)."""
         adj = split.adjacency(direction)
         kept = np.ones((states.copies, adj.n_edges), dtype=bool)
         mask = kept_mask(view, direction)
@@ -469,12 +492,7 @@ class TestEdgeOrder:
         if union:  # two stacked views; the sorted copy's masks follow its edges
             e2s, s2e = (rng.random((2, split.adjacency(d).n_edges)) < 0.5 for d in ("e2s", "s2e"))
             views = (View(e2s, s2e), View(e2s[:, orders["e2s"]], s2e[:, orders["s2e"]]))
-        students, exercises = np.arange(m), np.arange(n)
-        rows = None
-        if with_rows:
-            students = rng.integers(0, m, size=int(rng.integers(0, 2 * m)))
-            exercises = rng.integers(0, n, size=int(rng.integers(0, 2 * n)))
-            rows = (students, exercises)
+        rows = draw_rows(rng, m, n) if with_rows else None
 
         runs = []
         for sp, view in zip((split, resorted), views):
@@ -491,9 +509,7 @@ class TestEdgeOrder:
                 for d in DIRECTIONS
             }
             loss_rng = np.random.default_rng(seed)
-            offsets = np.arange(states.copies)[:, None]  # the read rows of every copy
-            read_s, read_e = (students + offsets * m).ravel(), (exercises + offsets * n).ravel()
-            TestFinalRows.rows_loss(states, nodes, read_s, read_e, loss_rng).backward()
+            TestFinalRows.rows_loss(states, nodes, loss_rng).backward()
             runs.append((values, attention, {name: nodes[name].grad for name in params}))
         (values, attention, grads), (values_sorted, attention_sorted, grads_sorted) = runs
 
@@ -543,14 +559,12 @@ class TestDiagnosisAndPredict:
             "b_predict": dc.param(np.zeros(2)),
         }
 
-        class Diag:
-            h_student = dc.param(mastery)
-            h_exercise = dc.param(difficulty)
+        diag = Diagnosis(dc.param(mastery), dc.param(difficulty))
 
         def sig(x):
             return 1.0 / (1.0 + np.exp(-x))
 
-        y = predict(Diag, nodes, split, np.array([0, 0]), np.array([0, 1])).value
+        y = predict(diag, nodes, split, np.array([0, 0]), np.array([0, 1])).value
         npt.assert_allclose(y[0], sig(1.5), atol=1e-12)
         npt.assert_allclose(y[1], (sig(3.0) + sig(-2.0)) / 2, atol=1e-12)
 
@@ -611,15 +625,40 @@ class TestDiagnosisAndPredict:
         split = concept_split([0, 2], [0, 1], 4, 2)
         nodes = {"w_predict": dc.param(np.eye(2)), "b_predict": dc.param(np.zeros(2))}
 
-        class Diag:
-            h_student = dc.param(np.zeros((1, 2)))
-            h_exercise = dc.param(np.zeros((4, 2)))
-
-        npt.assert_array_equal(predict(Diag, nodes, split, [0, 0], [2, 0]).value, [0.5, 0.5])
+        diag = Diagnosis(dc.param(np.zeros((1, 2))), dc.param(np.zeros((4, 2))))
+        npt.assert_array_equal(predict(diag, nodes, split, [0, 0], [2, 0]).value, [0.5, 0.5])
         for exercises, bad in (([1], 1), ([0, 1, 2], 1), ([2, 3], 3), ([3, 1], 3)):
             students = np.zeros(len(exercises), dtype=np.intp)
             with pytest.raises(ValueError, match=f"^exercise {bad} has no concepts"):
-                predict(Diag, nodes, split, students, exercises)
+                predict(diag, nodes, split, students, exercises)
+
+    def test_rows_diagnosis_predicts_as_the_full_one(self, small_world):
+        """predict on the diagnosis of a rows forward reads each record at its
+        ids' positions in `rows`: the value and every leaf gradient equal
+        those of the full forward's diagnosis, bit for bit. An id outside
+        `rows` is refused."""
+        split, train = small_world["split"], small_world["train"]
+        params = init_params(4, 5, 3, seed=8)
+        batch = np.array([9, 2, 5, 2, 0])  # students 3, 0, 1, 0, 0
+        students, exercises = train.students[batch], train.exercises[batch]
+        rows = np.unique(students), np.unique(exercises)
+        runs = []
+        for rows_arg in (None, rows):
+            nodes = params.wrap()
+            diag = diagnose(gcn_forward(params, split, nodes=nodes, rows=rows_arg), nodes)
+            assert (diag.rows is None) == (rows_arg is None)
+            y = predict(diag, nodes, split, students, exercises)
+            value = y.value.copy()
+            seeded_sum(y, np.arange(1.0, 6.0)).backward()
+            grads = {name: nodes[name].grad for name in params}
+            runs.append((value, {k: None if g is None else g.tobytes() for k, g in grads.items()}))
+        assert runs[0][0].tobytes() == runs[1][0].tobytes()
+        assert runs[0][1] == runs[1][1]
+        nodes = params.wrap()
+        diag = diagnose(gcn_forward(params, split, nodes=nodes, rows=rows), nodes)
+        for s_ids, e_ids, match in (([2], [0], "^student 2 "), ([0, 3], [4, 3], "^exercise 3 ")):
+            with pytest.raises(ValueError, match=match + "is not among the diagnosis rows"):
+                predict(diag, nodes, split, np.array(s_ids), np.array(e_ids))
 
     def test_diagnose_uses_final_layer(self, small_world):
         params = init_params(4, 5, 3, seed=6)
@@ -767,6 +806,8 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"{edit}.*{name}"):
             load_checkpoint(path)
 
+    # an unclosed file warns when it is collected: every refusal closes the file
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("kind", ["csv", "empty", "npy", "npz without meta", "cut short"])
     def test_a_file_that_is_not_a_checkpoint_is_named(self, tmp_path, kind):
         path = tmp_path / "input"
@@ -798,6 +839,22 @@ class TestCheckpoint:
         message = f"{path}: {name} must be distinct pairs sorted"
         for optimizer in (True, False):
             with pytest.raises(ValueError, match=re.escape(message)):
+                load_checkpoint(path, optimizer=optimizer)
+
+    @pytest.mark.parametrize(
+        "name, row, column, bad, count",
+        [("se_edges", -1, 0, 999, 4), ("se_edges", 0, 1, -1, 5), ("ec_edges", -1, 1, 77, 3)],
+    )
+    def test_out_of_range_id_names_the_file(self, tmp_path, name, row, column, bad, count):
+        with np.load(FIXTURE) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays[name][row, column] = bad  # the pairs stay sorted
+        path = tmp_path / "edited.npz"
+        np.savez(path, **arrays)
+        which = ("first", "second")[column]
+        message = f"{path}: {name} names id {bad} in its {which} column, outside [0, {count})"
+        for optimizer in (True, False):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 load_checkpoint(path, optimizer=optimizer)
 
     @pytest.mark.parametrize("key", ["counts", "dim", "has_adam", "student_keys"])

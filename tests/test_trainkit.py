@@ -32,9 +32,10 @@ from scdkit.trainkit import (
     train_epoch,
     _epoch_views,
     _rng,
+    _train_step,
 )
 from scdkit.viewgen import DropoutParams
-from conftest import grad_check, small_qmatrix, small_responses
+from conftest import full_then_rows, grad_check, small_qmatrix, small_responses
 from scdkit.relgraph import DIRECTIONS, build_relation_graph, directed_split
 
 
@@ -198,7 +199,8 @@ class TestTrainEpoch:
 
 class TestTrainEpochRows:
     """train_epoch computes the last layer only for the rows a step reads;
-    the reference is the same step loop with every forward in full."""
+    the reference is the same step loop with every forward in full, then
+    its rows."""
 
     @pytest.mark.parametrize(
         "mode, one_student",
@@ -215,7 +217,7 @@ class TestTrainEpochRows:
 
         def full_forward(*args, rows=None, **kwargs):
             seen_rows.append(rows)
-            return gcn_forward(*args, **kwargs)
+            return full_then_rows(gcn_forward(*args, **kwargs), rows)
 
         def run():
             params = init_params(4, 5, 3, seed=0)
@@ -366,6 +368,31 @@ class TestStepGraphLifetime:
         assert peaks[0] < 230_000, f"backward peaked {peaks[0]} B above its start"
 
 
+    def test_default_step_peak_memory_stays_under_its_bound(self, tmp_path):
+        # one default scd step (batch 256, two views) on 1000x100x20 data
+        # peaks 3.5 MB above the memory held before it; a step that kept
+        # every aggregate's weighted sums and ran full last layers peaked
+        # 5.4 MB (numpy 2.4.6)
+        rp, qp = write_synthetic(tmp_path, make_synthetic(1000, 100, 20, seed=0))
+        rs = load_responses(rp)
+        q = load_qmatrix(qp, rs)
+        split = directed_split(build_relation_graph(rs, q))
+        cfg = TrainConfig()
+        params = init_params(rs.n_students, rs.n_exercises, q.n_concepts, seed=0)
+        opt = AdamState.fresh(params)
+        views = _epoch_views(split, cfg, 1)
+        order = _rng(0, 1, 2).permutation(len(rs))
+        _train_step(params, split, rs, cfg, views, order[: cfg.batch_size], opt)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            _train_step(params, split, rs, cfg, views, order[cfg.batch_size : 512], opt)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_400_000, f"the step peaked {peak} B above what it started with"
+
+
 class TestUnionObjective:
     def test_gradients_through_view_union_match_finite_differences(self):
         """The objective of one mini-batch as train_epoch builds it: the
@@ -387,7 +414,7 @@ class TestUnionObjective:
             states = gcn_forward(params, split, nodes=leaves, rows=(s_sub, e_sub))
             y = predict(diagnose(states, leaves), leaves, split, b_students, b_exercises)
             union = gcn_forward(params, split, view=pair, nodes=leaves, rows=(s_sub, e_sub))
-            loss_s, loss_e = ssl_loss(*(union.copy_rows(j, s_sub, e_sub) for j in (0, 1)), 0.5)
+            loss_s, loss_e = ssl_loss(*(union.copy_rows(j) for j in (0, 1)), 0.5)
             main = main_loss(y, train.scores[batch])
             return total_loss(main, loss_s, loss_e, leaves, 1.0, 1e-4, 0.5)[0]
 
