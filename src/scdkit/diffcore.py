@@ -2,7 +2,7 @@
 
 Covers exactly the operator set the diagnosis model and its losses need:
 row gathers with scatter-add backward, row tiling with a block-sum
-backward, row normalization, the fused residual graph-attention aggregate
+backward, the fused residual graph-attention aggregate
 (`attention_aggregate`: per-edge logits, segment softmax, weighted neighbor
 sum and the residual, or a pick of its rows, in one node with a hand-written
 backward), and one squared L2 norm node over many arrays. `sigmoid` is a
@@ -39,8 +39,6 @@ A computation graph is confined to one thread.
 from __future__ import annotations
 
 import numpy as np
-
-EPS_GUARD = 1e-12
 
 
 class DiffNode:
@@ -253,20 +251,6 @@ def attention_aggregate(
         return d_tail.T, (t_val.T @ d_lt)[:, None], d_res
 
     return DiffNode(out, (tail_state, weight, residual), backward), alpha
-
-
-def normalize_rows(a: DiffNode) -> DiffNode:
-    """Scale each row to unit L2 norm; near-zero rows divide by EPS_GUARD."""
-    norms = np.sqrt((a.value**2).sum(axis=1))
-    safe = np.maximum(norms, EPS_GUARD)
-    out = a.value / safe[:, None]
-
-    def backward(g):
-        dot = (g * a.value).sum(axis=1)
-        live = (norms > EPS_GUARD).astype(np.float64)
-        return (g / safe[:, None] - a.value * (live * dot / safe**3)[:, None],)
-
-    return DiffNode(out, (a,), backward)
 
 
 def l2_norm_sq(*nodes: DiffNode) -> DiffNode:

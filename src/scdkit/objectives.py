@@ -25,6 +25,7 @@ from .scdmodel import NodeStates
 
 # above this many rows infonce's two n x n float64 arrays exceed 537 MB each
 INFONCE_MAX_ROWS = 8192
+EPS_GUARD = 1e-12
 
 
 def main_loss(y: DiffNode, labels: np.ndarray) -> DiffNode:
@@ -46,32 +47,32 @@ def main_loss(y: DiffNode, labels: np.ndarray) -> DiffNode:
     return DiffNode(value, (y,), backward)
 
 
-def infonce(
-    z1: DiffNode,
-    z2: DiffNode,
-    tau: float,
-    include_positive: bool = False,
-) -> DiffNode:
-    """Mean contrastive loss between matching rows of two representations.
+def infonce(z: DiffNode, tau: float, include_positive: bool = False) -> DiffNode:
+    """Mean contrastive loss between the two halves of `z`, whose row i and
+    row n + i are node i under two views, as a two-copy union stacks them.
 
     Per node i: -log( exp(cos(z1_i, z2_i)/tau) / sum_j exp(cos(z1_i, z2_j)/tau) ),
     where j ranges over the other nodes only unless `include_positive`.
-    One node over the two `dc.normalize_rows` outputs computes the rest and
-    keeps the n x n exponentials (diagonal zeroed unless `include_positive`).
-    More than INFONCE_MAX_ROWS rows are refused before anything n x n exists.
+    One node normalizes the rows (one whose norm is below EPS_GUARD is divided
+    by EPS_GUARD, so its cosines are 0), keeps the n x n exponentials (diagonal
+    zeroed unless `include_positive`) and returns one gradient for all 2n rows.
+    More than INFONCE_MAX_ROWS nodes are refused before anything n x n exists.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    n = z1.value.shape[0]
-    if z1.value.shape != z2.value.shape:
-        raise ValueError("view representations must have matching shapes")
+    x = z.value
+    if x.ndim != 2 or len(x) % 2:
+        raise ValueError(f"contrastive loss needs two stacked views, got shape {x.shape}")
+    n = len(x) // 2
     if n < 2:
         raise ValueError("contrastive loss needs at least 2 nodes to form negatives")
     if n > INFONCE_MAX_ROWS:
         raise ValueError(f"contrastive loss over n = {n} rows exceeds {INFONCE_MAX_ROWS} rows")
 
-    n1, n2 = dc.normalize_rows(z1), dc.normalize_rows(z2)
-    u1, u2 = n1.value, n2.value
+    norms = np.sqrt((x**2).sum(axis=1))
+    safe = np.maximum(norms, EPS_GUARD)
+    u = x / safe[:, None]
+    u1, u2 = u[:n], u[n:]
     inv_tau = 1.0 / tau
     e = np.exp((u1 @ u2.T) * inv_tau)
     if not include_positive:
@@ -84,25 +85,25 @@ def infonce(
         d_sims = e * (g_row / denom)[:, None]
         d_sims *= inv_tau
         g_pos = -g_row * inv_tau
-        return d_sims @ u2 + g_pos * u2, (u1.T @ d_sims).T + g_pos * u1
+        g_u = np.concatenate([d_sims @ u2 + g_pos * u2, (u1.T @ d_sims).T + g_pos * u1])
+        dot = (g_u * x).sum(axis=1)
+        live = (norms > EPS_GUARD).astype(np.float64)
+        return (g_u / safe[:, None] - x * (live * dot / safe**3)[:, None],)
 
-    return DiffNode(value, (n1, n2), backward)
+    return DiffNode(value, (z,), backward)
 
 
 def ssl_loss(
-    states1: NodeStates,
-    states2: NodeStates,
-    tau: float,
-    include_positive: bool = False,
+    union: NodeStates, tau: float, include_positive: bool = False
 ) -> tuple[DiffNode | None, DiffNode | None]:
-    """Contrastive loss of the final-layer student rows and of the exercise
-    rows; None for a side with fewer than 2 rows, which has no negatives."""
+    """Contrastive loss of a two-copy union's final student rows and of its
+    final exercise rows, each copy's row i paired with the other's; None for
+    a side whose copies hold fewer than 2 rows, which has no negatives."""
+    if union.copies != 2:
+        raise ValueError(f"ssl_loss contrasts the two copies of a view union, got {union.copies}")
     return tuple(
-        infonce(z1, z2, tau, include_positive) if len(z1.value) >= 2 else None
-        for z1, z2 in (
-            (states1.final_students, states2.final_students),
-            (states1.final_exercises, states2.final_exercises),
-        )
+        infonce(z, tau, include_positive) if len(z.value) >= 4 else None
+        for z in (union.final_students, union.final_exercises)
     )
 
 

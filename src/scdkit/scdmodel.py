@@ -25,6 +25,7 @@ of mask row j and every concept edge.
 from __future__ import annotations
 
 import json
+import re
 import zipfile
 from dataclasses import dataclass, field
 
@@ -104,15 +105,6 @@ class NodeStates:
     attention: dict[str, list[np.ndarray]] = field(default_factory=dict)
     copies: int = 1
     rows: tuple[np.ndarray, np.ndarray] | None = None
-
-    def copy_rows(self, j: int) -> "NodeStates":
-        """Copy j's final student and exercise rows, gathered into a
-        one-layer NodeStates with the same `rows`."""
-        picked = []
-        for final in (self.final_students, self.final_exercises):
-            n = len(final.value) // self.copies
-            picked.append([dc.gather_rows(final, np.arange(j * n, (j + 1) * n))])
-        return NodeStates(*picked, concepts=[], rows=self.rows)
 
     @property
     def final_students(self) -> dc.DiffNode:
@@ -447,15 +439,39 @@ def _open_checkpoint(path):
     raise ValueError(f"{path}: not an scdkit checkpoint (an npz written by save_checkpoint)")
 
 
+def _check_meta(meta: dict) -> None:
+    """ValueError naming the first meta field a Checkpoint takes that lacks its
+    type. A config's keys are not checked, so one naming retired keys loads."""
+    sha = meta.get("train_sha256")  # absent before fingerprints
+    hex64 = isinstance(sha, str) and re.fullmatch("[0-9a-f]{64}", sha)
+    fields = [
+        ("config", isinstance(meta["config"], dict), "a JSON object"),
+        ("has_adam", isinstance(meta["has_adam"], bool), "true or false"),
+        ("train_sha256", sha is None or hex64, "null or 64 hex digits"),
+    ]
+    for name in ("epoch", "step"):
+        value = meta[name]
+        fields.append((name, type(value) is int and value >= 0, "a non-negative integer"))
+    for name, count in zip(("student_keys", "exercise_keys", "concept_keys"), meta["counts"]):
+        keys = meta[name]
+        distinct = isinstance(keys, list) and len({k for k in keys if type(k) is str}) == len(keys)
+        fields.append((name, distinct and len(keys) == count, f"{count} distinct strings"))
+    for name, ok, what in fields:
+        if not ok:
+            raise ValueError(f"meta {name} must be {what}")
+
+
 def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint. With `optimizer=False`
     no Adam moment is read, stored or not, and `opt` is None: scoring needs
     only the parameters, graph and key maps. A damaged checkpoint (a missing
-    or garbled member or meta key, a wrong-shaped array, or a pair list that
-    `directed_split` refuses) raises a ValueError naming the file."""
+    or garbled member or meta key, a meta field `_check_meta` refuses, a
+    wrong-shaped array, or a pair list that `directed_split` refuses) raises
+    a ValueError naming the file."""
     with _open_checkpoint(path) as data:
         try:
             meta = json.loads(str(data["meta"]))
+            _check_meta(meta)
             shapes = param_shapes(*meta["counts"], meta["dim"], meta["n_layers"])
             params = ModelParams(_named_arrays(data, "p__", shapes, "parameter"))
             opt = None
@@ -476,7 +492,7 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
                 concept_keys=tuple(meta["concept_keys"]),
                 epoch=meta["epoch"],
                 opt=opt,
-                train_sha256=meta.get("train_sha256"),  # absent before fingerprints
+                train_sha256=meta.get("train_sha256"),
             )
         except (KeyError, TypeError, EOFError, zipfile.BadZipFile) as err:
             raise ValueError(f"{path}: damaged checkpoint ({type(err).__name__}: {err})") from None

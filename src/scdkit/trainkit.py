@@ -212,10 +212,7 @@ def _train_step(
     l_ssl_s = l_ssl_e = None
     if views is not None:
         union = gcn_forward(params, split, view=views, nodes=nodes, rows=rows)
-        states1, states2 = (union.copy_rows(j) for j in (0, 1))
-        l_ssl_s, l_ssl_e = ssl_loss(
-            states1, states2, config.tau, include_positive=config.include_positive
-        )
+        l_ssl_s, l_ssl_e = ssl_loss(union, config.tau, include_positive=config.include_positive)
 
     total, breakdown = total_loss(
         l_main, l_ssl_s, l_ssl_e, nodes, config.lambda1, config.lambda2, config.tau

@@ -1,3 +1,4 @@
+import json
 import struct
 import zipfile
 
@@ -52,6 +53,21 @@ def full_then_rows(states: NodeStates, rows) -> NodeStates:
     return NodeStates(*picked, concepts=[], copies=states.copies, rows=tuple(rows))
 
 
+def stack_copies(*states: NodeStates) -> NodeStates:
+    """The final student and exercise rows of separate forwards stacked, first
+    forward first, into a one-layer NodeStates with one copy per forward, as
+    `gcn_forward` lays out a union's copies; each forward's rows get their
+    block of the gradient. Two sides built alike through it compare bit for
+    bit without the union forward."""
+    finals = []
+    for side in ("final_students", "final_exercises"):
+        parts = [getattr(st, side) for st in states]
+        bounds = np.cumsum([len(p.value) for p in parts])[:-1]
+        value = np.vstack([p.value for p in parts])
+        finals.append([dc.DiffNode(value, parts, lambda g, b=bounds: tuple(np.split(g, b)))])
+    return NodeStates(*finals, concepts=[], copies=len(states), rows=states[0].rows)
+
+
 def grad_check(f, x: dict[str, np.ndarray], eps: float = 1e-5) -> float:
     """Max relative error between analytic gradients of `f` and central differences.
 
@@ -95,6 +111,16 @@ def corrupt_member(path, member: str) -> None:
     start += sum(struct.unpack("<HH", raw[info.header_offset + 26 : start]))  # name, extra
     raw[start + info.compress_size - 1] ^= 0xFF
     path.write_bytes(raw)
+
+
+def rewrite_meta(src, dst, edit) -> None:
+    """Copy the checkpoint `src` to `dst`, with `edit(meta)` applied to its
+    decoded meta dict."""
+    with np.load(src) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(str(arrays["meta"]))
+    edit(meta)
+    np.savez(dst, **{**arrays, "meta": np.array(json.dumps(meta))})
 
 
 def small_responses(scores=None) -> ResponseSet:

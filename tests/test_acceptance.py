@@ -21,6 +21,7 @@ from scdkit.synth import make_synthetic, write_synthetic
 from scdkit.trainkit import TrainConfig, fit
 from scdkit.viewgen import (
     DropoutParams,
+    View,
     edge_importance,
     generate_random_view,
     generate_view_pair,
@@ -28,7 +29,7 @@ from scdkit.viewgen import (
     retention_prob,
     retention_table,
 )
-from conftest import grad_check, small_qmatrix, small_responses
+from conftest import grad_check, small_qmatrix, small_responses, stack_copies
 
 
 def tiny_world():
@@ -38,24 +39,31 @@ def tiny_world():
 
 
 def full_objective(leaves, params, split, train, views, lambda1, lambda2, tau):
-    """Supervised loss on the intact graph plus contrastive loss on two views."""
+    """Supervised loss on the intact graph plus contrastive loss on two views:
+    a View of two stacked mask rows runs as one two-copy union forward, and a
+    pair of views (None is the intact graph) as two forwards stacked by
+    `stack_copies`."""
     states = gcn_forward(params, split, None, leaves)
     diag = diagnose(states, leaves)
     y = predict(diag, leaves, split, train.students, train.exercises)
     main = main_loss(y, train.scores)
-    states_a = gcn_forward(params, split, views[0], leaves)
-    states_b = gcn_forward(params, split, views[1], leaves)
-    loss_s, loss_e = ssl_loss(states_a, states_b, tau)
+    if isinstance(views, View):
+        union = gcn_forward(params, split, views, leaves)
+    else:
+        union = stack_copies(*(gcn_forward(params, split, v, leaves) for v in views))
+    loss_s, loss_e = ssl_loss(union, tau)
     total, _ = total_loss(main, loss_s, loss_e, leaves, lambda1, lambda2, tau)
     return total
 
 
 def test_c01_full_objective_gradients_match_finite_differences():
-    """Backprop through two GCN layers, both contrastive views, the
-    prediction head and the regularizer agrees with central differences."""
+    """Backprop through two GCN layers, both contrastive views in one union
+    forward, the prediction head and the regularizer agrees with central
+    differences."""
     train, split = tiny_world()
     params = init_params(4, 5, 3, dim=3, n_layers=2, seed=11)
-    views = generate_view_pair(split, DropoutParams(), np.random.default_rng(5))
+    pair = generate_view_pair(split, DropoutParams(), np.random.default_rng(5))
+    views = View(np.stack([v.kept_e2s for v in pair]), np.stack([v.kept_s2e for v in pair]))
 
     def f(leaves):
         return full_objective(leaves, params, split, train, views, 0.1, 1e-4, 0.5)
@@ -262,17 +270,18 @@ def test_c05_contrastive_loss_matches_brute_force():
         z2 = rng.normal(size=(50, 8))
         for tau in (0.5, 2.0):
             for include_positive in (False, True):
-                got = infonce(dc.param(z1), dc.param(z2), tau, include_positive=include_positive)
+                z = dc.param(np.vstack([z1, z2]))
+                got = infonce(z, tau, include_positive=include_positive)
                 want = brute_contrastive(z1, z2, tau, include_positive)
                 assert abs(got.item() - want) <= 1e-10
 
     # identical orthonormal rows: every negative is orthogonal, loss is -1
     eye = np.eye(2)
-    assert infonce(dc.param(eye), dc.param(eye), 1.0).item() == -1.0
+    assert infonce(dc.param(np.vstack([eye, eye])), 1.0).item() == -1.0
     # all pairs orthogonal: positives and negatives tie, loss is 0
     z1 = np.array([[1.0, 0.0], [1.0, 0.0]])
     z2 = np.array([[0.0, 1.0], [0.0, 1.0]])
-    assert infonce(dc.param(z1), dc.param(z2), 1.0).item() == 0.0
+    assert infonce(dc.param(np.vstack([z1, z2])), 1.0).item() == 0.0
 
 
 def test_c06_metrics_match_hand_computed_values():

@@ -17,7 +17,7 @@ from scdkit import objectives, trainkit
 from scdkit.cli import main
 from scdkit.corpus import load_responses
 from scdkit.synth import make_synthetic, write_synthetic
-from conftest import corrupt_member
+from conftest import corrupt_member, rewrite_meta
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +222,28 @@ class TestTrain:
         assert "checkpoint already at epoch 3 >= epochs 3" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("config", [1], "meta config must be a JSON object"),
+            ("epoch", "x", "meta epoch must be a non-negative integer"),
+            ("step", -5, "meta step must be a non-negative integer"),
+        ],
+    )
+    def test_resume_from_a_garbled_meta_field_names_the_file(
+        self, capsys, data_dir, trained, tmp_path, field, value, message
+    ):
+        path = tmp_path / "checkpoint.npz"
+        rewrite_meta(trained / "checkpoint.npz", path, lambda meta: meta.update({field: value}))
+        out_dir = tmp_path / "run"
+        code, out, err = run(
+            capsys,
+            *train_args(data_dir, out_dir, "--override", "epochs=6", "--resume", str(path)),
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: {path}: {message}\n"
+        assert not out_dir.exists()
+
     def test_resume_mismatch_is_usage_error(self, capsys, data_dir, trained, tmp_path):
         out_dir = tmp_path / "run"
         code, _, err = run(
@@ -401,6 +423,8 @@ NOT_A_CHECKPOINT = {
     "bad CRC-32": "damaged checkpoint (BadZipFile: Bad CRC-32",
     "student id too large": "se_edges names id 999 in its first column, outside [0, ",
     "negative concept id": "ec_edges names id -1 in its second column, outside [0, ",
+    "extra student key": "meta student_keys must be 30 distinct strings",
+    "repeated student key": "meta student_keys must be 30 distinct strings",
 }
 
 
@@ -418,6 +442,14 @@ class TestNotACheckpoint:
         elif kind == "bad CRC-32":
             path.write_bytes((trained / "checkpoint.npz").read_bytes())
             corrupt_member(path, "p__student_emb.npy")
+        elif kind == "extra student key":
+            rewrite_meta(trained / "checkpoint.npz", path, lambda m: m["student_keys"].append("x"))
+        elif kind == "repeated student key":
+
+            def repeat(meta):
+                meta["student_keys"][1] = meta["student_keys"][0]
+
+            rewrite_meta(trained / "checkpoint.npz", path, repeat)
         else:
             with np.load(trained / "checkpoint.npz") as data:
                 arrays = {k: data[k] for k in data.files}

@@ -9,15 +9,18 @@ from scdkit import diffcore as dc
 from scdkit.objectives import LossBreakdown, infonce, main_loss, ssl_loss, total_loss
 from scdkit.relgraph import directed_split
 from scdkit.scdmodel import NodeStates, gcn_forward, init_params
-from conftest import grad_check, small_qmatrix, small_responses
+from scdkit.viewgen import View
+from conftest import grad_check, small_qmatrix, small_responses, stack_copies
 from scdkit.relgraph import build_relation_graph
 
 
 def brute_infonce(z1, z2, tau, include_positive=False):
-    """Double-loop reference implementation on plain floats."""
+    """Double-loop reference implementation on plain floats; an all-zero row
+    has cosine 0 with every row."""
 
     def cos(u, v):
-        return float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
+        norms = np.linalg.norm(u) * np.linalg.norm(v)
+        return float(np.dot(u, v) / norms) if norms else 0.0
 
     n = len(z1)
     total = 0.0
@@ -30,6 +33,11 @@ def brute_infonce(z1, z2, tau, include_positive=False):
             denom += math.exp(cos(z1[i], z2[j]) / tau)
         total += -math.log(pos / denom)
     return total / n
+
+
+def stacked(z1, z2) -> dc.DiffNode:
+    """The two views' rows as one leaf, first view first, as infonce reads them."""
+    return dc.param(np.vstack([z1, z2]))
 
 
 class TestMainLoss:
@@ -75,38 +83,52 @@ class TestInfonce:
     def test_refuses_more_than_8192_rows_before_any_n_by_n_array(self):
         n = 8193
         rng = np.random.default_rng(0)
-        z1, z2 = dc.param(rng.normal(size=(n, 2))), dc.param(rng.normal(size=(n, 2)))
+        z = stacked(rng.normal(size=(n, 2)), rng.normal(size=(n, 2)))
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=f"n = {n} rows"):
-                infonce(z1, z2, tau=0.5)
+                infonce(z, tau=0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8  # one n x n float64 array
 
     def test_orthonormal_identical_views_give_minus_one(self):
-        z = dc.param(np.eye(2))
-        assert infonce(z, dc.param(np.eye(2)), tau=1.0).item() == pytest.approx(
+        assert infonce(stacked(np.eye(2), np.eye(2)), tau=1.0).item() == pytest.approx(
             -1.0, abs=1e-12
         )
 
     def test_collapsed_second_view_gives_zero(self):
-        z1 = dc.param(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        z2 = dc.param(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        assert infonce(z1, z2, tau=1.0).item() == pytest.approx(0.0, abs=1e-12)
+        z1 = np.array([[1.0, 0.0], [0.0, 1.0]])
+        z2 = np.array([[1.0, 0.0], [1.0, 0.0]])
+        assert infonce(stacked(z1, z2), tau=1.0).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(2)
         z1, z2 = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
-        a = infonce(dc.param(z1), dc.param(z2), tau=0.5).item()
-        b = infonce(dc.param(z1 * 800.0), dc.param(z2 * 0.001), tau=0.5).item()
+        a = infonce(stacked(z1, z2), tau=0.5).item()
+        b = infonce(stacked(z1 * 800.0, z2 * 0.001), tau=0.5).item()
         assert b == pytest.approx(a, rel=1e-12)
+
+    def test_each_row_is_normalized_on_its_own(self):
+        # the loss reads each row's direction only: a positive scale per row
+        # leaves it unchanged, so each row's gradient is orthogonal to the row
+        # and shrinks by the row's scale
+        rng = np.random.default_rng(3)
+        z = rng.normal(size=(8, 4)) + 0.5
+        scale = rng.uniform(0.01, 100.0, size=(8, 1))
+        plain, scaled = dc.param(z), dc.param(z * scale)
+        losses = [infonce(leaf, tau=0.5) for leaf in (plain, scaled)]
+        for loss in losses:
+            loss.backward()
+        assert losses[1].item() == pytest.approx(losses[0].item(), rel=1e-12)
+        npt.assert_allclose((plain.grad * z).sum(axis=1), 0.0, atol=1e-12)
+        npt.assert_allclose(scaled.grad * scale, plain.grad, rtol=1e-9, atol=1e-14)
 
     def test_high_temperature_limit_is_log_n_minus_one(self):
         rng = np.random.default_rng(4)
         z1, z2 = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
-        val = infonce(dc.param(z1), dc.param(z2), tau=1e9).item()
+        val = infonce(stacked(z1, z2), tau=1e9).item()
         assert val == pytest.approx(math.log(2), abs=1e-6)
 
     @pytest.mark.parametrize("include_positive", [False, True])
@@ -115,38 +137,64 @@ class TestInfonce:
         rng = np.random.default_rng(seed)
         z1 = rng.normal(size=(50, 8))
         z2 = rng.normal(size=(50, 8))
-        got = infonce(
-            dc.param(z1), dc.param(z2), tau=0.5, include_positive=include_positive
-        ).item()
+        got = infonce(stacked(z1, z2), tau=0.5, include_positive=include_positive).item()
         want = brute_infonce(z1, z2, 0.5, include_positive)
         assert got == pytest.approx(want, abs=1e-10)
 
-    def test_copy_rows_contrast_the_read_rows_of_each_copy(self):
+    def test_ssl_loss_contrasts_the_read_rows_of_each_copy(self):
         rng = np.random.default_rng(7)
         z1, z2 = rng.normal(size=(10, 4)), rng.normal(size=(10, 4))
         subset = np.array([1, 4, 9])
         # a two-copy union as a rows forward holds it: the subset of z1, then of z2
-        both = dc.param(np.vstack([z1[subset], z2[subset]]))
+        both = stacked(z1[subset], z2[subset])
         union = NodeStates([both], [both], [], copies=2, rows=(subset, subset))
-        picked = (union.copy_rows(j) for j in (0, 1))
-        got = infonce(*(p.final_students for p in picked), 0.5).item()
+        got = ssl_loss(union, 0.5)[0].item()
         want = brute_infonce(z1[subset], z2[subset], 0.5)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_degenerate_inputs_rejected(self):
-        z = dc.param(np.ones((1, 3)))
         with pytest.raises(ValueError, match="at least 2"):
-            infonce(z, z, 0.5)
+            infonce(dc.param(np.ones((2, 3))), 0.5)
         with pytest.raises(ValueError, match="tau"):
-            infonce(dc.param(np.ones((3, 2))), dc.param(np.ones((3, 2))), 0.0)
+            infonce(dc.param(np.ones((6, 2))), 0.0)
+        for shape in ((5, 2), (6,)):
+            with pytest.raises(ValueError, match="two stacked views"):
+                infonce(dc.param(np.ones(shape)), 0.5)
+
+    @pytest.mark.parametrize("include_positive", [False, True])
+    def test_an_all_zero_row_has_zero_cosines_and_the_guarded_gradient(self, include_positive):
+        # below EPS_GUARD a row is divided by EPS_GUARD, not by its norm: its
+        # cosines are 0 and its gradient is that of the linear map z / EPS_GUARD
+        rng = np.random.default_rng(13)
+        z1, z2 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        z1[1] = 0.0
+        z2[3] = 0.0
+
+        z = np.vstack([z1, z2])
+        want = brute_infonce(z1, z2, 0.5, include_positive)
+        assert infonce(dc.param(z), 0.5, include_positive).item() == pytest.approx(want, abs=1e-12)
+        leaf = dc.param(z)
+        infonce(leaf, 0.5, include_positive).backward()
+        assert np.isfinite(leaf.grad).all()
+        for i in np.ndindex(z.shape):
+            h = 1e-18 if i[0] in (1, 7) else 1e-6  # inside the guard at the zero rows
+            orig = z[i]
+            z[i] = orig + h
+            f_plus = infonce(dc.param(z), 0.5, include_positive).item()
+            z[i] = orig - h
+            f_minus = infonce(dc.param(z), 0.5, include_positive).item()
+            z[i] = orig
+            numeric = (f_plus - f_minus) / (2 * h)
+            assert abs(leaf.grad[i] - numeric) <= 1e-6 * max(1.0, abs(numeric)), i
+        assert np.abs(leaf.grad[1]).max() > 1e6  # the guarded row is steep
 
     @pytest.mark.parametrize("include_positive", [False, True])
     def test_gradient_against_finite_difference(self, include_positive):
         rng = np.random.default_rng(11)
-        x = {"z1": rng.normal(size=(5, 3)), "z2": rng.normal(size=(5, 3))}
+        x = {"z": np.vstack([rng.normal(size=(5, 3)), rng.normal(size=(5, 3))])}
 
         def f(leaves):
-            return infonce(leaves["z1"], leaves["z2"], tau=0.7, include_positive=include_positive)
+            return infonce(leaves["z"], tau=0.7, include_positive=include_positive)
 
         assert grad_check(f, x) < 1e-7
 
@@ -159,11 +207,11 @@ class TestSslLoss:
         params = init_params(4, 5, 3, seed=0)
         s1 = gcn_forward(params, split)
         s2 = gcn_forward(params, split)
-        loss_s, loss_e = ssl_loss(s1, s2, tau=0.5)
+        loss_s, loss_e = ssl_loss(stack_copies(s1, s2), tau=0.5)
         # identical views: each node is perfectly aligned with itself
         assert np.isfinite(loss_s.item()) and np.isfinite(loss_e.item())
         s1b = gcn_forward(params, split)
-        loss_s2, _ = ssl_loss(s1b, s1b, tau=0.5)
+        loss_s2, _ = ssl_loss(stack_copies(s1b, s1b), tau=0.5)
         assert loss_s.item() == pytest.approx(loss_s2.item(), rel=1e-12)
 
     @pytest.mark.parametrize("picked", [[2], []])
@@ -172,12 +220,21 @@ class TestSslLoss:
         split = directed_split(build_relation_graph(train, small_qmatrix()))
         params = init_params(4, 5, 3, seed=0)
         few, every = np.array(picked, dtype=np.intp), np.arange(4)
-        few_exercises = (gcn_forward(params, split, rows=(every, few)) for _ in range(2))
-        loss_s, loss_e = ssl_loss(*few_exercises, 0.5)
+        views = View(np.ones((2, split.e2s.n_edges), bool), np.ones((2, split.s2e.n_edges), bool))
+        few_exercises = gcn_forward(params, split, view=views, rows=(every, few))
+        loss_s, loss_e = ssl_loss(few_exercises, 0.5)
         assert loss_e is None and np.isfinite(loss_s.item())
-        few_students = (gcn_forward(params, split, rows=(few, every)) for _ in range(2))
-        loss_s, loss_e = ssl_loss(*few_students, 0.5)
+        few_students = gcn_forward(params, split, view=views, rows=(few, every))
+        loss_s, loss_e = ssl_loss(few_students, 0.5)
         assert loss_s is None and np.isfinite(loss_e.item())
+
+    @pytest.mark.parametrize("copies", [1, 3])
+    def test_only_a_two_copy_union_is_contrasted(self, small_world, copies):
+        params = init_params(4, 5, 3, seed=0)
+        split = small_world["split"]
+        states = stack_copies(*(gcn_forward(params, split) for _ in range(copies)))
+        with pytest.raises(ValueError, match=f"got {copies}"):
+            ssl_loss(states, 0.5)
 
 
 class TestTotalLoss:

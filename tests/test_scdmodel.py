@@ -34,7 +34,7 @@ from scdkit.scdmodel import (
 )
 from scdkit.viewgen import View
 from scdkit import diffcore as dc
-from conftest import corrupt_member, full_then_rows, grad_check, seeded_sum
+from conftest import corrupt_member, full_then_rows, grad_check, rewrite_meta, seeded_sum
 
 FIXTURE = Path(__file__).parent / "fixtures" / "checkpoint_fca24c9.npz"
 
@@ -421,7 +421,8 @@ class TestViewUnion:
                     occupied = np.bincount(heads, minlength=adj.n_heads) > 0
                     npt.assert_allclose(sums[occupied], 1.0, rtol=0, atol=1e-12)
 
-    def test_copy_rows_reads_its_own_copy(self, small_world):
+    def test_final_rows_hold_copy_0_then_copy_1(self, small_world):
+        # the layout ssl_loss pairs: a copy's row i with the other copy's row i
         split = small_world["split"]
         params = init_params(4, 5, 3, seed=3)
         e2s, s2e = np.arange(split.e2s.n_edges), np.arange(split.s2e.n_edges)
@@ -430,16 +431,21 @@ class TestViewUnion:
         rows = np.array([0, 3]), np.array([1, 4])
         union = gcn_forward(params, split, view=pair)
         union_rows = gcn_forward(params, split, view=pair, rows=rows)
+
+        def copy_block(final, j):
+            n = len(final.value) // 2
+            return final.value[j * n : (j + 1) * n]
+
         for j, view in enumerate(views):
             single = gcn_forward(params, split, view=view)
-            whole, picked = union.copy_rows(j), union_rows.copy_rows(j)
             s_final, e_final = single.final_students.value, single.final_exercises.value
-            assert whole.final_students.value.tobytes() == s_final.tobytes()
-            assert whole.final_exercises.value.tobytes() == e_final.tobytes()
-            assert picked.rows is union_rows.rows
-            assert picked.final_students.value.tobytes() == s_final[rows[0]].tobytes()
-            assert picked.final_exercises.value.tobytes() == e_final[rows[1]].tobytes()
-        assert not np.array_equal(union.copy_rows(0).final_students.value, s_final)
+            assert copy_block(union.final_students, j).tobytes() == s_final.tobytes()
+            assert copy_block(union.final_exercises, j).tobytes() == e_final.tobytes()
+            picked_s = copy_block(union_rows.final_students, j)
+            assert picked_s.tobytes() == s_final[rows[0]].tobytes()
+            picked_e = copy_block(union_rows.final_exercises, j)
+            assert picked_e.tobytes() == e_final[rows[1]].tobytes()
+        assert not np.array_equal(copy_block(union.final_students, 0), s_final)
 
 
 class TestEdgeOrder:
@@ -868,6 +874,33 @@ class TestCheckpoint:
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match=re.escape(f"{path}: damaged checkpoint (KeyError")):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "field, value, want",
+        [
+            ("config", [1], "a JSON object"),
+            ("epoch", "x", "a non-negative integer"),
+            ("epoch", True, "a non-negative integer"),
+            ("step", -5, "a non-negative integer"),
+            ("step", 3.0, "a non-negative integer"),
+            ("has_adam", 1, "true or false"),
+            ("student_keys", [f"s{i}" for i in range(5)], "4 distinct strings"),
+            ("exercise_keys", ["e0", "e1", "e2", "e3"], "5 distinct strings"),
+            ("exercise_keys", ["e0", "e1", "e0", "e3", "e4"], "5 distinct strings"),
+            ("concept_keys", ["c0", 1, "c2"], "3 distinct strings"),
+            ("concept_keys", "c0c", "3 distinct strings"),
+            ("train_sha256", "abc", "null or 64 hex digits"),
+            ("train_sha256", "0F" * 32, "null or 64 hex digits"),
+            ("train_sha256", int("1" * 64), "null or 64 hex digits"),
+        ],
+    )
+    def test_a_garbled_meta_field_names_the_file(self, tmp_path, field, value, want):
+        path = tmp_path / "edited.npz"
+        rewrite_meta(FIXTURE, path, lambda meta: meta.update({field: value}))
+        message = f"{path}: meta {field} must be {want}"
+        for optimizer in (True, False):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                load_checkpoint(path, optimizer=optimizer)
 
     @pytest.mark.parametrize("member", ["meta", "se_edges", "p__student_emb", "v__w_predict"])
     def test_a_corrupted_member_names_the_file(self, tmp_path, member):

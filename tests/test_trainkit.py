@@ -414,7 +414,7 @@ class TestUnionObjective:
             states = gcn_forward(params, split, nodes=leaves, rows=(s_sub, e_sub))
             y = predict(diagnose(states, leaves), leaves, split, b_students, b_exercises)
             union = gcn_forward(params, split, view=pair, nodes=leaves, rows=(s_sub, e_sub))
-            loss_s, loss_e = ssl_loss(*(union.copy_rows(j) for j in (0, 1)), 0.5)
+            loss_s, loss_e = ssl_loss(union, 0.5)
             main = main_loss(y, train.scores[batch])
             return total_loss(main, loss_s, loss_e, leaves, 1.0, 1e-4, 0.5)[0]
 
