@@ -95,7 +95,7 @@ def cmd_stats(args) -> int:
     if args.min_interactions > 0:
         rs = filter_min_interactions(rs, args.min_interactions)
     q = load_qmatrix(args.qmatrix, rs)
-    print(json.dumps(dataset_stats(rs, q).to_dict(), indent=1))
+    print(json.dumps(dataset_stats(rs, q).to_dict(), indent=1, allow_nan=False))
     return 0
 
 

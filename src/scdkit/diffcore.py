@@ -1,14 +1,14 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
 Covers exactly the operator set the diagnosis model and its losses need:
-row gathers with scatter-add backward, row tiling with a block-sum
-backward, the fused residual graph-attention aggregate
-(`attention_aggregate`: per-edge logits, segment softmax, weighted neighbor
-sum and the residual, or a pick of its rows, in one node with a hand-written
-backward), and one squared L2 norm node over many arrays. `sigmoid` is a
-plain array function.
-The model heads in `scdmodel` and the loss terms and their weighted total in
-`objectives` are single `DiffNode`s with their own backward rules.
+row tiling with a block-sum backward, the fused residual graph-attention
+aggregate (`attention_aggregate`: per-edge logits, segment softmax, weighted
+neighbor sum and the residual, or a pick of its rows, in one node with a
+hand-written backward), and one squared L2 norm node over many arrays.
+`sigmoid` and the row scatter-add `scatter_rows` are plain array functions.
+The model heads and the prediction in `scdmodel` and the loss terms and
+their weighted total in `objectives` are single `DiffNode`s with their own
+backward rules.
 Every leaf is a trainable `param`, and every node reachable from a
 backward root receives a gradient: a backward rule returns one array per
 parent, and `backward` refuses one whose shape is not its parent's.
@@ -20,8 +20,8 @@ values are thus freed during the walk rather than after it; after
 `backward` only the root and the leaves keep their values, and a second
 `backward` on the same graph raises.
 
-Scatter-adds (the aggregate's weighted sum and tail scatter, and the
-`gather_rows` backward) run one feature column at a time: each column is one
+Scatter-adds (the aggregate's weighted sum and tail scatter, and
+`scatter_rows`) run one feature column at a time: each column is one
 `np.bincount` over the row indices, so no index-by-feature array is built and
 each bucket is summed in row order, bit-identical to `np.add.at`. So the row
 order sets the speed but not the sums: two orders that list each bucket's rows
@@ -137,23 +137,10 @@ def param(value) -> DiffNode:
     return DiffNode(np.array(value, dtype=np.float64))
 
 
-def gather_rows(a: DiffNode, idx) -> DiffNode:
-    """Select rows `a[idx]` of a 2-d array; scatter-adds gradients back
-    (repeats allowed)."""
-    idx = np.asarray(idx, dtype=np.intp)
-    n = len(a.value)
-
-    def backward(g):
-        cols = [np.bincount(idx, weights=col, minlength=n) for col in g.T]
-        return (np.array(cols).T,)
-
-    return DiffNode(a.value[idx], (a,), backward)
-
-
 def tile_rows(a: DiffNode, k: int) -> DiffNode:
     """The rows of a 2-d array stacked k times, `a[np.tile(arange(n), k)]`;
-    the gradient is the sum of the k row blocks, equal to the gather's
-    scatter-add up to the sign of zero."""
+    the gradient is the sum of the k row blocks, equal to `scatter_rows` at
+    that index up to the sign of zero."""
     n, d = a.value.shape
     return DiffNode(np.tile(a.value, (k, 1)), (a,), lambda g: (g.reshape(k, n, d).sum(axis=0),))
 
@@ -167,6 +154,16 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     e += 1.0
     out /= e
     return out
+
+
+def scatter_rows(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """The n x d sum of the rows of g into rows idx (repeats allowed): one
+    `np.bincount` per column, bit-identical to `np.add.at`. The result is a
+    transposed (Fortran-order) array."""
+    out = np.empty((g.shape[1], n))
+    for out_col, col in zip(out, g.T):
+        out_col[...] = np.bincount(idx, weights=col, minlength=n)
+    return out.T
 
 
 def attention_aggregate(

@@ -154,10 +154,10 @@ class EvalReport:
 
         return json.dumps(
             {
-                "acc": self.acc,
-                "rmse": self.rmse,
-                "acc50": self.acc50,
-                "rmse50": self.rmse50,
+                "acc": _clean(self.acc),
+                "rmse": _clean(self.rmse),
+                "acc50": _clean(self.acc50),
+                "rmse50": _clean(self.rmse50),
                 "per_group": [
                     {
                         "bucket": g.label,
@@ -170,6 +170,7 @@ class EvalReport:
                 ],
             },
             indent=1,
+            allow_nan=False,
         )
 
     def per_student_csv(self) -> str:

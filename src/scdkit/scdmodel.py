@@ -13,7 +13,8 @@ states map through sigmoid linear heads to per-concept mastery (students)
 and difficulty (exercises); predicted accuracy of a (student, exercise)
 pair averages sigmoid(predictor(mastery - difficulty)) over the exercise's
 concepts, its c2e edges. Each head and the prediction are one tape node with
-a hand-written backward.
+a hand-written backward; the prediction reads its records' mastery and
+difficulty rows itself.
 
 Forward passes accept an optional View whose masks thin the interaction
 directions only; concept edges always participate at full density. A View of
@@ -307,9 +308,11 @@ def predict(
     exercises: np.ndarray,
 ) -> dc.DiffNode:
     """Predicted accuracy in (0,1) for each (student, exercise) pair, as one
-    node over the gathered mastery and difficulty rows and the predictor.
-    A diagnosis with `rows` is read at the ids' positions in them; an id
-    outside them is rejected.
+    node over the mastery and difficulty nodes and the predictor. The node
+    reads each record's mastery and difficulty rows itself: a diagnosis with
+    `rows` at the ids' positions in them (an id outside them is rejected),
+    any other at the ids. It keeps their T x K difference for its backward,
+    which scatter-adds the difference's gradient into the rows it read.
 
     sigmoid(predictor(mastery - difficulty)) averaged over the exercise's
     concepts, which are its c2e edges in `split`; exercises without one are
@@ -337,11 +340,11 @@ def predict(
     if diag.rows is not None:
         s_rows = _positions(diag.rows[0], students, "student")
         e_rows = _positions(diag.rows[1], exercises, "exercise")
-    h_s = dc.gather_rows(diag.h_student, s_rows)
-    h_e = dc.gather_rows(diag.h_exercise, e_rows)
+    h_s, h_e = diag.h_student, diag.h_exercise
     w, b = nodes["w_predict"], nodes["b_predict"]
     inv = 1.0 / counts
-    z = (h_s.value - h_e.value) @ w.value
+    diff = h_s.value[s_rows] - h_e.value[e_rows]
+    z = diff @ w.value
     z += b.value
     v = dc.sigmoid(z.take(pairs))
     z[...] = 0.0  # the logits' buffer becomes the T x K zeros that hold v at the pairs
@@ -352,7 +355,9 @@ def predict(
         dz = np.zeros((len(exercises), len(w.value)))
         dz.put(pairs, (g * inv)[records] * v * (1.0 - v))
         d_diff = dz @ w.value.T
-        return d_diff, -d_diff, (h_s.value - h_e.value).T @ dz, dz.sum(axis=0)
+        d_h_s = dc.scatter_rows(s_rows, d_diff, len(h_s.value))
+        d_h_e = dc.scatter_rows(e_rows, np.negative(d_diff, out=d_diff), len(h_e.value))
+        return d_h_s, d_h_e, diff.T @ dz, dz.sum(axis=0)
 
     return dc.DiffNode(out, (h_s, h_e, w, b), backward)
 
@@ -395,7 +400,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         arrays.update({f"v__{k}": v for k, v in ckpt.opt.v.items()})
     np.savez(
         path,
-        meta=np.array(json.dumps(meta)),
+        meta=np.array(json.dumps(meta, allow_nan=False)),
         se_edges=ckpt.graph.se_edges,
         ec_edges=ckpt.graph.ec_edges,
         **arrays,
@@ -404,8 +409,9 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 def _named_arrays(data, prefix: str, shapes: dict, what: str) -> dict:
     """The `prefix<name>` arrays of `data`: exactly the names of `shapes`, with
-    those shapes, except that an older (2d, 1) attention array is cut to its
-    neighbor half, which is all of it that ever reached the output."""
+    those shapes and finite entries, except that an older (2d, 1) attention
+    array is cut to its neighbor half, which is all of it that ever reached
+    the output."""
     stored = {k[len(prefix) :] for k in data.files if k.startswith(prefix)}
     if stored != set(shapes):
         raise ValueError(
@@ -419,6 +425,8 @@ def _named_arrays(data, prefix: str, shapes: dict, what: str) -> dict:
             arr = arr[shape[0] :]
         if arr.shape != shape:
             raise ValueError(f"array {prefix}{name} has shape {arr.shape}, expected {shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"array {prefix}{name} holds a non-finite value")
         arrays[name] = arr
     return arrays
 
@@ -466,8 +474,8 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
     no Adam moment is read, stored or not, and `opt` is None: scoring needs
     only the parameters, graph and key maps. A damaged checkpoint (a missing
     or garbled member or meta key, a meta field `_check_meta` refuses, a
-    wrong-shaped array, or a pair list that `directed_split` refuses) raises
-    a ValueError naming the file."""
+    wrong-shaped array or a read one with a NaN or infinite entry, or a pair
+    list that `directed_split` refuses) raises a ValueError naming the file."""
     with _open_checkpoint(path) as data:
         try:
             meta = json.loads(str(data["meta"]))

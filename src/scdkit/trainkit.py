@@ -349,8 +349,8 @@ def fit(
     """Full pipeline: ingest, filter, split, build graph, train, checkpoint.
 
     Writes into `output_dir`: train.csv / test.csv (the split, in raw keys),
-    mappings.json, stats.json, train_log.csv, and checkpoint.npz (params,
-    config, graph, and optimizer state, so training can resume bit-exactly).
+    stats.json, train_log.csv, and checkpoint.npz (params, config, graph, key
+    maps, and optimizer state, so training can resume bit-exactly).
 
     Each step contrasts the distinct students and exercises of its batch
     (`_train_step`). `resume_from` continues a checkpoint of this run; one
@@ -401,19 +401,8 @@ def fit(
     test_path = output_dir / "test.csv"
     write_responses(train_path, train_set)
     write_responses(test_path, test_set)
-    (output_dir / "mappings.json").write_text(
-        json.dumps(
-            {
-                "students": list(rs.student_keys),
-                "exercises": list(rs.exercise_keys),
-                "concepts": list(q.concept_keys),
-            },
-            indent=1,
-        ),
-        encoding="utf-8",
-    )
     (output_dir / "stats.json").write_text(
-        json.dumps(dataset_stats(rs, q).to_dict(), indent=1), encoding="utf-8"
+        json.dumps(dataset_stats(rs, q).to_dict(), indent=1, allow_nan=False), encoding="utf-8"
     )
 
     ckpt_path = output_dir / "checkpoint.npz"

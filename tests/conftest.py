@@ -40,6 +40,13 @@ def seeded_sum(node, g) -> dc.DiffNode:
     )
 
 
+def gather_rows(a: dc.DiffNode, idx) -> dc.DiffNode:
+    """The rows `a[idx]` of a 2-d node as one node (repeats allowed), whose
+    backward scatter-adds the gradient back as `predict`'s does."""
+    idx = np.asarray(idx, dtype=np.intp)
+    return dc.DiffNode(a.value[idx], (a,), lambda g: (dc.scatter_rows(idx, g, len(a.value)),))
+
+
 def full_then_rows(states: NodeStates, rows) -> NodeStates:
     """The final rows `rows` = (students, exercises) of every copy of a full
     forward's states, gathered into a one-layer NodeStates laid out as
@@ -49,7 +56,7 @@ def full_then_rows(states: NodeStates, rows) -> NodeStates:
     for final, ids in zip((states.final_students, states.final_exercises), rows):
         per_copy = len(final.value) // states.copies
         offsets = np.arange(states.copies)[:, None] * per_copy
-        picked.append([dc.gather_rows(final, (np.asarray(ids) + offsets).ravel())])
+        picked.append([gather_rows(final, (np.asarray(ids) + offsets).ravel())])
     return NodeStates(*picked, concepts=[], copies=states.copies, rows=tuple(rows))
 
 
@@ -121,6 +128,15 @@ def rewrite_meta(src, dst, edit) -> None:
     meta = json.loads(str(arrays["meta"]))
     edit(meta)
     np.savez(dst, **{**arrays, "meta": np.array(json.dumps(meta))})
+
+
+def rewrite_entries(src, dst, key, value, index=...) -> None:
+    """Copy the checkpoint `src` to `dst`, with `value` written into its array
+    `key` at `index` (every entry by default)."""
+    with np.load(src) as data:
+        arrays = {k: data[k] for k in data.files}
+    arrays[key][index] = value
+    np.savez(dst, **arrays)
 
 
 def small_responses(scores=None) -> ResponseSet:

@@ -13,19 +13,13 @@ drawn:
   rules hold besides those values, and the rest;
 - the backward's peak above what it starts with, and the step's peak above
   what is held between steps.
-Before that, a child process replicates the benchmark's steps workload
-without `tracemalloc`, on the same inputs, which another child made (the
-data, and a checkpoint of the initial parameters): 11 train and 11 scoring
-set-ups, 4 warm-up steps, and ROUNDS rounds of 2 steps from a fresh epoch
-and 1 scoring call. Its `ru_maxrss` is the last row. MB are 2**20 bytes.
+MB are 2**20 bytes. The process's peak RSS is the benchmark's `peak_rss_mb`
+(`perfbench/`), which repeats the steps over many runs.
 """
 
 from __future__ import annotations
 
 import inspect
-import json
-import resource
-import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -33,13 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
-from scdkit import evalkit, trainkit
+from scdkit import trainkit
 from scdkit.diffcore import DiffNode
-from scdkit.objectives import LossBreakdown
 from scdkit.synth import make_synthetic, write_synthetic
 
 M_DATA = (5000, 300, 30)
-ROUNDS = 10
 MB = 2**20
 
 
@@ -133,58 +125,10 @@ def step_memory(data: Path) -> dict[str, int]:
     return row
 
 
-def write_inputs(data: Path, counts=M_DATA, seed: int = 0) -> None:
-    """The replica's inputs, made in another process as the benchmark makes
-    them: the data, and the checkpoint and test.csv of a fit whose one
-    epoch leaves the initial parameters untouched."""
-    responses, qmatrix = write_synthetic(data, make_synthetic(*counts, seed=seed))
-    epoch = trainkit.train_epoch
-    trainkit.train_epoch = lambda *args: LossBreakdown(0, 0, 0, 0, 0, 0, 0, 1)
-    try:
-        trainkit.fit(trainkit.TrainConfig(master_seed=seed, epochs=1), responses, qmatrix, data)
-    finally:
-        trainkit.train_epoch = epoch
-
-
-def rss_replica(data: Path, rounds: int = ROUNDS, seed: int = 0) -> float:
-    """`ru_maxrss` in MB of this process after the steps workload's replica
-    on the inputs in `data`."""
-    config = trainkit.TrainConfig(master_seed=seed)
-
-    def fit():
-        trainkit.fit(config, data / "responses.csv", data / "qmatrix.csv", data / "fit")
-
-    def evaluate_checkpoint():
-        evalkit.evaluate_checkpoint(data / "checkpoint.npz", data / "test.csv")
-
-    for _ in range(11):
-        args = _capture(trainkit, "train_epoch", fit)
-        eval_args = _capture(evalkit, "evaluate", evaluate_checkpoint)
-    params, split, train, opt = args["params"], args["split"], args["train_set"], args["opt"]
-    for epoch in range(1, rounds + 2):
-        views = trainkit._epoch_views(split, config, epoch)
-        order = trainkit._rng(seed, epoch, 2).permutation(len(train))
-        steps = 4 if epoch == 1 else 2  # the first epoch is the warm-up
-        for k in range(steps):
-            batch = order[k * config.batch_size : (k + 1) * config.batch_size]
-            trainkit._train_step(params, split, train, config, views, batch, opt)
-        evalkit.evaluate(**eval_args)
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
-def _child(*args: str) -> str:
-    return subprocess.run(
-        [sys.executable, __file__, *args], capture_output=True, text=True, check=True
-    ).stdout
-
-
-def table(counts=M_DATA, rounds: int = ROUNDS) -> list[tuple[str, float]]:
+def table(counts=M_DATA) -> list[tuple[str, float]]:
     """The table's rows: (what, MB)."""
-    # the children start before this process grows: a child's ru_maxrss
-    # counts the high-water mark of the process it was spawned from
     with tempfile.TemporaryDirectory() as tmp:
-        _child("--inputs", tmp, *map(str, counts))
-        rss = json.loads(_child("--rss", tmp, str(rounds)))
+        write_synthetic(tmp, make_synthetic(*counts, seed=0))
         row = step_memory(Path(tmp))
     return [
         ("held between steps (Adam moments, the views and their edge order)", row["held"] / MB),
@@ -194,17 +138,10 @@ def table(counts=M_DATA, rounds: int = ROUNDS) -> list[tuple[str, float]]:
         ("of which other arrays of the step", row["other"] / MB),
         ("peak during the backward, above what it starts with", row["backward_peak"] / MB),
         ("peak of the step, above what is held between steps", row["step_peak"] / MB),
-        (f"`ru_maxrss` after the benchmark's set-ups and {rounds} rounds", rss),
     ]
 
 
 def main(argv: list[str]) -> None:
-    if argv[:1] == ["--inputs"]:
-        write_inputs(Path(argv[1]), tuple(map(int, argv[2:])))
-        return
-    if argv[:1] == ["--rss"]:
-        print(json.dumps(rss_replica(Path(argv[1]), int(argv[2]))))
-        return
     counts = tuple(map(int, argv)) if argv else M_DATA
     print("| what | MB |\n| --- | --- |")
     for what, mb in table(counts):

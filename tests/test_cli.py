@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -13,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scdkit import objectives, trainkit
+from scdkit import cli, objectives, trainkit
 from scdkit.cli import main
-from scdkit.corpus import load_responses
+from scdkit.corpus import dataset_stats, load_responses
+from scdkit.scdmodel import load_checkpoint
 from scdkit.synth import make_synthetic, write_synthetic
-from conftest import corrupt_member, rewrite_meta
+from conftest import corrupt_member, rewrite_entries, rewrite_meta
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +72,20 @@ class TestStats:
         assert blob["n_concepts"] == 5
         assert blob["n_interactions"] > 0
         assert 0 < blob["density"] <= 1
+
+    def test_a_non_finite_statistic_is_an_error_not_json(self, capsys, data_dir, monkeypatch):
+        def nan_density(rs, q):
+            return dataclasses.replace(dataset_stats(rs, q), density=float("nan"))
+
+        monkeypatch.setattr(cli, "dataset_stats", nan_density)
+        code, out, err = run(
+            capsys, "stats",
+            "--responses", str(data_dir / "responses.csv"),
+            "--qmatrix", str(data_dir / "qmatrix.csv"),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: Out of range float values are not JSON compliant")
+        assert err.count("\n") == 1
 
     def test_min_interactions_filter_shrinks(self, capsys, data_dir):
         _, raw, _ = run(
@@ -244,6 +260,28 @@ class TestTrain:
         assert err == f"error: {path}: {message}\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "key, index, value",
+        [
+            ("p__student_emb", (3, 1), np.inf),
+            ("p__b_predict", 0, np.nan),
+            ("v__attn0_e2s", 0, -np.inf),
+        ],
+    )
+    def test_resume_from_a_non_finite_array_names_the_file(
+        self, capsys, data_dir, trained, tmp_path, key, index, value
+    ):
+        path = tmp_path / "checkpoint.npz"
+        rewrite_entries(trained / "checkpoint.npz", path, key, value, index)
+        out_dir = tmp_path / "run"
+        code, out, err = run(
+            capsys,
+            *train_args(data_dir, out_dir, "--override", "epochs=6", "--resume", str(path)),
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: {path}: array {key} holds a non-finite value\n"
+        assert not out_dir.exists()
+
     def test_resume_mismatch_is_usage_error(self, capsys, data_dir, trained, tmp_path):
         out_dir = tmp_path / "run"
         code, _, err = run(
@@ -354,9 +392,9 @@ class TestEvalAndDiagnose:
         assert (tmp_path / "per_group.csv").read_text().startswith("bucket,")
 
     def test_diagnose_emits_csv(self, capsys, trained, data_dir):
-        mappings = json.loads((trained / "mappings.json").read_text())
-        s = mappings["students"][0]
-        e = mappings["exercises"][0]
+        ckpt = load_checkpoint(trained / "checkpoint.npz")
+        s = ckpt.student_keys[0]
+        e = ckpt.exercise_keys[0]
         code, out, _ = run(
             capsys, "diagnose",
             "--checkpoint", str(trained / "checkpoint.npz"),
@@ -368,9 +406,9 @@ class TestEvalAndDiagnose:
         assert lines[0] == f"concept,mastery:{s},difficulty:{e}"
 
     def test_diagnose_id_lists_strip_spaces(self, capsys, trained):
-        mappings = json.loads((trained / "mappings.json").read_text())
-        s0, s1 = mappings["students"][:2]
-        e0, e1 = mappings["exercises"][:2]
+        ckpt = load_checkpoint(trained / "checkpoint.npz")
+        s0, s1 = ckpt.student_keys[:2]
+        e0, e1 = ckpt.exercise_keys[:2]
         code, out, err = run(
             capsys, "diagnose",
             "--checkpoint", str(trained / "checkpoint.npz"),
@@ -425,6 +463,7 @@ NOT_A_CHECKPOINT = {
     "negative concept id": "ec_edges names id -1 in its second column, outside [0, ",
     "extra student key": "meta student_keys must be 30 distinct strings",
     "repeated student key": "meta student_keys must be 30 distinct strings",
+    "all-NaN w_predict": "array p__w_predict holds a non-finite value",
 }
 
 
@@ -450,6 +489,8 @@ class TestNotACheckpoint:
                 meta["student_keys"][1] = meta["student_keys"][0]
 
             rewrite_meta(trained / "checkpoint.npz", path, repeat)
+        elif kind == "all-NaN w_predict":
+            rewrite_entries(trained / "checkpoint.npz", path, "p__w_predict", np.nan)
         else:
             with np.load(trained / "checkpoint.npz") as data:
                 arrays = {k: data[k] for k in data.files}
@@ -479,10 +520,10 @@ class TestNotACheckpoint:
         assert not out_dir.exists()
 
     def test_diagnose(self, capsys, trained, path, kind):
-        mappings = json.loads((trained / "mappings.json").read_text())
+        ckpt = load_checkpoint(trained / "checkpoint.npz")
         code, out, err = run(
             capsys, "diagnose", "--checkpoint", str(path),
-            "--students", mappings["students"][0], "--exercises", mappings["exercises"][0],
+            "--students", ckpt.student_keys[0], "--exercises", ckpt.exercise_keys[0],
         )
         assert code == 1 and out == ""
         self.assert_named(err, path, kind)
@@ -514,13 +555,13 @@ class TestScoringReadsNoOptimizerState:
         assert set(outputs[0][1]) == {"report.json", "per_student.csv", "per_group.csv"}
 
     def test_diagnose_output_is_unchanged(self, capsys, trained, bare):
-        mappings = json.loads((trained / "mappings.json").read_text())
+        keys = load_checkpoint(trained / "checkpoint.npz")
         outputs = []
         for ckpt in (trained / "checkpoint.npz", bare):
             code, out, err = run(
                 capsys, "diagnose", "--checkpoint", str(ckpt),
-                "--students", ",".join(mappings["students"][:3]),
-                "--exercises", ",".join(mappings["exercises"][:2]),
+                "--students", ",".join(keys.student_keys[:3]),
+                "--exercises", ",".join(keys.exercise_keys[:2]),
                 "--test", str(trained / "test.csv"),
             )
             assert code == 0, err
@@ -586,7 +627,7 @@ class TestEncodings:
         run_dir = tmp_path / "run"
         written = (run_dir / "train.csv").read_bytes() + (run_dir / "test.csv").read_bytes()
         assert "s\u00e91,".encode("utf-8") in written
-        assert "s\u00e91" in json.loads((run_dir / "mappings.json").read_bytes())["students"]
+        assert "s\u00e91" in load_checkpoint(run_dir / "checkpoint.npz").student_keys
         per_student = (tmp_path / "eval" / "per_student.csv").read_bytes()
         assert "s\u00e91,".encode("utf-8") in per_student
 
@@ -733,8 +774,9 @@ class TestIdsRoundTrip:
             )
             assert code == 0, err
             run = root / "run"
-            mappings = json.loads((run / "mappings.json").read_text())
-            assert mappings == {"students": students, "exercises": exercises, "concepts": concepts}
+            ckpt = load_checkpoint(run / "checkpoint.npz")
+            keys = ckpt.student_keys, ckpt.exercise_keys, ckpt.concept_keys
+            assert keys == (tuple(students), tuple(exercises), tuple(concepts))
             split_rows = [
                 row for name in ("train.csv", "test.csv")
                 for row in csv_rows((run / name).read_text())[1:]

@@ -180,6 +180,16 @@ class TestStudentTable:
         assert all(len(row) == 4 for row in parsed)
         assert report.per_group_csv().splitlines()[2].endswith(",0,,")
 
+    def test_non_finite_top_level_metrics_are_null(self):
+        table = four_student_columns()
+        report = EvalReport(
+            acc=0.5, rmse=float("nan"), acc50=float("inf"), rmse50=float("-inf"),
+            per_group=group_report(table),
+        )
+        text = report.to_json()
+        blob = json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in the report"))
+        assert (blob["acc"], blob["rmse"], blob["acc50"], blob["rmse50"]) == (0.5, None, None, None)
+
 
 # The row-by-row report the columnar one replaced, kept as its reference.
 def loop_student_table(students, preds, labels, train_counts):

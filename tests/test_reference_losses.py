@@ -6,8 +6,9 @@
 RTOL is 100 times the largest relative drift that a pure change of summation
 order caused in the reference's values: 3.5e-16, with the edges of every
 attention aggregate taken in reverse order. Summing the regularizer in
-reverse parameter order drifted 2.3e-16, and the `gather_rows` backward in
-reverse row order 2.1e-16 (numpy 2.4.6, x86-64).
+reverse parameter order drifted 2.3e-16, and the scatter-add of the
+prediction's row gradients (then a row-gather node's backward) in reverse
+row order 2.1e-16 (numpy 2.4.6, x86-64).
 """
 
 import json

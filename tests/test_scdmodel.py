@@ -34,7 +34,15 @@ from scdkit.scdmodel import (
 )
 from scdkit.viewgen import View
 from scdkit import diffcore as dc
-from conftest import corrupt_member, full_then_rows, grad_check, rewrite_meta, seeded_sum
+from conftest import (
+    corrupt_member,
+    full_then_rows,
+    gather_rows,
+    grad_check,
+    rewrite_entries,
+    rewrite_meta,
+    seeded_sum,
+)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "checkpoint_fca24c9.npz"
 
@@ -527,7 +535,69 @@ class TestEdgeOrder:
                 assert grads[name].tobytes() == grads_sorted[name].tobytes(), name
 
 
+def chain_predict(h_s: dc.DiffNode, h_e: dc.DiffNode, w, b, split, exercises) -> dc.DiffNode:
+    """`predict` as a node over the records' gathered mastery rows `h_s` and
+    difficulty rows `h_e`, which two gather nodes feed it: how it was built
+    before it read its own rows."""
+    c2e = split.c2e
+    indegrees = c2e.indegrees()
+    counts = indegrees[exercises]
+    first = (np.cumsum(indegrees) - indegrees)[exercises]
+    records = np.repeat(np.arange(len(exercises)), counts)
+    edges = np.arange(len(records)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+    pairs = records * split.e2c.n_heads + c2e.tails[edges]
+    inv = 1.0 / counts
+    z = (h_s.value - h_e.value) @ w.value
+    z += b.value
+    v = dc.sigmoid(z.take(pairs))
+    z[...] = 0.0
+    z.put(pairs, v)
+
+    def backward(g):
+        dz = np.zeros((len(exercises), len(w.value)))
+        dz.put(pairs, (g * inv)[records] * v * (1.0 - v))
+        d_diff = dz @ w.value.T
+        return d_diff, -d_diff, (h_s.value - h_e.value).T @ dz, dz.sum(axis=0)
+
+    return dc.DiffNode(z.sum(axis=1) * inv, (h_s, h_e, w, b), backward)
+
+
 class TestDiagnosisAndPredict:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=100_000), with_rows=st.booleans())
+    def test_predict_equals_the_gather_chain_bitwise(self, seed, with_rows):
+        """One predict node equals two gathers feeding the prediction node:
+        the value and all four gradients, bit for bit, on a full diagnosis and
+        on a `rows` one, with repeated students and exercises."""
+        rng = np.random.default_rng(seed)
+        m, n, k = (int(x) for x in rng.integers(1, 7, size=3))
+        t = int(rng.integers(2, 13))
+        pairs = np.unique(np.repeat(np.arange(n), 3) * k + rng.integers(k, size=3 * n))
+        split = concept_split(pairs // k, pairs % k, n, k)
+        students, exercises = rng.integers(m, size=t), rng.integers(n, size=t)
+        students[-1], exercises[-1] = students[0], exercises[0]  # a repeated record
+        rows, s_pos, e_pos = None, students, exercises
+        if with_rows:
+            rows = np.unique(students), np.unique(exercises)
+            s_pos, e_pos = np.searchsorted(rows[0], students), np.searchsorted(rows[1], exercises)
+            m, n = len(rows[0]), len(rows[1])
+        x = [rng.uniform(size=(m, k)), rng.uniform(size=(n, k))]
+        x += [rng.normal(size=(k, k)), rng.normal(size=k)]
+        g = rng.normal(size=t)
+        runs = []
+        for fused in (True, False):
+            h_s, h_e, w, b = leaves = [dc.param(a) for a in x]
+            if fused:
+                y = predict(Diagnosis(h_s, h_e, rows), {"w_predict": w, "b_predict": b},
+                            split, students, exercises)
+            else:
+                y = chain_predict(gather_rows(h_s, s_pos), gather_rows(h_e, e_pos), w, b,
+                                  split, exercises)
+            value = y.value.tobytes()
+            seeded_sum(y, g).backward()
+            runs.append([value, *(leaf.grad.tobytes() for leaf in leaves)])
+        assert runs[0] == runs[1]
+
     def test_heads_gradient_against_finite_difference(self):
         # exercises carry 1 to 3 concepts; the batch repeats students and exercises
         rng = np.random.default_rng(21)
@@ -590,13 +660,17 @@ class TestDiagnosisAndPredict:
         h_s, h_e = rng.uniform(size=(m, k)), rng.uniform(size=(n, k))
         w, b, g = rng.normal(size=(k, k)), rng.normal(size=k), rng.normal(size=t)
 
-        # the formula predict used before it took the sigmoid at pairs only
+        # the formula predict used before it took the sigmoid at pairs only,
+        # with its rows' gradients scatter-added into the diagnosis by np.add.at
         mask = q[exercises]
         inv = 1.0 / mask.sum(axis=1)
         diff = h_s[students] - h_e[exercises]
         v = dc.sigmoid(diff @ w + b)
         dz = (g * inv)[:, None] * mask * v * (1.0 - v)
-        want = [(v * mask).sum(axis=1) * inv, dz @ w.T, -(dz @ w.T), diff.T @ dz, dz.sum(axis=0)]
+        d_h_s, d_h_e = np.zeros((m, k)), np.zeros((n, k))
+        np.add.at(d_h_s, students, dz @ w.T)
+        np.add.at(d_h_e, exercises, -(dz @ w.T))
+        want = [(v * mask).sum(axis=1) * inv, d_h_s, d_h_e, diff.T @ dz, dz.sum(axis=0)]
 
         diag = Diagnosis(dc.param(h_s), dc.param(h_e))
         nodes = {"w_predict": dc.param(w), "b_predict": dc.param(b)}
@@ -607,7 +681,9 @@ class TestDiagnosisAndPredict:
 
     def test_predict_memory_does_not_grow_with_the_exercise_count(self):
         """256 records over 20,000 exercises x 100 concepts: a dense exercise x
-        concept matrix alone would take 16 MB."""
+        concept matrix alone would take 16 MB. The backward's peak counts
+        besides the two diagnosis gradients it returns, whose shapes are the
+        diagnosis nodes' own."""
         rng = np.random.default_rng(3)
         n, k, t = 20_000, 100, 256
         ex = np.repeat(np.arange(n), rng.integers(1, 4, size=n))
@@ -619,11 +695,13 @@ class TestDiagnosisAndPredict:
         tracemalloc.start()
         try:
             y = predict(diag, nodes, split, students, exercises)
-            y.backward_fn(np.ones(t))
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            d_h_s, d_h_e, _, _ = y.backward_fn(np.ones(t))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20, peak
+        assert forward_peak < 4 * 2**20, forward_peak
+        assert d_h_e.shape == (n, k) and peak - d_h_s.nbytes - d_h_e.nbytes < 4 * 2**20, peak
 
     def test_conceptless_exercise_rejected(self):
         # e1 lies between exercises with concepts and e3 is the last head;
@@ -910,6 +988,41 @@ class TestCheckpoint:
         message = f"{path}: damaged checkpoint (BadZipFile: Bad CRC-32"
         with pytest.raises(ValueError, match=re.escape(message)):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key, index",
+        [
+            ("p__w_predict", ...),
+            ("p__concept_emb", (0, 1)),
+            ("m__b_predict", 2),
+            ("v__exercise_emb", 4),
+        ],
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_array_names_the_file_and_the_array(self, tmp_path, key, index, value):
+        path = tmp_path / "non_finite.npz"
+        rewrite_entries(FIXTURE, path, key, value, index)
+        message = f"^{re.escape(str(path))}: array {key} holds a non-finite value$"
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
+        if key.startswith("p__"):
+            with pytest.raises(ValueError, match=message):
+                load_checkpoint(path, optimizer=False)
+        else:  # scoring reads no moment
+            assert load_checkpoint(path, optimizer=False).opt is None
+
+    def test_a_non_finite_meta_value_is_refused_before_writing(self, tmp_path, small_world):
+        ckpt = Checkpoint(
+            params=init_params(4, 5, 3, seed=0),
+            config={"tau": float("nan")},
+            graph=small_world["graph"],
+            student_keys=("s0", "s1", "s2", "s3"),
+            exercise_keys=("e0", "e1", "e2", "e3", "e4"),
+            concept_keys=("c0", "c1", "c2"),
+        )
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_checkpoint(tmp_path / "ck.npz", ckpt)
+        assert not (tmp_path / "ck.npz").exists()
 
     def test_rebuilds_graph_and_qmatrix(self, tmp_path, small_world):
         g, q = small_world["graph"], small_world["q"]

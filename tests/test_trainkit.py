@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from scdkit.corpus import load_qmatrix, load_responses
+from scdkit.corpus import dataset_stats, load_qmatrix, load_responses
 from scdkit.diffcore import DiffNode
 from scdkit.evalkit import evaluate_checkpoint
 from scdkit.objectives import main_loss, ssl_loss, total_loss
@@ -20,7 +20,7 @@ from scdkit.scdmodel import (
     save_checkpoint,
 )
 from scdkit.synth import make_synthetic, write_synthetic
-from scdkit import objectives, trainkit
+from scdkit import evalkit, objectives, trainkit
 from scdkit.trainkit import (
     AdamState,
     ResumeMismatch,
@@ -283,6 +283,41 @@ class TestStepGraphLifetime:
         assert len(checks) == 3 * per_step and len(alive) > 20
         assert checks == [0] * len(checks)
 
+    def test_a_default_step_and_a_scoring_call_record_their_pinned_tapes(self, monkeypatch):
+        # the step: 17 parameter leaves; 7 aggregates per forward (the last
+        # layer has no e2c), 3 row tilings, 2 heads, the prediction, and the
+        # response loss, 2 InfoNCE sides, the regularizer and the total. The
+        # scoring call reads no final concept state, so neither the last e2c
+        # aggregate nor its weight is on its tape
+        train, q = small_responses(), small_qmatrix()
+        split = directed_split(build_relation_graph(train, q))
+        params = init_params(4, 5, 3, seed=0)
+        roots = []
+
+        def recording(orig):
+            def call(*args, **kwargs):
+                out = orig(*args, **kwargs)
+                roots.append(out[0] if isinstance(out, tuple) else out)
+                return out
+
+            return call
+
+        def tape(root):
+            leaves, interior, stack, seen = 0, 0, [root], set()
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    leaves, interior = leaves + (not node.parents), interior + bool(node.parents)
+                    stack.extend(node.parents)
+            return leaves, interior
+
+        monkeypatch.setattr(trainkit, "total_loss", recording(total_loss))
+        monkeypatch.setattr(evalkit, "predict", recording(predict))
+        train_epoch(params, split, train, TrainConfig(), 1, AdamState.fresh(params))
+        evalkit.evaluate(params, split, train)
+        assert [tape(root) for root in roots] == [(17, 25), (16, 10)]
+
     def test_epoch_peak_memory_does_not_grow_with_steps(self, tmp_path):
         # a graph large against the per-epoch state and the batch, so that
         # holding two steps' graphs at once reads about 1.5x one step's
@@ -447,18 +482,31 @@ class TestFit:
         rp, qp = small_files
         result = fit(self.config(), rp, qp, tmp_path / "run")
         out = tmp_path / "run"
-        for name in (
-            "train.csv", "test.csv", "mappings.json", "stats.json",
-            "train_log.csv", "checkpoint.npz",
-        ):
-            assert (out / name).exists(), name
+        assert sorted(p.name for p in out.iterdir()) == [
+            "checkpoint.npz", "stats.json", "test.csv", "train.csv", "train_log.csv",
+        ]
+        ckpt = load_checkpoint(out / "checkpoint.npz")
+        rs = load_responses(rp)
+        assert (ckpt.student_keys, ckpt.exercise_keys) == (rs.student_keys, rs.exercise_keys)
+        assert ckpt.concept_keys == load_qmatrix(qp, rs).concept_keys
         log = (out / "train_log.csv").read_text().splitlines()
         assert log[0] == "epoch,main,ssl_s,ssl_e,reg,total"
         assert len(log) == 4
         train_n = len(load_responses(out / "train.csv"))
         test_n = len(load_responses(out / "test.csv"))
-        filtered = len(load_responses(rp))  # min_interactions=1 keeps everyone here
+        filtered = len(rs)  # min_interactions=1 keeps everyone here
         assert train_n + test_n == filtered
+
+    def test_a_non_finite_statistic_is_refused_not_written(
+        self, small_files, tmp_path, monkeypatch
+    ):
+        def nan_density(rs, q):
+            return dataclasses.replace(dataset_stats(rs, q), density=float("nan"))
+
+        monkeypatch.setattr(trainkit, "dataset_stats", nan_density)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            fit(self.config(), *small_files, tmp_path / "run")
+        assert not (tmp_path / "run" / "stats.json").exists()
 
     def test_ids_with_comma_and_quote_survive_fit_and_eval(self, small_files, tmp_path):
         rp, qp = small_files
