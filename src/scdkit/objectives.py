@@ -126,6 +126,13 @@ class LossBreakdown:
         for name in ("main", "ssl_student", "ssl_exercise", "reg", "total"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
+    @classmethod
+    def weighted(cls, main, ssl_student, ssl_exercise, reg, lambda1, lambda2, tau):
+        """The breakdown of these terms, with the total main + lambda1 * (ssl_s +
+        ssl_e) + lambda2 * reg: the one place that total is formed."""
+        total = main + (ssl_student + ssl_exercise) * lambda1 + reg * lambda2
+        return cls(main, ssl_student, ssl_exercise, reg, total, lambda1, lambda2, tau)
+
     def csv_row(self, epoch: int) -> str:
         return (
             f"{epoch},{self.main!r},{self.ssl_student!r},{self.ssl_exercise!r},"
@@ -151,20 +158,9 @@ def total_loss(
     reg = dc.l2_norm_sq(*param_nodes.values())
     ssl = [x for x in (ssl_student, ssl_exercise) if x is not None]
     parents, weights = (main, *ssl, reg), (1.0, *[lambda1] * len(ssl), lambda2)
-    s, e = (0.0 if x is None else x.value for x in (ssl_student, ssl_exercise))
-    value = main.value + (s + e) * lambda1 + reg.value * lambda2
-    total = DiffNode(value, parents, lambda g: tuple(g * c for c in weights))
-
-    breakdown = LossBreakdown(
-        main=main.item(),
-        ssl_student=ssl_student.item() if ssl_student is not None else 0.0,
-        ssl_exercise=ssl_exercise.item() if ssl_exercise is not None else 0.0,
-        reg=reg.item(),
-        total=total.item(),
-        lambda1=lambda1,
-        lambda2=lambda2,
-        tau=tau,
-    )
+    s, e = (0.0 if x is None else x.item() for x in (ssl_student, ssl_exercise))
+    breakdown = LossBreakdown.weighted(main.item(), s, e, reg.item(), lambda1, lambda2, tau)
     if not np.isfinite(breakdown.total):
         raise FloatingPointError(f"non-finite loss: {breakdown}")
+    total = DiffNode(breakdown.total, parents, lambda g: tuple(g * c for c in weights))
     return total, breakdown

@@ -26,9 +26,11 @@ of mask row j and every concept edge.
 from __future__ import annotations
 
 import json
+import os
 import re
 import zipfile
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -380,7 +382,11 @@ class Checkpoint:
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Single-file npz: parameter arrays with shape headers, config, graph,
-    key maps, train-record fingerprint, and the optimizer state if any."""
+    key maps, train-record fingerprint, and the optimizer state if any.
+
+    The file is written under a temporary name in `path`'s directory and then
+    renamed onto `path` (no `.npz` is appended), so a write that fails removes
+    its temporary file and leaves any earlier file at `path` as it was."""
     meta = {
         "config": ckpt.config,
         "counts": [ckpt.graph.n_students, ckpt.graph.n_exercises, ckpt.graph.n_concepts],
@@ -398,13 +404,18 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     if ckpt.opt is not None:
         arrays.update({f"m__{k}": v for k, v in ckpt.opt.m.items()})
         arrays.update({f"v__{k}": v for k, v in ckpt.opt.v.items()})
-    np.savez(
-        path,
-        meta=np.array(json.dumps(meta, allow_nan=False)),
-        se_edges=ckpt.graph.se_edges,
-        ec_edges=ckpt.graph.ec_edges,
-        **arrays,
-    )
+    meta = np.array(json.dumps(meta, allow_nan=False))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(
+                fh, meta=meta, se_edges=ckpt.graph.se_edges, ec_edges=ckpt.graph.ec_edges, **arrays
+            )
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _named_arrays(data, prefix: str, shapes: dict, what: str) -> dict:

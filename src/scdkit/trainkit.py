@@ -246,17 +246,7 @@ def train_epoch(
         sums += (breakdown.main, breakdown.ssl_student, breakdown.ssl_exercise, breakdown.reg)
         n_batches += 1
 
-    avg = sums / n_batches
-    return LossBreakdown(
-        main=avg[0],
-        ssl_student=avg[1],
-        ssl_exercise=avg[2],
-        reg=avg[3],
-        total=avg[0] + config.lambda1 * (avg[1] + avg[2]) + config.lambda2 * avg[3],
-        lambda1=config.lambda1,
-        lambda2=config.lambda2,
-        tau=config.tau,
-    )
+    return LossBreakdown.weighted(*(sums / n_batches), config.lambda1, config.lambda2, config.tau)
 
 
 class RunRefused(ValueError):
@@ -359,8 +349,9 @@ def fit(
     and one already at or past `epochs` raises RunRefused. A resumed
     train_log.csv holds only the epochs it trains. A contrastive run whose
     batch_size lets a step contrast more than INFONCE_MAX_ROWS students or
-    exercises raises RunRefused. Each of these refusals comes before
-    `output_dir` is created.
+    exercises raises RunRefused. A dataset statistic that is not finite, which
+    stats.json cannot hold, raises ValueError. Each of these refusals comes
+    before `output_dir` is created.
     """
     output_dir = Path(output_dir)
     rs = load_responses(responses_path)
@@ -396,14 +387,13 @@ def fit(
         )
         opt = AdamState.fresh(params)
 
+    stats = json.dumps(dataset_stats(rs, q).to_dict(), indent=1, allow_nan=False)
     output_dir.mkdir(parents=True, exist_ok=True)
     train_path = output_dir / "train.csv"
     test_path = output_dir / "test.csv"
     write_responses(train_path, train_set)
     write_responses(test_path, test_set)
-    (output_dir / "stats.json").write_text(
-        json.dumps(dataset_stats(rs, q).to_dict(), indent=1, allow_nan=False), encoding="utf-8"
-    )
+    (output_dir / "stats.json").write_text(stats, encoding="utf-8")
 
     ckpt_path = output_dir / "checkpoint.npz"
     log_path = output_dir / "train_log.csv"

@@ -85,19 +85,34 @@ def reference_runs(workdir) -> dict[str, list[list[float]]]:
     return runs
 
 
-def main() -> None:
-    commit = subprocess.run(
+def commit() -> str:
+    """The checked-out commit, marked -dirty when the tree has changes."""
+    return subprocess.run(
         ["git", "describe", "--always", "--dirty", "--abbrev=12"],
         cwd=PATH.parent,
         capture_output=True,
         text=True,
         check=True,
     ).stdout.strip()
+
+
+def write_json(path: Path, content: dict) -> None:
+    """`content` as indented JSON with each innermost list on one line."""
+    text = re.sub(
+        r"\[\s+([^\[\]]*?)\s+\]",
+        lambda m: "[" + " ".join(m.group(1).split()) + "]",
+        json.dumps(content, indent=1, allow_nan=False),
+    )
+    path.write_text(text + "\n")
+    print(f"wrote {path} at {content['commit']}", file=sys.stderr)
+
+
+def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         runs = reference_runs(tmp)
     reference = {
         "written_by": "tests/fixtures/make_reference_losses.py",
-        "commit": commit,
+        "commit": commit(),
         "numpy": np.__version__,
         "python": platform.python_version(),
         "s_fits": "make_synthetic(%d, %d, %d, seed=0), " % S_DATA
@@ -107,14 +122,7 @@ def main() -> None:
         "columns": ["epoch or step", *COLUMNS],
         "runs": runs,
     }
-    # one row per line
-    text = re.sub(
-        r"\[\s+([^\[\]]*?)\s+\]",
-        lambda m: "[" + " ".join(m.group(1).split()) + "]",
-        json.dumps(reference, indent=1),
-    )
-    PATH.write_text(text + "\n")
-    print(f"wrote {PATH} at {commit}", file=sys.stderr)
+    write_json(PATH, reference)
 
 
 if __name__ == "__main__":

@@ -1,0 +1,118 @@
+"""Write reference_reports.json, the reports that pin what a trained model says.
+
+    PYTHONPATH=src:tests python tests/fixtures/make_reference_reports.py
+
+For each S fit of make_reference_losses.py (a 6-epoch default `fit` on
+`make_synthetic(200, 50, 10, seed=0)`, one per training mode) the file holds:
+- the `evaluate_checkpoint` report of its checkpoint on its test.csv: acc,
+  rmse, acc50, rmse50, every `per_group` row (an empty bucket's metrics as
+  null) and every `per_student` row;
+- the `case_study` tables for the checkpoint's first two students and first
+  two exercises, scored against that test.csv;
+- `retention_table` of its train graph at the default dropout, 50 draws from
+  `np.random.default_rng(0)`.
+
+`tests/test_reference_reports.py` recomputes them and compares floats within
+the reference losses' relative tolerance, and ids, counts and flags exactly.
+Write the file again only for a change that moves results by design, and
+give the old and new values with it.
+"""
+
+from __future__ import annotations
+
+import platform
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from fixtures.make_reference_losses import S_DATA, S_EPOCHS, _write_data, commit, write_json
+from scdkit.corpus import load_responses
+from scdkit.evalkit import align_responses, case_study, evaluate_checkpoint
+from scdkit.relgraph import directed_split
+from scdkit.scdmodel import load_checkpoint
+from scdkit.trainkit import MODES, TrainConfig, fit
+from scdkit.viewgen import DropoutParams, retention_table
+
+PATH = Path(__file__).with_name("reference_reports.json")
+RETENTION_DRAWS = 50
+COLUMNS = {
+    "per_group": ["bucket", "n_students", "n_interactions", "acc", "rmse"],
+    "per_student": ["student", "n_train", "acc", "rmse"],
+    "outcomes": ["student", "exercise", "score", "consistent"],
+    "retention": ["degree", "importance", "retention_p", "empirical"],
+}
+
+
+def _finite_or_none(x: float) -> float | None:
+    return x if np.isfinite(x) else None
+
+
+def s_fit_reports(workdir: Path, mode: str) -> dict:
+    """The report, case study and retention table of the S fit in `mode`."""
+    responses, qmatrix = _write_data(workdir / "data", S_DATA)
+    result = fit(TrainConfig(epochs=S_EPOCHS, mode=mode), responses, qmatrix, workdir / mode)
+    report = evaluate_checkpoint(result.checkpoint_path, result.test_path)
+    ckpt = load_checkpoint(result.checkpoint_path, optimizer=False)
+    test_set = align_responses(
+        load_responses(result.test_path), ckpt.student_keys, ckpt.exercise_keys
+    )
+    study = case_study(ckpt, ckpt.student_keys[:2], ckpt.exercise_keys[:2], test_set)
+    retention = retention_table(
+        directed_split(ckpt.graph), DropoutParams(), RETENTION_DRAWS, np.random.default_rng(0)
+    )
+    return {
+        "report": {
+            "acc": report.acc,
+            "rmse": report.rmse,
+            "acc50": report.acc50,
+            "rmse50": report.rmse50,
+            "per_group": [
+                [g.label, g.n_students, g.n_interactions, *map(_finite_or_none, (g.acc, g.rmse))]
+                for g in report.per_group
+            ],
+            "per_student": [list(row) for row in report.per_student],
+        },
+        "case_study": {
+            "students": study.student_labels,
+            "exercises": study.exercise_labels,
+            "concepts": study.concept_labels,
+            "exercise_concepts": [list(study.exercise_concepts[e]) for e in study.exercise_ids],
+            "mastery": study.mastery.tolist(),
+            "difficulty": study.difficulty.tolist(),
+            "outcomes": [
+                [s, e, score, study.consistent(s, e)]
+                for (s, e), score in sorted(study.scores.items())
+            ],
+        },
+        "retention": [[row[c] for c in COLUMNS["retention"]] for row in retention],
+    }
+
+
+def reference_reports(workdir) -> dict[str, dict]:
+    """Every S fit's reports, by mode."""
+    return {mode: s_fit_reports(Path(workdir), mode) for mode in MODES}
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        fits = reference_reports(tmp)
+    write_json(
+        PATH,
+        {
+            "written_by": "tests/fixtures/make_reference_reports.py",
+            "commit": commit(),
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "s_fits": "make_synthetic(%d, %d, %d, seed=0), " % S_DATA
+            + f"TrainConfig(epochs={S_EPOCHS}, mode=<run name>)",
+            "case_study": "the checkpoint's first two student and exercise keys, test.csv",
+            "retention": f"DropoutParams(), {RETENTION_DRAWS} draws, np.random.default_rng(0)",
+            "columns": COLUMNS,
+            "fits": fits,
+        },
+    )
+
+
+if __name__ == "__main__":
+    main()

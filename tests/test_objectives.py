@@ -275,6 +275,31 @@ class TestTotalLoss:
         )
         assert b.total == pytest.approx(b.main + 0.3 * (b.ssl_student + b.ssl_exercise) + 0.01 * b.reg)
 
+    def test_weighted_forms_the_total_of_plain_floats(self):
+        terms = (np.float64(1 / 3), np.float64(0.1), 0.2, np.float64(2.0))
+        b = LossBreakdown.weighted(*terms, 0.1, 1e-4, 0.5)
+        assert b == LossBreakdown(*terms, 1 / 3 + (0.1 + 0.2) * 0.1 + 2.0 * 1e-4, 0.1, 1e-4, 0.5)
+        assert all(type(x) is float for x in (b.main, b.ssl_student, b.reg, b.total))
+
+    @pytest.mark.parametrize("ssl", [(0.25, 0.75), (None, 0.75), (None, None)])
+    def test_the_node_carries_the_breakdown_total(self, monkeypatch, ssl):
+        """total_loss forms its total once, by LossBreakdown.weighted, and its
+        node differentiates exactly the number the breakdown logs."""
+        calls = []
+        weighted = LossBreakdown.weighted.__func__
+
+        def recording(cls, *args):
+            calls.append(args)
+            return weighted(cls, *args)
+
+        monkeypatch.setattr(LossBreakdown, "weighted", classmethod(recording))
+        parts = [None if x is None else dc.param(np.array(x)) for x in ssl]
+        p = {"p": dc.param(np.array([3.0]))}
+        total, b = total_loss(dc.param(np.array(2.0)), *parts, p, 0.3, 0.01, 1.0)
+        s, e = (0.0 if x is None else x for x in ssl)
+        assert calls == [(2.0, s, e, 9.0, 0.3, 0.01, 1.0)]
+        assert total.value.shape == () and total.item() == b.total
+
     def test_non_finite_rejected(self):
         with pytest.raises(FloatingPointError):
             total_loss(dc.param(np.array(np.inf)), None, None, {}, 0.1, 0.1, 0.5)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -1023,6 +1024,46 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="not JSON compliant"):
             save_checkpoint(tmp_path / "ck.npz", ckpt)
         assert not (tmp_path / "ck.npz").exists()
+
+    def test_a_failed_save_leaves_the_previous_file_intact(
+        self, tmp_path, small_world, monkeypatch
+    ):
+        """A save that fails partway through its members leaves the earlier
+        checkpoint at its path byte for byte, and no temporary file."""
+        params = init_params(4, 5, 3, seed=0)
+        ckpt = Checkpoint(
+            params=params,
+            config={},
+            graph=small_world["graph"],
+            student_keys=("s0", "s1", "s2", "s3"),
+            exercise_keys=("e0", "e1", "e2", "e3", "e4"),
+            concept_keys=("c0", "c1", "c2"),
+            epoch=1,
+            opt=AdamState.fresh(params),
+        )
+        path = tmp_path / "ck.npz"
+        save_checkpoint(path, ckpt)
+        with np.load(path) as data:
+            first = {name: data[name].tobytes() for name in data.files}
+
+        write_array, calls = np.lib.format.write_array, []
+
+        def failing_write_array(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise OSError("injected at the third member")
+            return write_array(*args, **kwargs)
+
+        monkeypatch.setattr(np.lib.format, "write_array", failing_write_array)
+        later = dataclasses.replace(ckpt, params=init_params(4, 5, 3, seed=1), epoch=2)
+        with pytest.raises(OSError, match="injected"):
+            save_checkpoint(path, later)
+        monkeypatch.undo()
+        assert len(calls) == 3
+        assert load_checkpoint(path).epoch == 1
+        with np.load(path) as data:
+            assert {name: data[name].tobytes() for name in data.files} == first
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.npz"]
 
     def test_rebuilds_graph_and_qmatrix(self, tmp_path, small_world):
         g, q = small_world["graph"], small_world["q"]

@@ -506,7 +506,7 @@ class TestFit:
         monkeypatch.setattr(trainkit, "dataset_stats", nan_density)
         with pytest.raises(ValueError, match="not JSON compliant"):
             fit(self.config(), *small_files, tmp_path / "run")
-        assert not (tmp_path / "run" / "stats.json").exists()
+        assert not (tmp_path / "run").exists()
 
     def test_ids_with_comma_and_quote_survive_fit_and_eval(self, small_files, tmp_path):
         rp, qp = small_files
@@ -768,19 +768,7 @@ class TestFit:
         """A step of epoch 2 runs its Adam update and then diverges: the
         rescue checkpoint holds epoch 1's parameters, moments and step, not
         the state that update left behind."""
-        epochs = []
-
-        def recording_epoch(params, split, train_set, config, epoch, opt):
-            epochs.append(epoch)
-            return train_epoch(params, split, train_set, config, epoch, opt)
-
-        def diverging_adam(params, grads, state, config):
-            adam_step(params, grads, state, config)
-            if epochs[-1] == 2:
-                raise FloatingPointError("injected after an epoch-2 Adam step")
-
-        monkeypatch.setattr(trainkit, "train_epoch", recording_epoch)
-        monkeypatch.setattr(trainkit, "adam_step", diverging_adam)
+        diverge_after_an_adam_step(monkeypatch, 2)
         rp, qp = small_files
         with pytest.raises(TrainingDiverged, match="epoch 2: injected"):
             fit(self.config(epochs=3, checkpoint_every=1), rp, qp, tmp_path / "run")
@@ -797,3 +785,61 @@ class TestFit:
                 a, b = want[name], got[name]
                 assert a.dtype == b.dtype and a.shape == b.shape, name
                 assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("fail_epoch", [2, 3])
+    def test_a_resumed_run_that_diverges_saves_its_last_good_epoch_bitwise(
+        self, small_files, tmp_path, monkeypatch, fail_epoch
+    ):
+        """A run resumed from epoch 1 diverges after an Adam step of
+        `fail_epoch`. The rescue holds epoch fail_epoch - 1 bitwise: the
+        resumed run's own checkpoint of it, and the state the uninterrupted
+        run had there; in the first resumed epoch, the loaded state."""
+        rp, qp = small_files
+        head = tmp_path / "head"
+        fit(self.config(epochs=3, checkpoint_every=1), rp, qp, head)
+        epochs = diverge_after_an_adam_step(monkeypatch, fail_epoch)
+        tail = tmp_path / "tail"
+        with pytest.raises(TrainingDiverged, match=f"epoch {fail_epoch}: injected"):
+            fit(
+                self.config(epochs=4, checkpoint_every=1), rp, qp, tail,
+                resume_from=head / "checkpoint_ep1.npz",
+            )
+        assert epochs[0] == 2
+        good = fail_epoch - 1
+        rescue = npz_members(tail / "checkpoint_diverged.npz")
+        if good > 1:
+            assert rescue == npz_members(tail / f"checkpoint_ep{good}.npz")
+        first = npz_members(head / f"checkpoint_ep{good}.npz")
+        assert rescue.keys() == first.keys()
+        for name in first.keys() - {"meta"}:
+            assert rescue[name] == first[name], name
+        got = load_checkpoint(tail / "checkpoint_diverged.npz")
+        want = load_checkpoint(head / f"checkpoint_ep{good}.npz")
+        assert (got.epoch, got.opt.step) == (want.epoch, want.opt.step)
+        assert got.epoch == good and got.opt.step > 0
+
+
+def npz_members(path) -> dict[str, tuple]:
+    """Each member of an npz file: its dtype, shape and bytes."""
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    return {name: (a.dtype, a.shape, a.tobytes()) for name, a in arrays.items()}
+
+
+def diverge_after_an_adam_step(monkeypatch, fail_epoch: int) -> list[int]:
+    """Make fit's first Adam step of epoch `fail_epoch` raise once it has
+    updated the parameters; returns the epochs fit enters, as it enters them."""
+    epochs = []
+
+    def recording_epoch(params, split, train_set, config, epoch, opt):
+        epochs.append(epoch)
+        return train_epoch(params, split, train_set, config, epoch, opt)
+
+    def diverging_adam(params, grads, state, config):
+        adam_step(params, grads, state, config)
+        if epochs[-1] == fail_epoch:
+            raise FloatingPointError(f"injected after an epoch-{fail_epoch} Adam step")
+
+    monkeypatch.setattr(trainkit, "train_epoch", recording_epoch)
+    monkeypatch.setattr(trainkit, "adam_step", diverging_adam)
+    return epochs
