@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import QMatrix, ResponseSet
+from .corpus import QMatrix, ResponseSet, distinct_ids
 
 DIRECTIONS = ("e2s", "s2e", "c2e", "e2c")
 
@@ -88,7 +88,7 @@ class DirectedSplit:
 
 def _distinct_pairs(a: np.ndarray, b: np.ndarray, n_b: int) -> np.ndarray:
     """The distinct (a, b) pairs as an (n, 2) array sorted by a, then b."""
-    return np.stack(np.divmod(np.unique(a * n_b + b), n_b), axis=1)
+    return np.stack(np.divmod(distinct_ids(a * n_b + b), n_b), axis=1)
 
 
 def build_relation_graph(train: ResponseSet, q: QMatrix) -> RelationGraph:
@@ -105,7 +105,7 @@ def build_relation_graph(train: ResponseSet, q: QMatrix) -> RelationGraph:
         )
     covered = np.zeros(train.n_exercises, dtype=bool)
     covered[q.exercises] = True
-    uncovered = np.unique(train.exercises[~covered[train.exercises]])
+    uncovered = distinct_ids(train.exercises[~covered[train.exercises]])
     if len(uncovered):
         raise ValueError(f"{len(uncovered)} train exercises missing from the Q-matrix")
 

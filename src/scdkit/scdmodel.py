@@ -159,7 +159,8 @@ def init_params(
 
 def _check_rows(rows, split: DirectedSplit) -> tuple[np.ndarray, ...]:
     """`rows` as two intp arrays; ValueError unless each holds distinct
-    student or exercise ids in range, sorted, as `np.unique` returns them."""
+    student or exercise ids in range, sorted, as `corpus.distinct_ids`
+    returns them."""
     checked = []
     counts = split.e2s.n_heads, split.s2e.n_heads
     for ids, n, what in zip(rows, counts, ("students", "exercises")):
@@ -197,15 +198,16 @@ def gcn_forward(
     Pass `nodes` (from ModelParams.wrap()) to share leaves across several
     forwards of one training step; omit it for standalone inference.
 
-    `rows = (students, exercises)`, sorted distinct ids as `np.unique`
-    returns them (ValueError otherwise), names the final rows the caller
-    reads in each copy; None means every row. With `rows`, the last layer is
-    computed for those rows only: the final states hold `copies * len(ids)`
-    rows in copy-then-id order (`NodeStates`), the last layer aggregates only
-    the edges into them and its `attention` covers only those edges, and no
-    final concept state is made (no loss reads one). Those rows, and the
-    gradients of a loss that reads them, are bit-identical to the full
-    forward's at the same rows. Earlier layers are always full.
+    `rows = (students, exercises)`, sorted distinct ids as
+    `corpus.distinct_ids` returns them (ValueError otherwise), names the
+    final rows the caller reads in each copy; None means every row. With
+    `rows`, the last layer is computed for those rows only: the final states
+    hold `copies * len(ids)` rows in copy-then-id order (`NodeStates`), the
+    last layer aggregates only the edges into them and its `attention`
+    covers only those edges, and no final concept state is made (no loss
+    reads one). Those rows, and the gradients of a loss that reads them, are
+    bit-identical to the full forward's at the same rows. Earlier layers are
+    always full.
     """
     if nodes is None:
         nodes = params.wrap()

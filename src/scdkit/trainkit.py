@@ -25,6 +25,7 @@ import numpy as np
 from .corpus import (
     ResponseSet,
     dataset_stats,
+    distinct_ids,
     filter_min_interactions,
     load_qmatrix,
     load_responses,
@@ -196,16 +197,17 @@ def _train_step(
     contrastive term and logs 0.0 for this step.
 
     The step's whole graph lives in this frame's locals, so none of it is
-    reachable once the step returns. The model and loss functions are looked
-    up as module globals on every call.
+    reachable once the step returns. No local holds a forward's `NodeStates`:
+    each aggregate's attention weights are then held by its backward rule
+    alone, and the walk frees them as it passes. The model and loss functions
+    are looked up as module globals on every call.
     """
     b_students = train_set.students[batch]
     b_exercises = train_set.exercises[batch]
-    rows = (np.unique(b_students), np.unique(b_exercises))
+    rows = (distinct_ids(b_students), distinct_ids(b_exercises))
 
     nodes = params.wrap()
-    states = gcn_forward(params, split, nodes=nodes, rows=rows)
-    diag = diagnose(states, nodes)
+    diag = diagnose(gcn_forward(params, split, nodes=nodes, rows=rows), nodes)
     y = predict(diag, nodes, split, b_students, b_exercises)
     l_main = main_loss(y, train_set.scores[batch])
 
@@ -213,6 +215,7 @@ def _train_step(
     if views is not None:
         union = gcn_forward(params, split, view=views, nodes=nodes, rows=rows)
         l_ssl_s, l_ssl_e = ssl_loss(union, config.tau, include_positive=config.include_positive)
+        del union
 
     total, breakdown = total_loss(
         l_main, l_ssl_s, l_ssl_e, nodes, config.lambda1, config.lambda2, config.tau

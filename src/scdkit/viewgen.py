@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import distinct_ids
 from .relgraph import Adjacency, DirectedSplit
 
 
@@ -86,7 +87,7 @@ def retention_prob(t: float, p_min: float) -> float:
 def _edge_probs(adj: Adjacency, p: DropoutParams) -> np.ndarray:
     degrees = adj.indegrees()
     lookup = np.zeros(int(degrees.max(initial=0)) + 1)
-    for d in np.unique(degrees[degrees > 0]):
+    for d in distinct_ids(degrees[degrees > 0]):
         lookup[d] = retention_prob(edge_importance(int(d), p), p.p_min)
     return lookup[degrees[adj.heads]]
 

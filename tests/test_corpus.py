@@ -10,6 +10,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scdkit import corpus
 from scdkit.corpus import (
@@ -17,6 +18,7 @@ from scdkit.corpus import (
     ResponseFormatError,
     ResponseSet,
     dataset_stats,
+    distinct_ids,
     filter_min_interactions,
     load_qmatrix,
     load_responses,
@@ -109,6 +111,38 @@ class TestLoadQMatrix:
         c2e = directed_split(build_relation_graph(small_responses(), small_qmatrix())).c2e
         npt.assert_array_equal(c2e.tails[c2e.heads == 3], [0, 1])
         npt.assert_array_equal(c2e.indegrees(), [1, 1, 1, 2, 1])
+
+
+ID_DTYPES = [np.int8, np.int32, np.int64, np.intp, np.uint8, np.uint64]
+
+
+class TestDistinctIds:
+    @pytest.mark.parametrize("dtype", ID_DTYPES)
+    @pytest.mark.parametrize(
+        "ids",
+        [[], [4], [4, 4, 4], [3, 1, 3, 3, 1, 0, 3, 3, 1]],
+        ids=["empty", "single", "all-equal", "duplicates"],
+    )
+    def test_the_edge_cases_equal_np_unique(self, ids, dtype):
+        ids = np.array(ids, dtype=dtype)
+        got, want = distinct_ids(ids), np.unique(ids)
+        assert got.dtype == want.dtype
+        npt.assert_array_equal(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dtype=st.sampled_from(ID_DTYPES), data=st.data())
+    def test_equals_np_unique_in_values_and_dtype(self, dtype, data):
+        values = hnp.from_dtype(np.dtype(dtype))
+        pool = data.draw(st.lists(values, min_size=1, max_size=4))  # few values: many duplicates
+        ids = data.draw(
+            st.one_of(
+                hnp.arrays(dtype, st.integers(0, 60), elements=values),
+                st.lists(st.sampled_from(pool), max_size=60).map(lambda v: np.array(v, dtype)),
+            )
+        )
+        got, want = distinct_ids(ids), np.unique(ids)
+        assert got.dtype == want.dtype
+        npt.assert_array_equal(got, want)
 
 
 class TestFilterMinInteractions:

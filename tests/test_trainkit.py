@@ -373,6 +373,36 @@ class TestStepGraphLifetime:
             assert len(interior) > 20
             assert all(node.value is None for node in interior if node is not root)
 
+    @pytest.mark.parametrize("mode", ["scd", "supervised-only"])
+    def test_attention_weights_die_during_the_backward_walk(self, monkeypatch, mode):
+        # nothing but an aggregate's rule holds its weights when the walk
+        # starts, so they are freed with the rule, before the step returns
+        train, q = small_responses(), small_qmatrix()
+        split = directed_split(build_relation_graph(train, q))
+        params = init_params(4, 5, 3, seed=0)
+        weights = []  # weak references to the running step's attention arrays
+        recorded, alive = [], []
+        walk = DiffNode.backward
+
+        def recording_forward(*args, **kwargs):
+            states = gcn_forward(*args, **kwargs)
+            weights.extend(weakref.ref(a) for arrays in states.attention.values() for a in arrays)
+            return states
+
+        def checked_backward(node):
+            walk(node)
+            recorded.append(len(weights))
+            alive.append(sum(ref() is not None for ref in weights))
+            weights.clear()
+
+        monkeypatch.setattr(trainkit, "gcn_forward", recording_forward)
+        monkeypatch.setattr(DiffNode, "backward", checked_backward)
+        cfg = TrainConfig(epochs=1, mode=mode, batch_size=4)
+        train_epoch(params, split, train, cfg, 1, AdamState.fresh(params))
+        forwards = 2 if mode == "scd" else 1
+        assert recorded == [forwards * 4 * params.n_layers] * 3
+        assert alive == [0, 0, 0]
+
     def test_backward_peak_memory_stays_under_its_bound(self, monkeypatch, tmp_path):
         # one step on a 400x40x8 graph: holding every tape value until the
         # walk ends peaks 0.32 MB above the memory held when backward starts,
