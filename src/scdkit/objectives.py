@@ -5,12 +5,9 @@ Each loss term is one tape node with a hand-written backward: `main_loss`,
 `infonce`, the regularizer (`dc.l2_norm_sq` over every parameter) and their
 weighted sum, `total_loss`.
 
-The contrastive term treats the two representations of one node under the
-two views as the positive pair and, by default, puts ONLY the other nodes'
-representations in the denominator (the positive pair is excluded); with
-that convention the per-node term can go negative. Set
-`include_positive=True` for the more common variant that keeps the positive
-in the denominator.
+The contrastive term pairs one node's representations under the two views
+and puts only the other nodes' in the denominator, as the decoupled
+contrastive loss does, so the per-node term can go negative.
 """
 
 from __future__ import annotations
@@ -47,15 +44,15 @@ def main_loss(y: DiffNode, labels: np.ndarray) -> DiffNode:
     return DiffNode(value, (y,), backward)
 
 
-def infonce(z: DiffNode, tau: float, include_positive: bool = False) -> DiffNode:
+def infonce(z: DiffNode, tau: float) -> DiffNode:
     """Mean contrastive loss between the two halves of `z`, whose row i and
     row n + i are node i under two views, as a two-copy union stacks them.
 
     Per node i: -log( exp(cos(z1_i, z2_i)/tau) / sum_j exp(cos(z1_i, z2_j)/tau) ),
-    where j ranges over the other nodes only unless `include_positive`.
+    where j ranges over the other nodes only.
     One node normalizes the rows (one whose norm is below EPS_GUARD is divided
     by EPS_GUARD, so its cosines are 0), keeps the n x n exponentials (diagonal
-    zeroed unless `include_positive`) and returns one gradient for all 2n rows.
+    zeroed) and returns one gradient for all 2n rows.
     More than INFONCE_MAX_ROWS nodes are refused before anything n x n exists.
     """
     if tau <= 0:
@@ -75,8 +72,7 @@ def infonce(z: DiffNode, tau: float, include_positive: bool = False) -> DiffNode
     u1, u2 = u[:n], u[n:]
     inv_tau = 1.0 / tau
     e = np.exp((u1 @ u2.T) * inv_tau)
-    if not include_positive:
-        np.fill_diagonal(e, 0.0)
+    np.fill_diagonal(e, 0.0)
     denom = e.sum(axis=1)
     value = (np.log(denom) - (u1 * u2).sum(axis=1) * inv_tau).mean()
 
@@ -93,16 +89,14 @@ def infonce(z: DiffNode, tau: float, include_positive: bool = False) -> DiffNode
     return DiffNode(value, (z,), backward)
 
 
-def ssl_loss(
-    union: NodeStates, tau: float, include_positive: bool = False
-) -> tuple[DiffNode | None, DiffNode | None]:
+def ssl_loss(union: NodeStates, tau: float) -> tuple[DiffNode | None, DiffNode | None]:
     """Contrastive loss of a two-copy union's final student rows and of its
     final exercise rows, each copy's row i paired with the other's; None for
     a side whose copies hold fewer than 2 rows, which has no negatives."""
     if union.copies != 2:
         raise ValueError(f"ssl_loss contrasts the two copies of a view union, got {union.copies}")
     return tuple(
-        infonce(z, tau, include_positive) if len(z.value) >= 4 else None
+        infonce(z, tau) if len(z.value) >= 4 else None
         for z in (union.final_students, union.final_exercises)
     )
 

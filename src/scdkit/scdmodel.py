@@ -422,9 +422,9 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 def _named_arrays(data, prefix: str, shapes: dict, what: str) -> dict:
     """The `prefix<name>` arrays of `data`: exactly the names of `shapes`, with
-    those shapes and finite entries, except that an older (2d, 1) attention
-    array is cut to its neighbor half, which is all of it that ever reached
-    the output."""
+    those shapes and finite float64 entries, except that an older (2d, 1)
+    attention array is cut to its neighbor half, which is all of it that ever
+    reached the output."""
     stored = {k[len(prefix) :] for k in data.files if k.startswith(prefix)}
     if stored != set(shapes):
         raise ValueError(
@@ -434,6 +434,8 @@ def _named_arrays(data, prefix: str, shapes: dict, what: str) -> dict:
     arrays = {}
     for name, shape in shapes.items():
         arr = data[prefix + name]
+        if arr.dtype != np.float64:
+            raise ValueError(f"array {prefix}{name} has dtype {arr.dtype}, expected float64")
         if name.startswith("attn") and arr.shape == (2 * shape[0], 1):
             arr = arr[shape[0] :]
         if arr.shape != shape:
@@ -486,9 +488,10 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint. With `optimizer=False`
     no Adam moment is read, stored or not, and `opt` is None: scoring needs
     only the parameters, graph and key maps. A damaged checkpoint (a missing
-    or garbled member or meta key, a meta field `_check_meta` refuses, a
-    wrong-shaped array or a read one with a NaN or infinite entry, or a pair
-    list that `directed_split` refuses) raises a ValueError naming the file."""
+    or garbled member or meta key, a meta field `_check_meta` refuses, a read
+    array of the wrong shape, of a dtype other than float64 or with a NaN or
+    infinite entry, or a pair list that is not of integers or that
+    `directed_split` refuses) raises a ValueError naming the file."""
     with _open_checkpoint(path) as data:
         try:
             meta = json.loads(str(data["meta"]))
@@ -503,6 +506,10 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
                     step=meta["step"],
                 )
             graph = RelationGraph(data["se_edges"], data["ec_edges"], *meta["counts"])
+            for name in ("se_edges", "ec_edges"):
+                dtype = getattr(graph, name).dtype
+                if dtype.kind not in "iu":  # directed_split's cast would truncate floats
+                    raise ValueError(f"array {name} has dtype {dtype}, expected integers")
             directed_split(graph)  # refuses out-of-order or out-of-range pair lists
             return Checkpoint(
                 params=params,

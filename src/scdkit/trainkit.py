@@ -89,7 +89,6 @@ class TrainConfig:
     mode: str = "scd"
     min_interactions: int = 5
     train_ratio: float = 0.8
-    include_positive: bool = False
     checkpoint_every: int = 0
 
     def __post_init__(self):
@@ -103,9 +102,6 @@ class TrainConfig:
             raise ValueError("epochs, batch_size and n_layers must be >= 1")
         if self.master_seed < 0 or self.min_interactions < 0:
             raise ValueError("master_seed and min_interactions must be >= 0")
-        if not isinstance(self.include_positive, bool):
-            got = self.include_positive
-            raise ValueError(f"include_positive must be true or false, got {got!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         require_finite(self, ("learning_rate", "tau", "lambda1", "lambda2", "train_ratio"))
@@ -134,8 +130,9 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
-        dropout = DropoutParams.from_dict(raw)
-        raw = {k: v for k, v in raw.items() if k not in DropoutParams.__dataclass_fields__}
+        dropout_keys = DropoutParams.__dataclass_fields__
+        dropout = DropoutParams(**{k: raw[k] for k in dropout_keys if k in raw})
+        raw = {k: v for k, v in raw.items() if k not in dropout_keys}
         known = {f for f in cls.__dataclass_fields__ if f != "dropout"}
         unknown = set(raw) - known
         if unknown:
@@ -214,7 +211,7 @@ def _train_step(
     l_ssl_s = l_ssl_e = None
     if views is not None:
         union = gcn_forward(params, split, view=views, nodes=nodes, rows=rows)
-        l_ssl_s, l_ssl_e = ssl_loss(union, config.tau, include_positive=config.include_positive)
+        l_ssl_s, l_ssl_e = ssl_loss(union, config.tau)
         del union
 
     total, breakdown = total_loss(

@@ -49,12 +49,6 @@ class DropoutParams:
         if not 0.0 < self.p_min <= 1.0:
             raise ValueError("p_min must lie in (0, 1]")
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "DropoutParams":
-        """Read k, theta and p_min from a flat config; absent keys keep their
-        defaults and other keys are ignored."""
-        return cls(**{name: raw[name] for name in cls.__dataclass_fields__ if name in raw})
-
 
 @dataclass(frozen=True, eq=False)
 class View:

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 import zipfile
 
@@ -27,6 +28,25 @@ def pytest_terminal_summary(terminalreporter):
     for name, outcome in _acceptance_results:
         verdict = "PASS" if outcome == "passed" else "FAIL"
         terminalreporter.write_line(f"{verdict}  {name}")
+
+
+def brute_infonce(z1, z2, tau):
+    """`objectives.infonce` of the views `z1` and `z2` as a double loop on
+    plain floats: per node i, -log(exp(cos(z1_i, z2_i) / tau) over the sum
+    of exp(cos(z1_i, z2_j) / tau) for j != i), averaged. An all-zero row has
+    cosine 0 with every row."""
+
+    def cos(u, v):
+        norms = np.linalg.norm(u) * np.linalg.norm(v)
+        return float(np.dot(u, v) / norms) if norms else 0.0
+
+    n = len(z1)
+    total = 0.0
+    for i in range(n):
+        pos = math.exp(cos(z1[i], z2[i]) / tau)
+        denom = sum(math.exp(cos(z1[i], z2[j]) / tau) for j in range(n) if j != i)
+        total += -math.log(pos / denom)
+    return total / n
 
 
 def seeded_sum(node, g) -> dc.DiffNode:

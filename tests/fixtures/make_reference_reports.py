@@ -10,16 +10,23 @@ For each S fit of make_reference_losses.py (a 6-epoch default `fit` on
 - the `case_study` tables for the checkpoint's first two students and first
   two exercises, scored against that test.csv;
 - `retention_table` of its train graph at the default dropout, 50 draws from
-  `np.random.default_rng(0)`.
+  `np.random.default_rng(0)`;
+- the checkpoint's final parameters and both Adam moments, each array whole,
+  and the Adam step;
+- per epoch, each of its two views' kept e2s and s2e edge counts and the
+  sha256 of `np.packbits` of each mask, as `trainkit._epoch_views` draws
+  them (null for supervised-only, which draws none).
 
 `tests/test_reference_reports.py` recomputes them and compares floats within
-the reference losses' relative tolerance, and ids, counts and flags exactly.
+the reference losses' relative tolerance, and ids, counts, flags and digests
+exactly.
 Write the file again only for a change that moves results by design, and
 give the old and new values with it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import platform
 import tempfile
 from pathlib import Path
@@ -31,8 +38,8 @@ from scdkit.corpus import load_responses
 from scdkit.evalkit import align_responses, case_study, evaluate_checkpoint
 from scdkit.relgraph import directed_split
 from scdkit.scdmodel import load_checkpoint
-from scdkit.trainkit import MODES, TrainConfig, fit
-from scdkit.viewgen import DropoutParams, retention_table
+from scdkit.trainkit import MODES, TrainConfig, _epoch_views, fit
+from scdkit.viewgen import DropoutParams, View, retention_table
 
 PATH = Path(__file__).with_name("reference_reports.json")
 RETENTION_DRAWS = 50
@@ -41,6 +48,7 @@ COLUMNS = {
     "per_student": ["student", "n_train", "acc", "rmse"],
     "outcomes": ["student", "exercise", "score", "consistent"],
     "retention": ["degree", "importance", "retention_p", "empirical"],
+    "views": ["kept_e2s", "e2s_sha256", "kept_s2e", "s2e_sha256"],
 }
 
 
@@ -48,19 +56,33 @@ def _finite_or_none(x: float) -> float | None:
     return x if np.isfinite(x) else None
 
 
+def _view_rows(views: View) -> list[list]:
+    """Per view of a stacked pair: its kept e2s and s2e counts and the sha256
+    of each mask's packed bits."""
+    return [
+        [
+            value
+            for mask in (e2s, s2e)
+            for value in (int(mask.sum()), hashlib.sha256(np.packbits(mask)).hexdigest())
+        ]
+        for e2s, s2e in zip(views.kept_e2s, views.kept_s2e)
+    ]
+
+
 def s_fit_reports(workdir: Path, mode: str) -> dict:
-    """The report, case study and retention table of the S fit in `mode`."""
+    """The report, case study, retention table, final state and view masks
+    of the S fit in `mode`."""
     responses, qmatrix = _write_data(workdir / "data", S_DATA)
     result = fit(TrainConfig(epochs=S_EPOCHS, mode=mode), responses, qmatrix, workdir / mode)
     report = evaluate_checkpoint(result.checkpoint_path, result.test_path)
-    ckpt = load_checkpoint(result.checkpoint_path, optimizer=False)
+    ckpt = load_checkpoint(result.checkpoint_path)
     test_set = align_responses(
         load_responses(result.test_path), ckpt.student_keys, ckpt.exercise_keys
     )
     study = case_study(ckpt, ckpt.student_keys[:2], ckpt.exercise_keys[:2], test_set)
-    retention = retention_table(
-        directed_split(ckpt.graph), DropoutParams(), RETENTION_DRAWS, np.random.default_rng(0)
-    )
+    split = directed_split(ckpt.graph)
+    retention = retention_table(split, DropoutParams(), RETENTION_DRAWS, np.random.default_rng(0))
+    epoch_views = [_epoch_views(split, result.config, e) for e in range(1, S_EPOCHS + 1)]
     return {
         "report": {
             "acc": report.acc,
@@ -86,6 +108,13 @@ def s_fit_reports(workdir: Path, mode: str) -> dict:
             ],
         },
         "retention": [[row[c] for c in COLUMNS["retention"]] for row in retention],
+        "params": {name: arr.tolist() for name, arr in ckpt.params.items()},
+        "adam": {
+            "step": ckpt.opt.step,
+            "m": {name: arr.tolist() for name, arr in ckpt.opt.m.items()},
+            "v": {name: arr.tolist() for name, arr in ckpt.opt.v.items()},
+        },
+        "views": None if epoch_views[0] is None else [_view_rows(v) for v in epoch_views],
     }
 
 
@@ -108,6 +137,7 @@ def main() -> None:
             + f"TrainConfig(epochs={S_EPOCHS}, mode=<run name>)",
             "case_study": "the checkpoint's first two student and exercise keys, test.csv",
             "retention": f"DropoutParams(), {RETENTION_DRAWS} draws, np.random.default_rng(0)",
+            "views": f"trainkit._epoch_views of epochs 1-{S_EPOCHS}, two rows per epoch",
             "columns": COLUMNS,
             "fits": fits,
         },

@@ -206,14 +206,27 @@ class TestTrain:
         assert "error:" in err and out == ""
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("pair", ["beta1=0.9", "beta2=0.999", "adam_eps=1e-8"])
-    def test_adam_constants_are_unknown_keys_refused_before_any_output(
-        self, capsys, data_dir, tmp_path, pair
+    @pytest.mark.parametrize(
+        "flag, pair",
+        [
+            ("--override", "beta1=0.9"), ("--override", "beta2=0.999"),
+            ("--override", "adam_eps=1e-8"),
+            ("--override", "include_positive=false"), ("--override", "include_positive=true"),
+            ("--config", "include_positive=false"), ("--config", "include_positive=true"),
+        ],
+    )
+    def test_retired_keys_are_unknown_keys_refused_before_any_output(
+        self, capsys, data_dir, tmp_path, flag, pair
     ):
+        key, _, value = pair.partition("=")
+        if flag == "--config":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({key: json.loads(value)}), encoding="utf-8")
+            pair = str(config)
         out_dir = tmp_path / "run"
-        code, out, err = run(capsys, *train_args(data_dir, out_dir, "--override", pair))
+        code, out, err = run(capsys, *train_args(data_dir, out_dir, flag, pair))
         assert code == 2 and out == ""
-        assert f"error: unknown config keys: ['{pair.partition('=')[0]}']" in err
+        assert f"error: unknown config keys: ['{key}']" in err
         assert not out_dir.exists()
 
     def test_oversized_field_names_its_line(self, capsys, data_dir, tmp_path):
@@ -464,6 +477,7 @@ NOT_A_CHECKPOINT = {
     "extra student key": "meta student_keys must be 30 distinct strings",
     "repeated student key": "meta student_keys must be 30 distinct strings",
     "all-NaN w_predict": "array p__w_predict holds a non-finite value",
+    "float pair list": "array se_edges has dtype float64, expected integers",
 }
 
 
@@ -497,6 +511,8 @@ class TestNotACheckpoint:
             meta = json.loads(str(arrays["meta"]))
             if kind == "student id too large":  # the last pair: still sorted
                 arrays["se_edges"][-1, 0] = 999
+            elif kind == "float pair list":  # the ids truncate back to the stored ones
+                arrays["se_edges"] = arrays["se_edges"] + 0.4
             elif kind == "negative concept id":  # the first pair: still sorted
                 arrays["ec_edges"][0, 1] = -1
             else:

@@ -10,29 +10,8 @@ from scdkit.objectives import LossBreakdown, infonce, main_loss, ssl_loss, total
 from scdkit.relgraph import directed_split
 from scdkit.scdmodel import NodeStates, gcn_forward, init_params
 from scdkit.viewgen import View
-from conftest import grad_check, small_qmatrix, small_responses, stack_copies
+from conftest import brute_infonce, grad_check, small_qmatrix, small_responses, stack_copies
 from scdkit.relgraph import build_relation_graph
-
-
-def brute_infonce(z1, z2, tau, include_positive=False):
-    """Double-loop reference implementation on plain floats; an all-zero row
-    has cosine 0 with every row."""
-
-    def cos(u, v):
-        norms = np.linalg.norm(u) * np.linalg.norm(v)
-        return float(np.dot(u, v) / norms) if norms else 0.0
-
-    n = len(z1)
-    total = 0.0
-    for i in range(n):
-        pos = math.exp(cos(z1[i], z2[i]) / tau)
-        denom = 0.0
-        for j in range(n):
-            if j == i and not include_positive:
-                continue
-            denom += math.exp(cos(z1[i], z2[j]) / tau)
-        total += -math.log(pos / denom)
-    return total / n
 
 
 def stacked(z1, z2) -> dc.DiffNode:
@@ -131,14 +110,13 @@ class TestInfonce:
         val = infonce(stacked(z1, z2), tau=1e9).item()
         assert val == pytest.approx(math.log(2), abs=1e-6)
 
-    @pytest.mark.parametrize("include_positive", [False, True])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_brute_force(self, seed, include_positive):
+    def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
         z1 = rng.normal(size=(50, 8))
         z2 = rng.normal(size=(50, 8))
-        got = infonce(stacked(z1, z2), tau=0.5, include_positive=include_positive).item()
-        want = brute_infonce(z1, z2, 0.5, include_positive)
+        got = infonce(stacked(z1, z2), tau=0.5).item()
+        want = brute_infonce(z1, z2, 0.5)
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_ssl_loss_contrasts_the_read_rows_of_each_copy(self):
@@ -161,8 +139,7 @@ class TestInfonce:
             with pytest.raises(ValueError, match="two stacked views"):
                 infonce(dc.param(np.ones(shape)), 0.5)
 
-    @pytest.mark.parametrize("include_positive", [False, True])
-    def test_an_all_zero_row_has_zero_cosines_and_the_guarded_gradient(self, include_positive):
+    def test_an_all_zero_row_has_zero_cosines_and_the_guarded_gradient(self):
         # below EPS_GUARD a row is divided by EPS_GUARD, not by its norm: its
         # cosines are 0 and its gradient is that of the linear map z / EPS_GUARD
         rng = np.random.default_rng(13)
@@ -171,30 +148,29 @@ class TestInfonce:
         z2[3] = 0.0
 
         z = np.vstack([z1, z2])
-        want = brute_infonce(z1, z2, 0.5, include_positive)
-        assert infonce(dc.param(z), 0.5, include_positive).item() == pytest.approx(want, abs=1e-12)
+        want = brute_infonce(z1, z2, 0.5)
+        assert infonce(dc.param(z), 0.5).item() == pytest.approx(want, abs=1e-12)
         leaf = dc.param(z)
-        infonce(leaf, 0.5, include_positive).backward()
+        infonce(leaf, 0.5).backward()
         assert np.isfinite(leaf.grad).all()
         for i in np.ndindex(z.shape):
             h = 1e-18 if i[0] in (1, 7) else 1e-6  # inside the guard at the zero rows
             orig = z[i]
             z[i] = orig + h
-            f_plus = infonce(dc.param(z), 0.5, include_positive).item()
+            f_plus = infonce(dc.param(z), 0.5).item()
             z[i] = orig - h
-            f_minus = infonce(dc.param(z), 0.5, include_positive).item()
+            f_minus = infonce(dc.param(z), 0.5).item()
             z[i] = orig
             numeric = (f_plus - f_minus) / (2 * h)
             assert abs(leaf.grad[i] - numeric) <= 1e-6 * max(1.0, abs(numeric)), i
         assert np.abs(leaf.grad[1]).max() > 1e6  # the guarded row is steep
 
-    @pytest.mark.parametrize("include_positive", [False, True])
-    def test_gradient_against_finite_difference(self, include_positive):
+    def test_gradient_against_finite_difference(self):
         rng = np.random.default_rng(11)
         x = {"z": np.vstack([rng.normal(size=(5, 3)), rng.normal(size=(5, 3))])}
 
         def f(leaves):
-            return infonce(leaves["z"], tau=0.7, include_positive=include_positive)
+            return infonce(leaves["z"], tau=0.7)
 
         assert grad_check(f, x) < 1e-7
 

@@ -2,8 +2,8 @@
 
 `fixtures/reference_reports.json` is written by
 `fixtures/make_reference_reports.py`; read that script for what it holds.
-Floats agree within the reference losses' RTOL; ids, labels, counts, flags
-and the null of an empty bucket agree exactly.
+Floats agree within the reference losses' RTOL; ids, labels, counts, flags,
+mask digests and the null of an empty bucket agree exactly.
 """
 
 import json

@@ -1012,6 +1012,32 @@ class TestCheckpoint:
         else:  # scoring reads no moment
             assert load_checkpoint(path, optimizer=False).opt is None
 
+    @pytest.mark.parametrize(
+        "key, edit, want",
+        [
+            ("se_edges", lambda a: a + 0.4, "float64, expected integers"),
+            ("p__b_predict", lambda a: a.astype(np.complex128), "complex128, expected float64"),
+            ("m__student_emb", lambda a: a.astype(np.float32), "float32, expected float64"),
+        ],
+        ids=["float se_edges", "complex p__b_predict", "float32 m__student_emb"],
+    )
+    def test_a_member_of_the_wrong_dtype_names_the_file_and_the_array(
+        self, tmp_path, key, edit, want
+    ):
+        with np.load(FIXTURE) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays[key] = edit(arrays[key])
+        path = tmp_path / "retyped.npz"
+        np.savez(path, **arrays)
+        message = f"^{re.escape(f'{path}: array {key} has dtype {want}')}$"
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
+        if key.startswith("m__"):  # scoring reads no moment
+            assert load_checkpoint(path, optimizer=False).opt is None
+        else:
+            with pytest.raises(ValueError, match=message):
+                load_checkpoint(path, optimizer=False)
+
     def test_a_non_finite_meta_value_is_refused_before_writing(self, tmp_path, small_world):
         ckpt = Checkpoint(
             params=init_params(4, 5, 3, seed=0),

@@ -56,8 +56,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config"):
             TrainConfig.from_dict({"epocks": 3})
 
-    @pytest.mark.parametrize("key, value", [("beta1", 0.9), ("beta2", 0.999), ("adam_eps", 1e-8)])
-    def test_adam_constants_are_not_config_keys(self, key, value):
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("beta1", 0.9), ("beta2", 0.999), ("adam_eps", 1e-8),
+            ("include_positive", False), ("include_positive", True),
+        ],
+    )
+    def test_retired_keys_are_not_config_keys(self, key, value):
         with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
             TrainConfig.from_dict({key: value})
 
@@ -65,7 +71,7 @@ class TestConfig:
         assert sorted(TrainConfig().to_dict()) == sorted([
             "epochs", "batch_size", "learning_rate", "k", "theta", "p_min", "tau",
             "lambda1", "lambda2", "n_layers", "dim", "master_seed", "mode",
-            "min_interactions", "train_ratio", "include_positive", "checkpoint_every",
+            "min_interactions", "train_ratio", "checkpoint_every",
         ])
 
     def test_mode_and_bounds_validated(self):
@@ -75,12 +81,6 @@ class TestConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
-
-    @pytest.mark.parametrize("value", ["no", "false", 0.5, 2, 0, None])
-    def test_include_positive_must_be_a_bool(self, value):
-        with pytest.raises(ValueError, match="include_positive must be true or false"):
-            TrainConfig.from_dict({"include_positive": value})
-        assert TrainConfig(include_positive=True).include_positive is True
 
     def test_tau_whose_contrast_overflows_is_refused(self):
         smallest = 1.0 / trainkit.MAX_EXP_ARG
