@@ -52,7 +52,7 @@ def _load_config(args) -> tuple[dict, dict]:
     """Merge config file, --override pairs, and dedicated flags; returns
     (hyperparameter dict, path dict)."""
     raw: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             raw = json.loads(Path(args.config).read_text(encoding="utf-8-sig"))
         except json.JSONDecodeError as err:
@@ -63,15 +63,13 @@ def _load_config(args) -> tuple[dict, dict]:
             raise UsageError(f"{args.config}: not UTF-8 text at byte {err.start}") from None
         if not isinstance(raw, dict):
             raise UsageError(f"{args.config}: a config file must hold a JSON object")
-    for key, value in getattr(args, "override", None) or []:
+    for key, value in args.override or []:
         raw[key] = value
     paths = {k: raw.pop(k, None) for k in _PATH_KEYS}
     for k in _PATH_KEYS:
-        flag = getattr(args, k, None)
+        flag = getattr(args, k, None)  # viewgen-audit has no --output-dir
         if flag is not None:
             paths[k] = flag
-    if getattr(args, "seed", None) is not None:
-        raw["master_seed"] = args.seed
     return raw, paths
 
 
@@ -101,6 +99,8 @@ def cmd_stats(args) -> int:
 
 def cmd_train(args) -> int:
     raw, paths = _load_config(args)
+    if args.seed is not None:  # viewgen-audit's --seed seeds its draws, not the run
+        raw["master_seed"] = args.seed
     _require(paths, "responses", "qmatrix", "output_dir")
     config = _train_config(raw)
     result = fit(

@@ -27,14 +27,38 @@ DIRECTIONS = ("e2s", "s2e", "c2e", "e2c")
 class RelationGraph:
     """Edge lists of both subgraphs plus node counts (M students, N exercises, K concepts).
 
-    Each pair list strictly increases by first, then second element, and
-    names ids below the node counts; `directed_split` refuses any other list."""
+    Each pair list is an (n, 2) integer array that strictly increases by
+    first, then second element, and names ids below the node counts; a graph
+    is never built with any other list."""
 
     se_edges: np.ndarray  # (n_se, 2) distinct (student, exercise) pairs, lexsorted
     ec_edges: np.ndarray  # (n_ec, 2) distinct (exercise, concept) pairs, lexsorted
     n_students: int
     n_exercises: int
     n_concepts: int
+
+    def __post_init__(self):
+        _check_pairs(self.se_edges, "se_edges", (self.n_students, self.n_exercises))
+        _check_pairs(self.ec_edges, "ec_edges", (self.n_exercises, self.n_concepts))
+
+
+def _check_pairs(pairs: np.ndarray, name: str, counts: tuple[int, int]) -> None:
+    """ValueError naming the array unless `pairs` is an (n, 2) integer array
+    that strictly increases by first, then second element, with each
+    column's ids in [0, count)."""
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"array {name} has shape {pairs.shape}, expected (n, 2)")
+    if pairs.dtype.kind not in "iu":  # the split's intp cast would truncate floats
+        raise ValueError(f"array {name} has dtype {pairs.dtype}, expected integers")
+    first, second = pairs.astype(np.intp, copy=False).T  # the ids the split will hold
+    step = np.diff(first)
+    if ((step < 0) | ((step == 0) & (np.diff(second) <= 0))).any():
+        raise ValueError(f"{name} must be distinct pairs sorted by first, then second element")
+    for col, n, which in ((first, counts[0], "first"), (second, counts[1], "second")):
+        outside = (col < 0) | (col >= n)
+        if outside.any():
+            bad = int(col[outside][0])
+            raise ValueError(f"{name} names id {bad} in its {which} column, outside [0, {n})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,32 +138,12 @@ def build_relation_graph(train: ResponseSet, q: QMatrix) -> RelationGraph:
     return RelationGraph(se, ec, train.n_students, train.n_exercises, q.n_concepts)
 
 
-def _columns(
-    pairs: np.ndarray, name: str, counts: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The two columns of a pair list as contiguous intp arrays; ValueError
-    unless the pairs strictly increase by first, then second element, and
-    each column's ids lie in [0, count)."""
-    first, second = (np.ascontiguousarray(col, dtype=np.intp) for col in pairs.T)
-    step = np.diff(first)
-    if ((step < 0) | ((step == 0) & (np.diff(second) <= 0))).any():
-        raise ValueError(f"{name} must be distinct pairs sorted by first, then second element")
-    for col, n, which in ((first, counts[0], "first"), (second, counts[1], "second")):
-        outside = (col < 0) | (col >= n)
-        if outside.any():
-            bad = int(col[outside][0])
-            raise ValueError(f"{name} names id {bad} in its {which} column, outside [0, {n})")
-    return first, second
-
-
 def directed_split(g: RelationGraph) -> DirectedSplit:
     """Split each logical edge into its two directed counterparts: e2s and c2e
-    are the pair lists' columns as stored, s2e and e2c the same two arrays
-    with heads and tails swapped. ValueError naming the array if `se_edges`
-    or `ec_edges` is not strictly increasing by (first, second) or names an
-    id outside its node count."""
-    s, e = _columns(g.se_edges, "se_edges", (g.n_students, g.n_exercises))
-    ex, c = _columns(g.ec_edges, "ec_edges", (g.n_exercises, g.n_concepts))
+    are the pair lists' columns as stored, each a contiguous intp array, s2e
+    and e2c the same two arrays with heads and tails swapped."""
+    s, e = (np.ascontiguousarray(col, dtype=np.intp) for col in g.se_edges.T)
+    ex, c = (np.ascontiguousarray(col, dtype=np.intp) for col in g.ec_edges.T)
     return DirectedSplit(
         e2s=Adjacency(s, e, g.n_students),
         s2e=Adjacency(e, s, g.n_exercises),

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diffcore as dc
-from .relgraph import DIRECTIONS, DirectedSplit, RelationGraph, directed_split
+from .relgraph import DIRECTIONS, DirectedSplit, RelationGraph
 from .viewgen import View
 
 
@@ -490,8 +490,8 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
     only the parameters, graph and key maps. A damaged checkpoint (a missing
     or garbled member or meta key, a meta field `_check_meta` refuses, a read
     array of the wrong shape, of a dtype other than float64 or with a NaN or
-    infinite entry, or a pair list that is not of integers or that
-    `directed_split` refuses) raises a ValueError naming the file."""
+    infinite entry, or a pair list that `RelationGraph` refuses) raises a
+    ValueError naming the file."""
     with _open_checkpoint(path) as data:
         try:
             meta = json.loads(str(data["meta"]))
@@ -505,16 +505,10 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
                     v=_named_arrays(data, "v__", shapes, "Adam second-moment"),
                     step=meta["step"],
                 )
-            graph = RelationGraph(data["se_edges"], data["ec_edges"], *meta["counts"])
-            for name in ("se_edges", "ec_edges"):
-                dtype = getattr(graph, name).dtype
-                if dtype.kind not in "iu":  # directed_split's cast would truncate floats
-                    raise ValueError(f"array {name} has dtype {dtype}, expected integers")
-            directed_split(graph)  # refuses out-of-order or out-of-range pair lists
             return Checkpoint(
                 params=params,
                 config=meta["config"],
-                graph=graph,
+                graph=RelationGraph(data["se_edges"], data["ec_edges"], *meta["counts"]),
                 student_keys=tuple(meta["student_keys"]),
                 exercise_keys=tuple(meta["exercise_keys"]),
                 concept_keys=tuple(meta["concept_keys"]),

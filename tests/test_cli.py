@@ -185,16 +185,13 @@ class TestTrain:
     @pytest.mark.parametrize(
         "pair",
         [
-            "tau=0", "checkpoint_every=-1", "dim=0", "learning_rate=-1",
-            "beta1=1.0", "beta2=1.5", "beta1=-0.1", "adam_eps=0", "lambda1=-1", "lambda2=-1",
-            "train_ratio=1.0", "train_ratio=0", "n_layers=0", "min_interactions=-1",
-            "master_seed=-1", "batch_size=1.5", "epochs=2.5", "epochs=true", "dim=2.0",
-            "k=NaN", "theta=NaN",
-            "tau=Infinity", "k=Infinity", "theta=Infinity", "adam_eps=Infinity",
+            "tau=0", "checkpoint_every=-1", "dim=0", "learning_rate=-1", "lambda1=-1",
+            "lambda2=-1", "train_ratio=1.0", "train_ratio=0", "n_layers=0",
+            "min_interactions=-1", "master_seed=-1", "batch_size=1.5", "epochs=2.5",
+            "epochs=true", "dim=2.0", "k=NaN", "theta=NaN",
+            "tau=Infinity", "k=Infinity", "theta=Infinity",
             "learning_rate=Infinity", "lambda1=Infinity", "lambda2=Infinity",
             "tau=true", "k=true", "p_min=true", "lambda2=false", "tau=1e-3",
-            "include_positive=no", "include_positive=0.5", "include_positive=2",
-            "include_positive=null",
         ],
     )
     def test_out_of_range_value_is_refused_before_any_output(
@@ -213,6 +210,12 @@ class TestTrain:
             ("--override", "adam_eps=1e-8"),
             ("--override", "include_positive=false"), ("--override", "include_positive=true"),
             ("--config", "include_positive=false"), ("--config", "include_positive=true"),
+            # values once out of range: refused as unknown keys, whatever the value
+            ("--override", "beta1=1.0"), ("--override", "beta2=1.5"),
+            ("--override", "beta1=-0.1"), ("--override", "adam_eps=0"),
+            ("--override", "adam_eps=Infinity"), ("--override", "include_positive=no"),
+            ("--override", "include_positive=0.5"), ("--override", "include_positive=2"),
+            ("--override", "include_positive=null"),
         ],
     )
     def test_retired_keys_are_unknown_keys_refused_before_any_output(
@@ -478,6 +481,7 @@ NOT_A_CHECKPOINT = {
     "repeated student key": "meta student_keys must be 30 distinct strings",
     "all-NaN w_predict": "array p__w_predict holds a non-finite value",
     "float pair list": "array se_edges has dtype float64, expected integers",
+    "wrong-shape pair list": "array se_edges has shape (10, 3), expected (n, 2)",
 }
 
 
@@ -515,6 +519,8 @@ class TestNotACheckpoint:
                 arrays["se_edges"] = arrays["se_edges"] + 0.4
             elif kind == "negative concept id":  # the first pair: still sorted
                 arrays["ec_edges"][0, 1] = -1
+            elif kind == "wrong-shape pair list":
+                arrays["se_edges"] = np.zeros((10, 3), dtype=np.intp)
             else:
                 del meta["counts"]
             np.savez(path, **{**arrays, "meta": np.array(json.dumps(meta))})
@@ -718,6 +724,28 @@ class TestViewgenAudit:
         )
         assert code == 2
         assert "error:" in err and out == ""
+
+    @pytest.mark.parametrize(
+        "flag, pair",
+        [("--override", "master_seed=-1"), ("--override", "master_seed=true"),
+         ("--config", "master_seed=-1")],
+    )
+    def test_a_master_seed_train_refuses_is_refused(
+        self, capsys, data_dir, tmp_path, flag, pair
+    ):
+        # --seed (default 0) seeds the audit's draws; it does not replace master_seed
+        if flag == "--config":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"master_seed": -1}), encoding="utf-8")
+            pair = str(config)
+        code, out, err = run(
+            capsys, "viewgen-audit",
+            "--responses", str(data_dir / "responses.csv"),
+            "--qmatrix", str(data_dir / "qmatrix.csv"),
+            flag, pair, "--draws", "5",
+        )
+        assert code == 2 and out == ""
+        assert "error:" in err and "master_seed" in err
 
     def test_negative_draws_is_usage_error(self, capsys, data_dir):
         code, out, err = run(

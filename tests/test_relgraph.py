@@ -106,7 +106,7 @@ class TestDirectedSplit:
         with pytest.raises(ValueError, match="direction"):
             split.adjacency("s2s")
 
-
+    # a RelationGraph refuses a bad pair list when it is built, so no split meets one
     @pytest.mark.parametrize("name", ["se_edges", "ec_edges"])
     @pytest.mark.parametrize("edit", ["swapped", "repeated", "second column back"])
     def test_out_of_order_pair_list_refused(self, small_world, name, edit):
@@ -120,7 +120,7 @@ class TestDirectedSplit:
             first = pairs[1, 0]
             pairs[1:3] = [[first, 2], [first, 1]]
         with pytest.raises(ValueError, match=f"{name} must be distinct pairs sorted"):
-            directed_split(RelationGraph(**{**vars(g), name: pairs}))
+            RelationGraph(**{**vars(g), name: pairs})
 
     @pytest.mark.parametrize("name", ["se_edges", "ec_edges"])
     @pytest.mark.parametrize("column", [0, 1])
@@ -135,4 +135,25 @@ class TestDirectedSplit:
         which = ("first", "second")[column]
         message = f"{name} names id {bad} in its {which} column, outside [0, {counts[column]})"
         with pytest.raises(ValueError, match=re.escape(message)):
-            directed_split(RelationGraph(**{**vars(g), name: pairs}))
+            RelationGraph(**{**vars(g), name: pairs})
+
+    @pytest.mark.parametrize("name", ["se_edges", "ec_edges"])
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda a: np.hstack([a, a[:, :1]]), lambda a: a[:, :1], np.ravel],
+        ids=["3 columns", "1 column", "flattened"],
+    )
+    def test_pair_list_of_the_wrong_shape_refused(self, small_world, name, edit):
+        g = small_world["graph"]
+        pairs = edit(getattr(g, name))
+        message = f"array {name} has shape {pairs.shape}, expected (n, 2)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RelationGraph(**{**vars(g), name: pairs})
+
+    @pytest.mark.parametrize("name", ["se_edges", "ec_edges"])
+    def test_float_pair_list_refused(self, small_world, name):
+        # the ids would truncate back to the stored ones: an intp cast hides them
+        g = small_world["graph"]
+        message = f"array {name} has dtype float64, expected integers"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RelationGraph(**{**vars(g), name: getattr(g, name) + 0.4})

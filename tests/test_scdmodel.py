@@ -942,6 +942,23 @@ class TestCheckpoint:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 load_checkpoint(path, optimizer=optimizer)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda a: np.hstack([a, a[:, :1]]), lambda a: a[:, :1], np.ravel],
+        ids=["3 columns", "1 column", "flattened"],
+    )
+    def test_a_pair_list_of_the_wrong_shape_names_the_file_and_the_array(self, tmp_path, edit):
+        with np.load(FIXTURE) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["se_edges"] = edit(arrays["se_edges"])
+        path = tmp_path / "reshaped.npz"
+        np.savez(path, **arrays)
+        shape = arrays["se_edges"].shape
+        message = f"{path}: array se_edges has shape {shape}, expected (n, 2)"
+        for optimizer in (True, False):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                load_checkpoint(path, optimizer=optimizer)
+
     @pytest.mark.parametrize("key", ["counts", "dim", "has_adam", "student_keys"])
     def test_meta_without_a_key_names_the_file(self, tmp_path, key):
         with np.load(FIXTURE) as data:
