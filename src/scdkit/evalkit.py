@@ -345,8 +345,8 @@ def case_study(
         exercise_labels=list(exercise_keys),
         concept_ids=concept_ids,
         concept_labels=[ckpt.concept_keys[c] for c in concept_ids],
-        mastery=h_s[np.ix_(students, cols)] if concept_ids else np.zeros((len(students), 0)),
-        difficulty=h_e[np.ix_(exercises, cols)] if concept_ids else np.zeros((len(exercises), 0)),
+        mastery=h_s[np.ix_(students, cols)],
+        difficulty=h_e[np.ix_(exercises, cols)],
         exercise_concepts=per_exercise,
         scores=scores,
     )

@@ -28,8 +28,8 @@ class RelationGraph:
     """Edge lists of both subgraphs plus node counts (M students, N exercises, K concepts).
 
     Each pair list is an (n, 2) integer array that strictly increases by
-    first, then second element, and names ids below the node counts; a graph
-    is never built with any other list."""
+    first, then second element, and names ids below the node counts, and
+    every exercise has a concept edge; a graph is never built otherwise."""
 
     se_edges: np.ndarray  # (n_se, 2) distinct (student, exercise) pairs, lexsorted
     ec_edges: np.ndarray  # (n_ec, 2) distinct (exercise, concept) pairs, lexsorted
@@ -40,6 +40,10 @@ class RelationGraph:
     def __post_init__(self):
         _check_pairs(self.se_edges, "se_edges", (self.n_students, self.n_exercises))
         _check_pairs(self.ec_edges, "ec_edges", (self.n_exercises, self.n_concepts))
+        covered = np.zeros(self.n_exercises, dtype=bool)
+        covered[self.ec_edges[:, 0]] = True  # a response is scored over its exercise's concepts
+        if not covered.all():
+            raise ValueError(f"ec_edges leaves exercise {int(covered.argmin())} without a concept")
 
 
 def _check_pairs(pairs: np.ndarray, name: str, counts: tuple[int, int]) -> None:
@@ -110,16 +114,12 @@ class DirectedSplit:
         return getattr(self, direction)
 
 
-def _distinct_pairs(a: np.ndarray, b: np.ndarray, n_b: int) -> np.ndarray:
-    """The distinct (a, b) pairs as an (n, 2) array sorted by a, then b."""
-    return np.stack(np.divmod(distinct_ids(a * n_b + b), n_b), axis=1)
-
-
 def build_relation_graph(train: ResponseSet, q: QMatrix) -> RelationGraph:
     """Assemble both subgraphs from train responses and the Q-matrix.
 
     Scores do not matter here: an edge records that the student answered the
-    exercise. Every train exercise must carry at least one concept.
+    exercise. The Q-matrix's pairs, distinct and sorted as `load_qmatrix`
+    returns them, are the concept edges as they are.
     """
     if len(train) == 0:
         raise ValueError("train response set is empty")
@@ -127,14 +127,10 @@ def build_relation_graph(train: ResponseSet, q: QMatrix) -> RelationGraph:
         raise ValueError(
             f"Q-matrix covers {q.n_exercises} exercises but responses use {train.n_exercises}"
         )
-    covered = np.zeros(train.n_exercises, dtype=bool)
-    covered[q.exercises] = True
-    uncovered = distinct_ids(train.exercises[~covered[train.exercises]])
-    if len(uncovered):
-        raise ValueError(f"{len(uncovered)} train exercises missing from the Q-matrix")
-
-    se = _distinct_pairs(train.students, train.exercises, train.n_exercises)
-    ec = _distinct_pairs(q.exercises, q.concepts, q.n_concepts)
+    # the distinct (student, exercise) pairs, sorted by student, then exercise
+    n = train.n_exercises
+    se = np.stack(np.divmod(distinct_ids(train.students * n + train.exercises), n), axis=1)
+    ec = np.stack([q.exercises, q.concepts], axis=1)
     return RelationGraph(se, ec, train.n_students, train.n_exercises, q.n_concepts)
 
 

@@ -319,20 +319,16 @@ def predict(
     which scatter-adds the difference's gradient into the rows it read.
 
     sigmoid(predictor(mastery - difficulty)) averaged over the exercise's
-    concepts, which are its c2e edges in `split`; exercises without one are
-    rejected. The predictor's T x K logits are computed whole, but the
-    sigmoid and its derivative only at each record's (record, concept)
-    pairs, put into T x K zeros for the row sum and the products; no
-    exercise x concept array is built.
+    concepts, which are its c2e edges in `split`. The predictor's T x K
+    logits are computed whole, but the sigmoid and its derivative only at
+    each record's (record, concept) pairs, put into T x K zeros for the row
+    sum and the products; no exercise x concept array is built.
     """
     students = np.asarray(students, dtype=np.intp)
     exercises = np.asarray(exercises, dtype=np.intp)
     c2e = split.c2e
     indegrees = c2e.indegrees()
     counts = indegrees[exercises]
-    if (counts == 0).any():
-        bad = int(exercises[counts == 0][0])
-        raise ValueError(f"exercise {bad} has no concepts in the Q-matrix")
     # record i's pairs are its exercise's c2e edges, in concept order, and
     # the j-th of them is edge first[i] + j
     first = (np.cumsum(indegrees) - indegrees)[exercises]
@@ -467,21 +463,26 @@ def _check_meta(meta: dict) -> None:
     type. A config's keys are not checked, so one naming retired keys loads."""
     sha = meta.get("train_sha256")  # absent before fingerprints
     hex64 = isinstance(sha, str) and re.fullmatch("[0-9a-f]{64}", sha)
+    counts = meta["counts"]
+    ints = isinstance(counts, list) and [type(c) for c in counts] == [int, int, int]
     fields = [
         ("config", isinstance(meta["config"], dict), "a JSON object"),
+        ("counts", ints and min(counts) > 0, "three positive integers"),
         ("has_adam", isinstance(meta["has_adam"], bool), "true or false"),
         ("train_sha256", sha is None or hex64, "null or 64 hex digits"),
     ]
-    for name in ("epoch", "step"):
+    for name, low in (("dim", 1), ("n_layers", 1), ("epoch", 0), ("step", 0)):
         value = meta[name]
-        fields.append((name, type(value) is int and value >= 0, "a non-negative integer"))
-    for name, count in zip(("student_keys", "exercise_keys", "concept_keys"), meta["counts"]):
-        keys = meta[name]
-        distinct = isinstance(keys, list) and len({k for k in keys if type(k) is str}) == len(keys)
-        fields.append((name, distinct and len(keys) == count, f"{count} distinct strings"))
+        what = "a positive integer" if low else "a non-negative integer"
+        fields.append((name, type(value) is int and value >= low, what))
     for name, ok, what in fields:
         if not ok:
             raise ValueError(f"meta {name} must be {what}")
+    for name, count in zip(("student_keys", "exercise_keys", "concept_keys"), counts):
+        keys = meta[name]
+        distinct = isinstance(keys, list) and len({k for k in keys if type(k) is str}) == len(keys)
+        if not (distinct and len(keys) == count):
+            raise ValueError(f"meta {name} must be {count} distinct strings")
 
 
 def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:

@@ -361,8 +361,6 @@ def fit(
     train_set, test_set = split_train_test(
         rs, config.train_ratio, seed=int(_rng(config.master_seed, _STREAM_SPLIT).integers(2**31))
     )
-    if len(train_set) == 0:
-        raise ValueError("train split is empty")
     graph = build_relation_graph(train_set, q)
     _refuse_oversized_contrast(config, graph.n_students, graph.n_exercises)
     split = directed_split(graph)

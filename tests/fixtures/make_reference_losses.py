@@ -3,10 +3,12 @@
     PYTHONPATH=src python tests/fixtures/make_reference_losses.py
 
 The file holds the train_log.csv rows of a 6-epoch default `fit` on
-`make_synthetic(200, 50, 10, seed=0)` in every training mode, and the loss
+`make_synthetic(200, 50, 10, seed=0)` in every training mode, the loss
 breakdowns of the first 8 default-config training steps on
-`make_synthetic(5000, 300, 30, seed=0)`, with the numpy version and the
-commit that wrote them. `tests/test_reference_losses.py` recomputes them and
+`make_synthetic(5000, 300, 30, seed=0)`, and the state right after the 8th
+step's Adam update: the step count and, for each parameter and each Adam
+moment, the statistics of `array_stats`. The numpy version and the commit
+that wrote them come with them. `tests/test_reference_losses.py` recomputes them and
 compares within a relative tolerance. Write the file again only for a change
 that moves results by design, and give the old and new values with it.
 """
@@ -32,6 +34,7 @@ PATH = Path(__file__).with_name("reference_losses.json")
 COLUMNS = ["main", "ssl_s", "ssl_e", "reg", "total"]
 S_DATA, S_EPOCHS = (200, 50, 10), 6
 M_DATA, M_STEPS = (5000, 300, 30), 8
+ENTRIES = 16
 
 
 def _write_data(workdir: Path, counts) -> tuple[Path, Path]:
@@ -50,39 +53,62 @@ class _StepsDone(Exception):
     pass
 
 
-def m_step_rows(workdir: Path) -> list[list[float]]:
-    """The first M_STEPS step breakdowns of a default fit: step, then COLUMNS.
+def array_stats(a: np.ndarray) -> dict:
+    """The sum, the sum of squares and the largest absolute value of `a`, and
+    its ENTRIES entries at evenly spaced flat indices, with those indices."""
+    flat = a.ravel()
+    indices = np.linspace(0, flat.size - 1, ENTRIES).astype(int)
+    return {
+        "sum": float(flat.sum()),
+        "sum_sq": float((flat * flat).sum()),
+        "max_abs": float(np.abs(flat).max()),
+        "indices": indices.tolist(),
+        "entries": flat[indices].tolist(),
+    }
 
-    Each is read off `total_loss` as `train_epoch` calls it; the fit stops
-    after the last one.
+
+def m_steps(workdir: Path) -> tuple[list[list[float]], dict]:
+    """The first M_STEPS step breakdowns of a default fit (step, then
+    COLUMNS), and the state right after the last step's Adam update.
+
+    Each breakdown is read off `total_loss`, and the state off `adam_step`,
+    as `_train_step` calls them; the fit stops after that update.
     """
     responses, qmatrix = _write_data(workdir / "data-m", M_DATA)
-    total_loss = trainkit.total_loss
+    total_loss, adam_step = trainkit.total_loss, trainkit.adam_step
     rows: list[list[float]] = []
+    state: dict = {}
 
     def recording_total_loss(*args, **kwargs):
         total, b = total_loss(*args, **kwargs)
         rows.append([len(rows) + 1, b.main, b.ssl_student, b.ssl_exercise, b.reg, b.total])
-        if len(rows) == M_STEPS:
-            raise _StepsDone
         return total, b
 
-    trainkit.total_loss = recording_total_loss
+    def recording_adam_step(params, grads, opt, config):
+        adam_step(params, grads, opt, config)
+        if len(rows) == M_STEPS:
+            state["step"] = opt.step
+            for group, arrays in (("params", params), ("adam_m", opt.m), ("adam_v", opt.v)):
+                state[group] = {name: array_stats(a) for name, a in arrays.items()}
+            raise _StepsDone
+
+    trainkit.total_loss, trainkit.adam_step = recording_total_loss, recording_adam_step
     try:
         fit(TrainConfig(), responses, qmatrix, workdir / "m-steps")
     except _StepsDone:
         pass
     finally:
-        trainkit.total_loss = total_loss
-    return rows
+        trainkit.total_loss, trainkit.adam_step = total_loss, adam_step
+    return rows, state
 
 
-def reference_runs(workdir) -> dict[str, list[list[float]]]:
-    """Every run of the reference, by name: each mode's S fit and the M steps."""
+def reference_runs(workdir) -> tuple[dict[str, list[list[float]]], dict]:
+    """Every run of the reference, by name (each mode's S fit and the M
+    steps), and the M steps' state after their last update."""
     workdir = Path(workdir)
     runs = {mode: s_fit_rows(workdir, mode) for mode in MODES}
-    runs["m-steps"] = m_step_rows(workdir)
-    return runs
+    runs["m-steps"], m_step_state = m_steps(workdir)
+    return runs, m_step_state
 
 
 def commit() -> str:
@@ -109,7 +135,7 @@ def write_json(path: Path, content: dict) -> None:
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        runs = reference_runs(tmp)
+        runs, m_step_state = reference_runs(tmp)
     reference = {
         "written_by": "tests/fixtures/make_reference_losses.py",
         "commit": commit(),
@@ -121,6 +147,7 @@ def main() -> None:
         + f"TrainConfig(), the first {M_STEPS} steps",
         "columns": ["epoch or step", *COLUMNS],
         "runs": runs,
+        "m_step_state": m_step_state,
     }
     write_json(PATH, reference)
 

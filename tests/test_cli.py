@@ -482,6 +482,8 @@ NOT_A_CHECKPOINT = {
     "all-NaN w_predict": "array p__w_predict holds a non-finite value",
     "float pair list": "array se_edges has dtype float64, expected integers",
     "wrong-shape pair list": "array se_edges has shape (10, 3), expected (n, 2)",
+    "concept-less exercise": "ec_edges leaves exercise 0 without a concept",
+    "float count": "meta counts must be three positive integers",
 }
 
 
@@ -507,6 +509,12 @@ class TestNotACheckpoint:
                 meta["student_keys"][1] = meta["student_keys"][0]
 
             rewrite_meta(trained / "checkpoint.npz", path, repeat)
+        elif kind == "float count":
+
+            def float_count(meta):
+                meta["counts"][0] = float(meta["counts"][0])
+
+            rewrite_meta(trained / "checkpoint.npz", path, float_count)
         elif kind == "all-NaN w_predict":
             rewrite_entries(trained / "checkpoint.npz", path, "p__w_predict", np.nan)
         else:
@@ -521,6 +529,8 @@ class TestNotACheckpoint:
                 arrays["ec_edges"][0, 1] = -1
             elif kind == "wrong-shape pair list":
                 arrays["se_edges"] = np.zeros((10, 3), dtype=np.intp)
+            elif kind == "concept-less exercise":  # exercise 0's concept rows dropped
+                arrays["ec_edges"] = arrays["ec_edges"][arrays["ec_edges"][:, 0] != 0]
             else:
                 del meta["counts"]
             np.savez(path, **{**arrays, "meta": np.array(json.dumps(meta))})

@@ -429,12 +429,18 @@ class TestCaseStudy:
         with pytest.raises(ValueError, match="unknown exercise"):
             case_study(ckpt, ["s0"], ["nope"])
 
-    def test_zero_exercises_is_valid(self, tmp_path):
+    @pytest.mark.parametrize(
+        "students, exercises, concepts, header",
+        [(["s0"], [], [], "concept,mastery:s0"), ([], ["e3"], [0, 1], "concept,difficulty:e3")],
+        ids=["no exercise", "no student"],
+    )
+    def test_an_empty_id_list_is_valid(self, tmp_path, students, exercises, concepts, header):
         _, ckpt = make_checkpoint(tmp_path)
-        study = case_study(ckpt, ["s0"], [])
-        assert study.concept_ids == []
-        assert study.mastery.shape == (1, 0)
-        assert study.concept_csv().splitlines()[0] == "concept,mastery:s0"
+        study = case_study(ckpt, students, exercises)
+        assert study.concept_ids == concepts
+        assert study.mastery.shape == (len(students), len(concepts))
+        assert study.difficulty.shape == (len(exercises), len(concepts))
+        assert study.concept_csv().splitlines()[0] == header
 
     def test_csv_emitters(self, tmp_path):
         _, ckpt = make_checkpoint(tmp_path)

@@ -1,4 +1,5 @@
-"""The losses of fixed training runs against the checked-in reference.
+"""The losses of fixed training runs, and the M steps' state after their last
+update, against the checked-in reference.
 
 `fixtures/reference_losses.json` is written by
 `fixtures/make_reference_losses.py`; read that script for the runs.
@@ -21,8 +22,9 @@ RTOL = 3.5e-14
 
 
 def test_losses_match_checked_in_reference(tmp_path):
-    reference = json.loads(PATH.read_text())["runs"]
-    runs = reference_runs(tmp_path)
+    checked_in = json.loads(PATH.read_text())
+    reference = checked_in["runs"]
+    runs, m_step_state = reference_runs(tmp_path)
     assert runs.keys() == reference.keys()
     mismatches = []
     for name, rows in reference.items():
@@ -37,4 +39,19 @@ def test_losses_match_checked_in_reference(tmp_path):
                 f"(relative drift {abs(got[i, col] - want[i, col]) / abs(want[i, col]):.2e})"
                 for i in np.flatnonzero(bad)
             ]
+    # the step count and each array's indices exactly, every statistic and entry within RTOL
+    want_state = checked_in["m_step_state"]
+    assert m_step_state["step"] == want_state["step"]
+    assert m_step_state.keys() == want_state.keys()
+    for group in ("params", "adam_m", "adam_v"):
+        assert m_step_state[group].keys() == want_state[group].keys(), group
+        for name, want in want_state[group].items():
+            got = m_step_state[group][name]
+            assert got["indices"] == want["indices"], (group, name)
+            for stat in ("sum", "sum_sq", "max_abs", "entries"):
+                g, w = np.atleast_1d(got[stat]), np.atleast_1d(want[stat])
+                mismatches += [
+                    f"m_step_state {group} {name} {stat}[{i}]: {float(g[i])!r} != {float(w[i])!r}"
+                    for i in np.flatnonzero(~np.isclose(g, w, rtol=RTOL, atol=0.0))
+                ]
     assert not mismatches, "\n".join(mismatches)

@@ -34,7 +34,7 @@ class TestBuild:
     def test_uncovered_train_exercise_rejected(self):
         rs = small_responses()
         q = QMatrix(np.array([0, 1, 2, 3]), np.array([0, 0, 0, 0]), 5, 1, ("c0",))
-        with pytest.raises(ValueError, match="missing from the Q-matrix"):
+        with pytest.raises(ValueError, match="^ec_edges leaves exercise 4 without a concept$"):
             build_relation_graph(rs, q)
 
     def test_empty_train_rejected(self):
@@ -45,14 +45,15 @@ class TestBuild:
 
 @st.composite
 def pair_lists(draw):
-    """Random unsorted (student, exercise) and (exercise, concept) lists with
-    duplicates, over node counts that may leave heads without edges; every
-    answered exercise gets a concept."""
+    """A random unsorted (student, exercise) list with duplicates, and a random
+    (exercise, concept) list that is distinct and sorted, as `load_qmatrix`
+    returns it, over node counts that may leave students, exercises and
+    concepts without edges in a direction; every exercise gets a concept."""
     m, n, k = (draw(st.integers(1, 6)) for _ in range(3))
     se = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)), min_size=1,
                        max_size=30))
     ec = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, k - 1)), max_size=20))
-    ec += [(e, k - 1) for e in sorted({e for _, e in se} - {e for e, _ in ec})]
+    ec = sorted({*ec, *((e, k - 1) for e in set(range(n)) - {e for e, _ in ec})})
     return se, ec, m, n, k
 
 
@@ -61,8 +62,9 @@ class TestDirectedSplit:
     @given(pair_lists())
     # the tiny graph: two students, two exercises, s0-{e0,e1}, s1-{e1}
     @example(([(0, 0), (0, 1), (1, 1)], [(0, 0), (1, 0)], 2, 2, 1))
-    # unsorted, a duplicate, and the last head of every direction without edges
-    @example(([(1, 0), (0, 0), (1, 0)], [(0, 1), (0, 0)], 3, 2, 3))
+    # unsorted s-e pairs with a duplicate, and the last head of e2s, s2e and
+    # e2c without edges (c2e has none such: every exercise carries a concept)
+    @example(([(1, 0), (0, 0), (1, 0)], [(0, 0), (0, 1), (1, 0)], 3, 2, 3))
     def test_edge_list_oracle(self, graph):
         se, ec, m, n, k = graph
         students, exercises = (np.array(c, dtype=np.intp) for c in zip(*se))
@@ -149,6 +151,18 @@ class TestDirectedSplit:
         message = f"array {name} has shape {pairs.shape}, expected (n, 2)"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             RelationGraph(**{**vars(g), name: pairs})
+
+    # an exercise is scored over its concepts: the first one without any is
+    # named, whether it leads the list, sits inside it or is the last head
+    @pytest.mark.parametrize(
+        "dropped, bad", [({0, 3}, 0), ({2, 4}, 2), ({4}, 4)], ids=["first", "middle", "last head"]
+    )
+    def test_an_exercise_without_a_concept_refused(self, small_world, dropped, bad):
+        g = small_world["graph"]
+        pairs = g.ec_edges[~np.isin(g.ec_edges[:, 0], list(dropped))]
+        message = f"ec_edges leaves exercise {bad} without a concept"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RelationGraph(**{**vars(g), "ec_edges": pairs})
 
     @pytest.mark.parametrize("name", ["se_edges", "ec_edges"])
     def test_float_pair_list_refused(self, small_world, name):

@@ -704,19 +704,6 @@ class TestDiagnosisAndPredict:
         assert forward_peak < 4 * 2**20, forward_peak
         assert d_h_e.shape == (n, k) and peak - d_h_s.nbytes - d_h_e.nbytes < 4 * 2**20, peak
 
-    def test_conceptless_exercise_rejected(self):
-        # e1 lies between exercises with concepts and e3 is the last head;
-        # neither has a c2e edge, and the first such exercise asked for is named
-        split = concept_split([0, 2], [0, 1], 4, 2)
-        nodes = {"w_predict": dc.param(np.eye(2)), "b_predict": dc.param(np.zeros(2))}
-
-        diag = Diagnosis(dc.param(np.zeros((1, 2))), dc.param(np.zeros((4, 2))))
-        npt.assert_array_equal(predict(diag, nodes, split, [0, 0], [2, 0]).value, [0.5, 0.5])
-        for exercises, bad in (([1], 1), ([0, 1, 2], 1), ([2, 3], 3), ([3, 1], 3)):
-            students = np.zeros(len(exercises), dtype=np.intp)
-            with pytest.raises(ValueError, match=f"^exercise {bad} has no concepts"):
-                predict(diag, nodes, split, students, exercises)
-
     def test_rows_diagnosis_predicts_as_the_full_one(self, small_world):
         """predict on the diagnosis of a rows forward reads each record at its
         ids' positions in `rows`: the value and every leaf gradient equal
@@ -942,6 +929,17 @@ class TestCheckpoint:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 load_checkpoint(path, optimizer=optimizer)
 
+    def test_an_exercise_without_a_concept_names_the_file(self, tmp_path):
+        with np.load(FIXTURE) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["ec_edges"] = arrays["ec_edges"][arrays["ec_edges"][:, 0] != 0]
+        path = tmp_path / "edited.npz"
+        np.savez(path, **arrays)
+        message = f"{path}: ec_edges leaves exercise 0 without a concept"
+        for optimizer in (True, False):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                load_checkpoint(path, optimizer=optimizer)
+
     @pytest.mark.parametrize(
         "edit",
         [lambda a: np.hstack([a, a[:, :1]]), lambda a: a[:, :1], np.ravel],
@@ -980,6 +978,14 @@ class TestCheckpoint:
             ("step", -5, "a non-negative integer"),
             ("step", 3.0, "a non-negative integer"),
             ("has_adam", 1, "true or false"),
+            ("counts", [4.0, 5, 3], "three positive integers"),
+            ("counts", [4, 5], "three positive integers"),
+            ("counts", "453", "three positive integers"),
+            ("dim", 3.0, "a positive integer"),
+            ("dim", True, "a positive integer"),
+            ("dim", 0, "a positive integer"),
+            ("n_layers", 2.0, "a positive integer"),
+            ("n_layers", 0, "a positive integer"),
             ("student_keys", [f"s{i}" for i in range(5)], "4 distinct strings"),
             ("exercise_keys", ["e0", "e1", "e2", "e3"], "5 distinct strings"),
             ("exercise_keys", ["e0", "e1", "e0", "e3", "e4"], "5 distinct strings"),
