@@ -144,7 +144,7 @@ def cmd_viewgen_audit(args) -> int:
     q = load_qmatrix(paths["qmatrix"], rs)
     split = directed_split(build_relation_graph(rs, q))
     rng = np.random.default_rng(args.seed)
-    rows = retention_table(split, config.dropout, args.draws, rng)
+    rows = retention_table(split, config, args.draws, rng)
     print("degree,importance,retention_p,empirical")
     for row in rows:
         print(

@@ -16,8 +16,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +46,7 @@ from .scdmodel import (
     predict,
     save_checkpoint,
 )
-from .viewgen import DropoutParams, View, generate_random_view, generate_view_pair
-from .viewgen import matched_uniform_p, require_finite
+from .viewgen import View, generate_random_view, generate_view_pair, matched_uniform_p
 
 log = logging.getLogger(__name__)
 
@@ -79,7 +79,6 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 256
     learning_rate: float = 1e-3
-    dropout: DropoutParams = field(default_factory=DropoutParams)
     tau: float = 0.5
     lambda1: float = 0.1
     lambda2: float = 1e-4
@@ -90,6 +89,11 @@ class TrainConfig:
     min_interactions: int = 5
     train_ratio: float = 0.8
     checkpoint_every: int = 0
+    # edge retention t = k / ln(d + theta), clamped into [p_min, 1] (viewgen);
+    # last, so that the flat dict keeps the order checkpoints were written in
+    k: float = 1.0
+    theta: float = 0.01
+    p_min: float = 0.3
 
     def __post_init__(self):
         ints = ["epochs", "batch_size", "n_layers", "master_seed", "min_interactions"]
@@ -104,8 +108,13 @@ class TrainConfig:
             raise ValueError("master_seed and min_interactions must be >= 0")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        require_finite(self, ("learning_rate", "tau", "lambda1", "lambda2", "train_ratio"))
-        for name in ("learning_rate", "tau"):
+        reals = ["learning_rate", "tau", "lambda1", "lambda2", "train_ratio", "k", "theta", "p_min"]
+        for name in reals:
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        for name in ("learning_rate", "tau", "k", "theta"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if 1.0 / self.tau > MAX_EXP_ARG:
@@ -113,6 +122,8 @@ class TrainConfig:
                 f"tau must be >= {1.0 / MAX_EXP_ARG:.10g}: the contrastive loss takes "
                 f"exp(1/tau), which overflows above 1/tau = log(float max) = {MAX_EXP_ARG:.6f}"
             )
+        if not math.log(1.0 + self.theta) > 0:
+            raise ValueError("theta must be > 2**-53, or k / ln(d + theta) divides by 0 at d = 1")
         for name in ("lambda1", "lambda2"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -122,22 +133,18 @@ class TrainConfig:
             raise ValueError("dim must be >= 1 (or null for the concept count)")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0 (0 writes no epoch checkpoints)")
+        if not 0.0 < self.p_min <= 1.0:
+            raise ValueError("p_min must lie in (0, 1]")
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out.update(out.pop("dropout"))
-        return out
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
-        dropout_keys = DropoutParams.__dataclass_fields__
-        dropout = DropoutParams(**{k: raw[k] for k in dropout_keys if k in raw})
-        raw = {k: v for k, v in raw.items() if k not in dropout_keys}
-        known = {f for f in cls.__dataclass_fields__ if f != "dropout"}
-        unknown = set(raw) - known
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(dropout=dropout, **raw)
+        return cls(**raw)
 
 
 def adam_step(
@@ -169,9 +176,9 @@ def _epoch_views(split: DirectedSplit, config: TrainConfig, epoch: int) -> View 
         return None
     rng = _rng(config.master_seed, epoch, _STREAM_VIEWS)
     if config.mode == "scd":
-        pair = generate_view_pair(split, config.dropout, rng)
+        pair = generate_view_pair(split, config, rng)
     else:
-        p_uniform = matched_uniform_p(split, config.dropout)
+        p_uniform = matched_uniform_p(split, config)
         pair = [generate_random_view(split, p_uniform, rng) for _ in range(2)]
     return View(np.stack([v.kept_e2s for v in pair]), np.stack([v.kept_s2e for v in pair]))
 

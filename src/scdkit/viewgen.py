@@ -9,45 +9,24 @@ nodes are thinned. Exercise-concept edges are never touched.
 A uniform-probability variant backs the matched-random ablation; its single
 retention probability is calibrated so both strategies keep the same number
 of edges in expectation.
+
+Each function's `p` is the run's `trainkit.TrainConfig`, of which only k,
+theta and p_min are read.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .corpus import distinct_ids
 from .relgraph import Adjacency, DirectedSplit
 
-
-def require_finite(obj, names) -> None:
-    """Refuse a bool, a non-number or a non-finite value in each named field."""
-    for name in names:
-        value = getattr(obj, name)
-        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        if not (real and math.isfinite(value)):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
-
-
-@dataclass(frozen=True)
-class DropoutParams:
-    """k scales overall retention, theta keeps ln() away from 0, p_min floors it."""
-
-    k: float = 1.0
-    theta: float = 0.01
-    p_min: float = 0.3
-
-    def __post_init__(self):
-        require_finite(self, ("k", "theta", "p_min"))
-        if not self.k > 0:
-            raise ValueError("k must be positive")
-        if not self.theta > 0:
-            raise ValueError("theta must be positive")
-        if not 0.0 < self.p_min <= 1.0:
-            raise ValueError("p_min must lie in (0, 1]")
+if TYPE_CHECKING:
+    from .trainkit import TrainConfig
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +41,7 @@ class View:
     kept_s2e: np.ndarray
 
 
-def edge_importance(d: int, p: DropoutParams) -> float:
+def edge_importance(d: int, p: TrainConfig) -> float:
     """t = k / ln(d + theta) for an edge whose head node has indegree d."""
     if d < 1:
         raise ValueError("edges only exist at nodes with indegree >= 1")
@@ -78,7 +57,7 @@ def retention_prob(t: float, p_min: float) -> float:
     return 1.0
 
 
-def _edge_probs(adj: Adjacency, p: DropoutParams) -> np.ndarray:
+def _edge_probs(adj: Adjacency, p: TrainConfig) -> np.ndarray:
     degrees = adj.indegrees()
     lookup = np.zeros(int(degrees.max(initial=0)) + 1)
     for d in distinct_ids(degrees[degrees > 0]):
@@ -86,7 +65,7 @@ def _edge_probs(adj: Adjacency, p: DropoutParams) -> np.ndarray:
     return lookup[degrees[adj.heads]]
 
 
-def _interaction_probs(split: DirectedSplit, p: DropoutParams) -> tuple[np.ndarray, np.ndarray]:
+def _interaction_probs(split: DirectedSplit, p: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-edge retention probabilities of the e2s and s2e edges."""
     return _edge_probs(split.e2s, p), _edge_probs(split.s2e, p)
 
@@ -109,7 +88,7 @@ def _draw(split: DirectedSplit, p_e2s, p_s2e, rng: np.random.Generator) -> View:
 
 
 def generate_view_pair(
-    split: DirectedSplit, p: DropoutParams, rng: np.random.Generator
+    split: DirectedSplit, p: TrainConfig, rng: np.random.Generator
 ) -> tuple[View, View]:
     """Two independent importance-based draws from the same generator stream:
     each interaction edge kept i.i.d. Bernoulli in each."""
@@ -126,7 +105,7 @@ def generate_random_view(
     return _draw(split, p_uniform, p_uniform, rng)
 
 
-def matched_uniform_p(split: DirectedSplit, p: DropoutParams) -> float:
+def matched_uniform_p(split: DirectedSplit, p: TrainConfig) -> float:
     """Uniform retention probability whose expected kept-edge count matches
     the importance-based strategy (the mean retention probability over all
     directed interaction edges)."""
@@ -139,7 +118,7 @@ def matched_uniform_p(split: DirectedSplit, p: DropoutParams) -> float:
 
 
 def retention_table(
-    split: DirectedSplit, p: DropoutParams, draws: int, rng: np.random.Generator
+    split: DirectedSplit, p: TrainConfig, draws: int, rng: np.random.Generator
 ) -> list[dict]:
     """Per-degree audit rows: importance, retention probability, and the
     empirical keep frequency over `draws` views (both directions pooled)."""

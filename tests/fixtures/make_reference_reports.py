@@ -11,8 +11,8 @@ For each S fit of make_reference_losses.py (a 6-epoch default `fit` on
   two exercises, scored against that test.csv, and those for the student and
   exercise of test.csv's first record, whose one consistency flag is thus
   pinned;
-- `retention_table` of its train graph at the default dropout, 50 draws from
-  `np.random.default_rng(0)`;
+- `retention_table` of its train graph at the default k, theta and p_min of
+  `TrainConfig()`, 50 draws from `np.random.default_rng(0)`;
 - the checkpoint's final parameters and both Adam moments, each array whole,
   and the Adam step;
 - per epoch, each of its two views' kept e2s and s2e edge counts and the
@@ -47,7 +47,7 @@ from scdkit.evalkit import align_responses, case_study, evaluate, evaluate_check
 from scdkit.relgraph import directed_split
 from scdkit.scdmodel import ModelParams, load_checkpoint, predict
 from scdkit.trainkit import MODES, TrainConfig, _epoch_views, fit
-from scdkit.viewgen import DropoutParams, View, retention_table
+from scdkit.viewgen import View, retention_table
 
 PATH = Path(__file__).with_name("reference_reports.json")
 RETENTION_DRAWS = 50
@@ -142,7 +142,7 @@ def s_fit_reports(workdir: Path, mode: str) -> dict:
     shared = case_study(ckpt, [student], [exercise], test_set)
     assert len(shared.scores) == 1, "the first record's pair must have its score"
     split = directed_split(ckpt.graph)
-    retention = retention_table(split, DropoutParams(), RETENTION_DRAWS, np.random.default_rng(0))
+    retention = retention_table(split, TrainConfig(), RETENTION_DRAWS, np.random.default_rng(0))
     epoch_views = [_epoch_views(split, result.config, e) for e in range(1, S_EPOCHS + 1)]
     reports = {
         "report": _report_rows(report),
@@ -182,7 +182,7 @@ def main() -> None:
             "case_study": "the checkpoint's first two student and exercise keys, test.csv",
             "first_record_case_study": "the student and exercise of test.csv's first record",
             "report_at_one_half": "scd only: the report with w_predict and b_predict zero",
-            "retention": f"DropoutParams(), {RETENTION_DRAWS} draws, np.random.default_rng(0)",
+            "retention": f"TrainConfig(), {RETENTION_DRAWS} draws, np.random.default_rng(0)",
             "views": f"trainkit._epoch_views of epochs 1-{S_EPOCHS}, two rows per epoch",
             "columns": COLUMNS,
             "fits": fits,

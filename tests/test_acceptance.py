@@ -20,7 +20,6 @@ from scdkit.scdmodel import diagnose, gcn_forward, init_params, predict
 from scdkit.synth import make_synthetic, write_synthetic
 from scdkit.trainkit import TrainConfig, fit
 from scdkit.viewgen import (
-    DropoutParams,
     View,
     edge_importance,
     generate_random_view,
@@ -62,7 +61,7 @@ def test_c01_full_objective_gradients_match_finite_differences():
     differences."""
     train, split = tiny_world()
     params = init_params(4, 5, 3, dim=3, n_layers=2, seed=11)
-    pair = generate_view_pair(split, DropoutParams(), np.random.default_rng(5))
+    pair = generate_view_pair(split, TrainConfig(), np.random.default_rng(5))
     views = View(np.stack([v.kept_e2s for v in pair]), np.stack([v.kept_s2e for v in pair]))
 
     def f(leaves):
@@ -123,7 +122,7 @@ def test_c02_attention_weights_sum_to_one_per_neighborhood():
     for trial in range(100):
         rng = np.random.default_rng(trial)
         split, params = random_world(rng)
-        view = generate_view_pair(split, DropoutParams(), rng)[0] if trial % 2 else None
+        view = generate_view_pair(split, TrainConfig(), rng)[0] if trial % 2 else None
         states = gcn_forward(params, split, view)
         for direction in DIRECTIONS:
             adj = split.adjacency(direction)
@@ -165,7 +164,7 @@ def test_c03_dropout_retention_matches_theory_and_is_monotone():
     the degree-based probabilities, and those probabilities never increase
     with degree."""
     split = star_split([1, 3, 20, 100])
-    dropout = DropoutParams()
+    dropout = TrainConfig()
     draws = 10_000
     rows = {row["degree"]: row for row in retention_table(split, dropout, draws, np.random.default_rng(0))}
 
@@ -213,7 +212,7 @@ def test_c04_matched_uniform_dropout_keeps_as_many_edges():
     """The calibrated uniform ablation drops edges uniformly but keeps the
     same expected edge count as the degree-aware strategy."""
     split = heavy_tail_split()
-    dropout = DropoutParams()
+    dropout = TrainConfig()
     assert split.e2s.n_edges == 500 and split.s2e.n_edges == 500
     p_uniform = matched_uniform_p(split, dropout)
 
@@ -294,7 +293,7 @@ def test_c07_p_min_one_views_reproduce_intact_graph_gradients():
         total.backward()
         return {name: np.array(node.grad, copy=True) for name, node in leaves.items()}
 
-    va, vb = generate_view_pair(split, DropoutParams(p_min=1.0), np.random.default_rng(3))
+    va, vb = generate_view_pair(split, TrainConfig(p_min=1.0), np.random.default_rng(3))
     assert all(v.kept_e2s.all() and v.kept_s2e.all() for v in (va, vb))
     with_views = grads((va, vb))
     without = grads((None, None))

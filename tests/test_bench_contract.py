@@ -23,7 +23,6 @@ from scdkit import evalkit, relgraph, trainkit
 from scdkit.objectives import LossBreakdown
 from scdkit.scdmodel import ModelParams
 from scdkit.synth import make_synthetic, write_synthetic
-from scdkit.viewgen import DropoutParams
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -192,7 +191,7 @@ def test_benchmark_output_checks_pass_on_a_trained_small_world(worker, small_wor
 
 def test_view_pair_carries_both_masks(small_world):
     split = small_world["split"]
-    views = trainkit.generate_view_pair(split, DropoutParams(), np.random.default_rng(0))
+    views = trainkit.generate_view_pair(split, trainkit.TrainConfig(), np.random.default_rng(0))
     assert len(views) == 2
     for view in views:
         assert view.kept_e2s.shape == (split.e2s.n_edges,)

@@ -191,7 +191,7 @@ class TestTrain:
             "epochs=true", "dim=2.0", "k=NaN", "theta=NaN",
             "tau=Infinity", "k=Infinity", "theta=Infinity",
             "learning_rate=Infinity", "lambda1=Infinity", "lambda2=Infinity",
-            "tau=true", "k=true", "p_min=true", "lambda2=false", "tau=1e-3",
+            "tau=true", "k=true", "p_min=true", "lambda2=false", "tau=1e-3", "theta=1e-17",
         ],
     )
     def test_out_of_range_value_is_refused_before_any_output(
@@ -722,7 +722,7 @@ class TestViewgenAudit:
         [
             "k=0", "theta=-1", "p_min=x", "min_interactions=x", "k=NaN", "theta=NaN",
             "min_interactions=true", "min_interactions=2.7", "thetaa=5",
-            "k=Infinity", "theta=Infinity", "k=true", "tau=1e-3",
+            "k=Infinity", "theta=Infinity", "k=true", "tau=1e-3", "theta=1e-17",
         ],
     )
     def test_bad_config_value_is_usage_error(self, capsys, data_dir, pair):

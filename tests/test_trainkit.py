@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import math
 import tracemalloc
 import weakref
 
@@ -20,7 +21,7 @@ from scdkit.scdmodel import (
     save_checkpoint,
 )
 from scdkit.synth import make_synthetic, write_synthetic
-from scdkit import evalkit, objectives, trainkit
+from scdkit import cli, evalkit, objectives, trainkit
 from scdkit.trainkit import (
     AdamState,
     ResumeMismatch,
@@ -34,9 +35,9 @@ from scdkit.trainkit import (
     _rng,
     _train_step,
 )
-from scdkit.viewgen import DropoutParams
 from conftest import full_then_rows, grad_check, small_qmatrix, small_responses
 from scdkit.relgraph import DIRECTIONS, build_relation_graph, directed_split
+from scdkit.viewgen import edge_importance
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +48,7 @@ def small_files(tmp_path_factory):
 
 class TestConfig:
     def test_roundtrip_through_flat_dict(self):
-        cfg = TrainConfig(epochs=9, dropout=DropoutParams(k=2.0, p_min=0.5), tau=0.7)
+        cfg = TrainConfig(epochs=9, k=2.0, p_min=0.5, tau=0.7)
         flat = cfg.to_dict()
         assert flat["k"] == 2.0 and flat["p_min"] == 0.5 and "dropout" not in flat
         assert TrainConfig.from_dict(flat) == cfg
@@ -87,6 +88,23 @@ class TestConfig:
         assert np.isfinite(np.exp(1.0 / TrainConfig(tau=smallest).tau))
         with pytest.raises(ValueError, match=r"tau must be >= 0\.001408881876: .* 709\.78"):
             TrainConfig(tau=np.nextafter(smallest, 0.0))
+
+    def test_theta_whose_log_rounds_to_zero_is_refused(self):
+        # at or below 2**-53, 1 + theta rounds to 1.0, so a degree-1 edge divides by ln(1.0) = 0
+        with pytest.raises(ValueError, match=r"theta must be > 2\*\*-53"):
+            TrainConfig(theta=2.0**-53)
+        config = TrainConfig(theta=2.0**-52)
+        assert math.isfinite(edge_importance(1, config))
+
+    def test_fitted_checkpoint_config_reads_back(self, small_files, tmp_path):
+        rp, qp = small_files
+        overrides = {"epochs": 1, "k": 1.5, "theta": 0.5, "p_min": 0.4}
+        argv = ["train", "--responses", str(rp), "--qmatrix", str(qp), "--output-dir", str(tmp_path)]
+        for key, value in overrides.items():
+            argv += ["--override", f"{key}={value}"]
+        assert cli.main(argv) == 0
+        stored = load_checkpoint(tmp_path / "checkpoint.npz").config
+        assert TrainConfig.from_dict(stored) == TrainConfig.from_dict(overrides)
 
 
 class TestAdam:
@@ -467,7 +485,7 @@ class TestUnionObjective:
         train, q = small_responses(), small_qmatrix()
         split = directed_split(build_relation_graph(train, q))
         params = init_params(4, 5, 3, dim=3, n_layers=2, seed=11)
-        pair = _epoch_views(split, TrainConfig(dropout=DropoutParams(k=0.3)), epoch=1)
+        pair = _epoch_views(split, TrainConfig(k=0.3), epoch=1)
         for j in (0, 1):
             assert not np.concatenate([pair.kept_e2s[j], pair.kept_s2e[j]]).all()
         assert not np.array_equal(pair.kept_e2s[0], pair.kept_e2s[1])
@@ -653,7 +671,7 @@ class TestFit:
         [
             ({"mode": "scd-random"}, "mode"),
             ({"master_seed": 6}, "master_seed"),
-            ({"dropout": DropoutParams(p_min=0.5)}, "p_min"),
+            ({"p_min": 0.5}, "p_min"),
             ({"min_interactions": 2}, "min_interactions"),
             ({"train_ratio": 0.7}, "train_ratio"),
         ],

@@ -7,8 +7,8 @@ import pytest
 from scdkit.corpus import QMatrix, ResponseSet
 from scdkit import viewgen
 from scdkit.relgraph import build_relation_graph, directed_split
+from scdkit.trainkit import TrainConfig
 from scdkit.viewgen import (
-    DropoutParams,
     edge_importance,
     generate_random_view,
     generate_view_pair,
@@ -17,7 +17,7 @@ from scdkit.viewgen import (
     retention_table,
 )
 
-DEFAULTS = DropoutParams()
+DEFAULTS = TrainConfig()
 
 
 def star_split(degrees):
@@ -65,13 +65,13 @@ class TestImportanceCurve:
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
-            DropoutParams(k=0.0)
+            TrainConfig(k=0.0)
         with pytest.raises(ValueError):
-            DropoutParams(theta=-1.0)
+            TrainConfig(theta=-1.0)
         with pytest.raises(ValueError):
-            DropoutParams(p_min=0.0)
+            TrainConfig(p_min=0.0)
         with pytest.raises(ValueError):
-            DropoutParams(p_min=1.5)
+            TrainConfig(p_min=1.5)
 
 
 class TestViews:
@@ -97,7 +97,7 @@ class TestViews:
 
     def test_p_min_one_keeps_everything(self, small_world):
         split = small_world["split"]
-        for view in generate_view_pair(split, DropoutParams(p_min=1.0), np.random.default_rng(3)):
+        for view in generate_view_pair(split, TrainConfig(p_min=1.0), np.random.default_rng(3)):
             assert view.kept_e2s.all() and view.kept_s2e.all()
 
     def test_low_degree_edges_always_survive(self):
