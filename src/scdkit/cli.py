@@ -19,11 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import dataset_stats, filter_min_interactions, load_qmatrix, load_responses
+from .corpus import dataset_stats, load_responses, write_csv
 from .evalkit import align_responses, case_study, evaluate_checkpoint
 from .relgraph import build_relation_graph, directed_split
 from .scdmodel import load_checkpoint
-from .trainkit import RunRefused, TrainConfig, fit
+from .trainkit import RunRefused, TrainConfig, fit, load_dataset
 from .viewgen import retention_table
 
 # config keys that name inputs rather than hyperparameters
@@ -66,7 +66,9 @@ def _load_config(args) -> tuple[dict, dict]:
     for key, value in args.override or []:
         raw[key] = value
     paths = {k: raw.pop(k, None) for k in _PATH_KEYS}
-    for k in _PATH_KEYS:
+    for k, value in paths.items():
+        if value is not None and not isinstance(value, str):  # open(2) would wrap stderr
+            raise UsageError(f"{k} must be a path (a JSON string), got {json.dumps(value)}")
         flag = getattr(args, k, None)  # viewgen-audit has no --output-dir
         if flag is not None:
             paths[k] = flag
@@ -89,11 +91,8 @@ def _train_config(raw: dict) -> TrainConfig:
 def cmd_stats(args) -> int:
     if args.min_interactions < 0:
         raise UsageError("--min-interactions must be >= 0")
-    rs = load_responses(args.responses)
-    if args.min_interactions > 0:
-        rs = filter_min_interactions(rs, args.min_interactions)
-    q = load_qmatrix(args.qmatrix, rs)
-    print(json.dumps(dataset_stats(rs, q).to_dict(), indent=1, allow_nan=False))
+    rs, q = load_dataset(args.responses, args.qmatrix, args.min_interactions)
+    print(dataset_stats(rs, q).to_json())
     return 0
 
 
@@ -138,19 +137,12 @@ def cmd_viewgen_audit(args) -> int:
     raw, paths = _load_config(args)
     _require(paths, "responses", "qmatrix")
     config = _train_config(raw)
-    rs = load_responses(paths["responses"])
-    if config.min_interactions > 0:
-        rs = filter_min_interactions(rs, config.min_interactions)
-    q = load_qmatrix(paths["qmatrix"], rs)
+    rs, q = load_dataset(paths["responses"], paths["qmatrix"], config.min_interactions)
     split = directed_split(build_relation_graph(rs, q))
     rng = np.random.default_rng(args.seed)
     rows = retention_table(split, config, args.draws, rng)
-    print("degree,importance,retention_p,empirical")
-    for row in rows:
-        print(
-            f"{int(row['degree'])},{float(row['importance'])!r},"
-            f"{float(row['retention_p'])!r},{float(row['empirical'])!r}"
-        )
+    header = ("degree", "importance", "retention_p", "empirical")
+    write_csv(sys.stdout, [header, *map(dict.values, rows)])
     return 0
 
 

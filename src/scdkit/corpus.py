@@ -1,6 +1,6 @@
 """Response-record and Q-matrix ingestion, sparse-student filtering, splits,
-and `write_csv`, the writer of every CSV that holds an id; train_log.csv and
-the viewgen-audit table hold numbers only and are formatted by hand.
+and `write_csv`, the writer of every CSV that a command writes or prints
+but train_log.csv, which holds numbers only and is formatted by hand.
 
 Raw student/exercise/concept keys are arbitrary strings; loaders remap them
 to dense 0-based indices in first-appearance order and keep the two-way
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import logging
 import math
 from dataclasses import asdict, dataclass
@@ -108,8 +109,9 @@ class DatasetStats:
     interactions_per_student: float
     density: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    def to_json(self) -> str:
+        """As `stats.json` and `scdkit stats` hold it; a non-finite value raises ValueError."""
+        return json.dumps(asdict(self), indent=1, allow_nan=False)
 
 
 def _parse_score(raw: str, line_no: int) -> int:

@@ -39,26 +39,22 @@ from .relgraph import DIRECTIONS, DirectedSplit, RelationGraph
 from .viewgen import View
 
 
-def param_names(n_layers: int) -> list[str]:
-    """Every trainable array's name, in the order the regularizer sums them."""
-    attn = [f"attn{i}_{d}" for i in range(n_layers) for d in DIRECTIONS]  # each (d, 1)
-    heads = ["w_student_diag", "b_student_diag", "w_exercise_diag", "b_exercise_diag"]
-    return ["student_emb", "exercise_emb", "concept_emb", *attn, *heads, "w_predict", "b_predict"]
-
-
 def param_shapes(
     n_students: int, n_exercises: int, n_concepts: int, dim: int, n_layers: int
 ) -> dict[str, tuple[int, ...]]:
-    """Every trainable array's shape, by name in `param_names` order."""
+    """Every trainable array's shape, by name, in the order the regularizer sums them."""
     m, n, k, d = n_students, n_exercises, n_concepts, dim
-    shapes = {"student_emb": (m, d), "exercise_emb": (n, d), "concept_emb": (k, d)}
-    shapes.update(w_student_diag=(d, k), b_student_diag=(k,), w_exercise_diag=(d, k))
-    shapes.update(b_exercise_diag=(k,), w_predict=(k, k), b_predict=(k,))
-    return {name: shapes.get(name, (d, 1)) for name in param_names(n_layers)}
+    return {
+        "student_emb": (m, d), "exercise_emb": (n, d), "concept_emb": (k, d),
+        **{f"attn{i}_{r}": (d, 1) for i in range(n_layers) for r in DIRECTIONS},
+        "w_student_diag": (d, k), "b_student_diag": (k,),
+        "w_exercise_diag": (d, k), "b_exercise_diag": (k,),
+        "w_predict": (k, k), "b_predict": (k,),
+    }
 
 
 class ModelParams(dict):
-    """Name -> trainable array in `param_names` order; sizes are read off the arrays."""
+    """Name -> trainable array in `param_shapes` order; sizes are read off the arrays."""
 
     @property
     def n_layers(self) -> int:

@@ -14,7 +14,6 @@ bit-reproducible and resumable in single-thread double precision.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import math
 import numbers
@@ -24,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import (
+    QMatrix,
     ResponseSet,
     dataset_stats,
     distinct_ids,
@@ -336,6 +336,16 @@ class FitResult:
     config: TrainConfig
 
 
+def load_dataset(
+    responses_path, qmatrix_path, min_interactions: int
+) -> tuple[ResponseSet, QMatrix]:
+    """The records of the students with more than `min_interactions` (all at
+    0) and the Q-matrix read against them. The loaders are looked up in this
+    module at call time, so that rebinding them here reaches every set-up."""
+    rs = filter_min_interactions(load_responses(responses_path), min_interactions)
+    return rs, load_qmatrix(qmatrix_path, rs)
+
+
 def fit(
     config: TrainConfig,
     responses_path,
@@ -361,10 +371,7 @@ def fit(
     before `output_dir` is created.
     """
     output_dir = Path(output_dir)
-    rs = load_responses(responses_path)
-    if config.min_interactions > 0:
-        rs = filter_min_interactions(rs, config.min_interactions)
-    q = load_qmatrix(qmatrix_path, rs)
+    rs, q = load_dataset(responses_path, qmatrix_path, config.min_interactions)
     train_set, test_set = split_train_test(
         rs, config.train_ratio, seed=int(_rng(config.master_seed, _STREAM_SPLIT).integers(2**31))
     )
@@ -392,7 +399,7 @@ def fit(
         )
         opt = AdamState.fresh(params)
 
-    stats = json.dumps(dataset_stats(rs, q).to_dict(), indent=1, allow_nan=False)
+    stats = dataset_stats(rs, q).to_json()
     output_dir.mkdir(parents=True, exist_ok=True)
     train_path = output_dir / "train.csv"
     test_path = output_dir / "test.csv"

@@ -378,6 +378,34 @@ class TestConfigFile:
         assert "absent.json" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("source", ["--override", "--config"])
+    @pytest.mark.parametrize(
+        "pair", ["responses=2", "responses=[1]", "qmatrix=true", "output_dir=7"]
+    )
+    def test_a_path_that_is_not_a_string_is_a_usage_error_naming_the_key(
+        self, capfd, data_dir, tmp_path, command, source, pair
+    ):
+        # open() takes an int for a file descriptor: responses=2 once opened
+        # stderr and closed it. capfd, not capsys, so that fd 2 is restored
+        key, _, value = pair.partition("=")
+        out_dir = tmp_path / "run"
+        flags = {"responses": data_dir / "responses.csv", "qmatrix": data_dir / "qmatrix.csv"}
+        argv = [command, "--draws", "5"] if command == "viewgen-audit" else [command]
+        if command == "train":
+            flags["output_dir"] = out_dir
+        for name, path in flags.items():
+            if name != key:
+                argv += [f"--{name.replace('_', '-')}", str(path)]
+        if source == "--config":
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({key: json.loads(value)}), encoding="utf-8")
+            pair = str(config)
+        code = main([*argv, source, pair])
+        out, err = capfd.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: {key} must be a path (a JSON string), got {value}\n"
+        assert not out_dir.exists()
+
 
 @pytest.fixture(scope="module")
 def trained(data_dir, tmp_path_factory):

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import logging
 import tempfile
 import tracemalloc
@@ -154,10 +155,17 @@ class TestFilterMinInteractions:
         assert out.student_keys == ("s0", "s1")
         assert len(out) == 6
 
-    def test_zero_keeps_everyone(self):
-        rs = small_responses()
-        out = filter_min_interactions(rs, 0)
-        assert out.n_students == rs.n_students and len(out) == len(rs)
+    def test_zero_keeps_everyone(self, tmp_path):
+        # every loaded student and exercise has a record, so at 0 the filter
+        # returns its input field by field: set-up need not skip it
+        rp, _ = write_synthetic(tmp_path, make_synthetic(30, 15, 5, seed=3))
+        for rs in (small_responses(), load_responses(rp)):
+            out = filter_min_interactions(rs, 0)
+            for name in ("students", "exercises", "scores"):
+                got, want = getattr(out, name), getattr(rs, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            assert (out.n_students, out.n_exercises) == (rs.n_students, rs.n_exercises)
+            assert (out.student_keys, out.exercise_keys) == (rs.student_keys, rs.exercise_keys)
 
     def test_redensifies_exercises(self):
         rs = small_responses()
@@ -246,7 +254,7 @@ class TestStats:
         assert stats.n_interactions == 10
         assert stats.interactions_per_student == 2.5
         assert stats.density == 10 / 20
-        assert stats.to_dict()["density"] == 0.5
+        assert json.loads(stats.to_json())["density"] == 0.5
 
 
 class TestByteOrderMark:

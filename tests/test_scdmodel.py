@@ -29,7 +29,7 @@ from scdkit.scdmodel import (
     gcn_forward,
     init_params,
     load_checkpoint,
-    param_names,
+    param_shapes,
     predict,
     save_checkpoint,
 )
@@ -780,16 +780,17 @@ class TestCheckpoint:
         pins the RNG draw order, and that init keeps the neighbor half."""
         back = load_checkpoint(FIXTURE)
         fresh = init_params(4, 5, 3, n_layers=2, seed=9)
-        assert list(back.params) == param_names(2) == list(fresh)
+        names = list(param_shapes(4, 5, 3, 3, 2))
+        assert list(back.params) == names == list(fresh)
         with np.load(FIXTURE) as data:  # written in the order the regularizer sums
-            assert [k[3:] for k in data.files if k.startswith("p__")] == param_names(2)
+            assert [k[3:] for k in data.files if k.startswith("p__")] == names
         for name, arr in fresh.items():
             assert back.params[name].dtype == arr.dtype
             assert back.params[name].shape == arr.shape
             assert back.params[name].tobytes() == arr.tobytes(), name
         assert back.params.n_layers == 2 and back.params.dim == 3
         assert back.epoch == 1 and back.opt.step == 3 and back.config["epochs"] == 4
-        assert set(back.opt.m) == set(back.opt.v) == set(param_names(2))
+        assert set(back.opt.m) == set(back.opt.v) == set(names)
         assert all(np.all(m == 0.25) for m in back.opt.m.values())
         assert all(np.all(v == 4.0) for v in back.opt.v.values())
         for name, arr in fresh.items():
